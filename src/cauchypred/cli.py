@@ -30,15 +30,8 @@ from .dataio import (
 )
 from .dgp import DgpContinuousConfig, DgpDiscreteConfig, simulate_continuous, simulate_discrete
 from .errors import CauchyPredError
-from .estimators import group_gammas
-from .experiments import d2_study, default_d2_threshold, run_grid
-from .inference import (
-    TestOutcome,
-    grouped_hybrid_test,
-    hybrid_test,
-    hybrid_test_intercept,
-    t_q_test,
-)
+from .experiments import MethodSpec, d2_study, default_d2_threshold, evaluate_method, run_grid
+from .inference import TestOutcome
 
 _SIG_MARKS = ((0.01, "**"), (0.05, "*"))
 
@@ -74,27 +67,24 @@ def _outcome_csv(label: str, outcome: TestOutcome) -> str:
     return header + "\n" + row + "\n"
 
 
+def _method_spec(args: argparse.Namespace) -> MethodSpec:
+    """The test named by --method, --q, --intercept and --parity."""
+    parity = args.parity if args.intercept else None
+    if args.method == "hybrid":
+        return MethodSpec("hybrid_diff" if args.intercept else "hybrid", parity=parity)
+    if args.q is None:
+        raise CauchyPredError("--q is required for the group t-test")
+    return MethodSpec("grouped_hybrid" if args.intercept else "t_q", q=args.q, parity=parity)
+
+
 def _cmd_test(args: argparse.Namespace) -> int:
     dataset = parse_csv(
         args.csv, date_col=args.date_col, y_col=args.y_col, x_col=args.x_col
     )
     sample = dataset.to_regression_sample()
-    if args.method == "tq":
-        if args.q is None:
-            raise CauchyPredError("--q is required for the group t-test")
-        if args.intercept:
-            outcome = grouped_hybrid_test(sample, args.parity, args.q, args.alpha, args.sided)
-            label = f"t{args.q}_tau_{args.parity[0]}"
-        else:
-            outcome = t_q_test(group_gammas(sample, args.q), args.alpha, args.sided)
-            label = f"t{args.q}"
-    else:
-        if args.intercept:
-            outcome = hybrid_test_intercept(sample, args.parity, args.alpha, args.sided)
-            label = f"tau_{args.parity[0]}"
-        else:
-            outcome = hybrid_test(sample, args.alpha, args.sided)
-            label = "tau"
+    spec = _method_spec(args)
+    outcome = evaluate_method(spec, sample, args.alpha, args.sided)
+    label = spec.label
     print(_render_outcome(label, outcome))
     if args.out:
         out_dir = Path(args.out)

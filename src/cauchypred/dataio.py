@@ -8,14 +8,17 @@ ready :class:`RegressionSample` (with levels attached for the differenced
 estimators).
 
 Experiment files are flat JSON documents that map one-to-one onto
-:class:`~cauchypred.experiments.ExperimentGrid`; unknown keys are errors.
+:class:`~cauchypred.experiments.ExperimentGrid`, whose fields define the
+keys, their types and their defaults; unknown keys are errors.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import json
+import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -158,133 +161,73 @@ def dataset_to_csv_text(
 # --------------------------------------------------------------------------
 # experiment files
 
-_REQUIRED_KEYS = {
-    "name",
-    "dgp_kind",
-    "beta_values",
-    "kappa_values",
-    "T_values",
-    "vol_models",
-    "methods",
-    "n_reps",
-    "master_seed",
-}
-_OPTIONAL_KEYS = {
-    "alpha": 0.05,
-    "sided": None,  # default depends on dgp_kind
-    "delta": 1.0 / 12.0,
-    "rho_vw": -0.98,
-    "rho_wz": -0.4,
-    "jump_intensity": 0.0,
-    "jump_sd": 0.0,
-    "ma_order": 2,
-    "slope_scale": "per_sample",
-    "rho": -0.98,
-    "endogeneity": "v",
-}
-_CONTINUOUS_ONLY = {"delta", "rho_vw", "rho_wz", "jump_intensity", "jump_sd"}
-_DISCRETE_ONLY = {"ma_order", "slope_scale", "rho", "endogeneity"}
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentGrid)}
+_REQUIRED = {"name"} | {n for n, f in _FIELDS.items() if f.default is dataclasses.MISSING}
+_TYPES = typing.get_type_hints(ExperimentGrid)
+# what a JSON value must be for each (item) type of an ExperimentGrid field
+_KINDS = {float: "number", int: "nonnegative integer", str: "string"}
+
+
+def _accepts(typ: type, v) -> bool:
+    if isinstance(v, bool):
+        return False
+    if typ is float:
+        return isinstance(v, (int, float))
+    return isinstance(v, typ) and not (typ is int and v < 0)
+
+
+def _convert(key: str, v):
+    """Check one config value against its field's type and convert it."""
+    typ = _TYPES[key]
+    if typing.get_origin(typ) is tuple:
+        item = typing.get_args(typ)[0]
+        if not isinstance(v, list) or not v or not all(_accepts(item, x) for x in v):
+            raise SchemaError(f"{key} must be a nonempty list of {_KINDS[item]}s")
+        return tuple(item(x) for x in v)
+    if not _accepts(typ, v):
+        raise SchemaError(f"{key} must be a {_KINDS[typ]}")
+    return typ(v)
+
+
+def _design_of(key: str, kind: str) -> str:
+    return _FIELDS[key].metadata.get("design", kind)
 
 
 def config_to_grid(config: dict) -> ExperimentGrid:
-    """Validate a config mapping and build the experiment grid."""
+    """Validate a config mapping and build the experiment grid.
+
+    The keys are ``name`` plus the fields of :class:`ExperimentGrid`, with
+    the field defaults; ``sided`` defaults to ``"right"`` under the discrete
+    design.
+    """
     if not isinstance(config, dict):
         raise SchemaError("experiment config must be a JSON object")
-    unknown = set(config) - _REQUIRED_KEYS - set(_OPTIONAL_KEYS)
+    unknown = set(config) - _REQUIRED - set(_FIELDS)
     if unknown:
         raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(config)
+    missing = _REQUIRED - set(config)
     if missing:
         raise SchemaError(f"missing config keys: {sorted(missing)}")
-    kind = config["dgp_kind"]
-    if kind not in ("continuous", "discrete"):
-        raise SchemaError(f"dgp_kind must be 'continuous' or 'discrete', got {kind!r}")
-    wrong_kind = _DISCRETE_ONLY if kind == "continuous" else _CONTINUOUS_ONLY
-    misplaced = wrong_kind & set(config)
-    if misplaced:
-        raise SchemaError(
-            f"keys {sorted(misplaced)} do not apply to the {kind} design"
-        )
     if not isinstance(config["name"], str) or not config["name"]:
         raise SchemaError("name must be a nonempty string")
-
-    def floats(key):
-        v = config[key]
-        if not isinstance(v, list) or not v or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-        ):
-            raise SchemaError(f"{key} must be a nonempty list of numbers")
-        return tuple(float(x) for x in v)
-
-    def strings(key):
-        v = config[key]
-        if not isinstance(v, list) or not v or not all(isinstance(x, str) for x in v):
-            raise SchemaError(f"{key} must be a nonempty list of strings")
-        return tuple(v)
-
-    n_reps = config["n_reps"]
-    master_seed = config["master_seed"]
-    for key, v in (("n_reps", n_reps), ("master_seed", master_seed)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise SchemaError(f"{key} must be a nonnegative integer")
-    sided = config.get("sided")
-    if sided is None:
-        sided = "two" if kind == "continuous" else "right"
-    grid = ExperimentGrid(
-        dgp_kind=kind,
-        beta_values=floats("beta_values"),
-        kappa_values=floats("kappa_values"),
-        T_values=floats("T_values"),
-        vol_models=strings("vol_models"),
-        methods=strings("methods"),
-        n_reps=n_reps,
-        alpha=float(config.get("alpha", 0.05)),
-        sided=sided,
-        master_seed=master_seed,
-        delta=float(config.get("delta", _OPTIONAL_KEYS["delta"])),
-        rho_vw=float(config.get("rho_vw", -0.98)),
-        rho_wz=float(config.get("rho_wz", -0.4)),
-        jump_intensity=float(config.get("jump_intensity", 0.0)),
-        jump_sd=float(config.get("jump_sd", 0.0)),
-        ma_order=int(config.get("ma_order", 2)),
-        slope_scale=config.get("slope_scale", "per_sample"),
-        rho=float(config.get("rho", -0.98)),
-        endogeneity=config.get("endogeneity", "v"),
-    )
+    values = {k: _convert(k, v) for k, v in config.items() if k != "name"}
+    if values["dgp_kind"] == "discrete":
+        values.setdefault("sided", "right")
+    grid = ExperimentGrid(**values)
     grid.validate()
+    misplaced = sorted(k for k in values if _design_of(k, grid.dgp_kind) != grid.dgp_kind)
+    if misplaced:
+        raise SchemaError(f"keys {misplaced} do not apply to the {grid.dgp_kind} design")
     return grid
 
 
 def grid_to_config(grid: ExperimentGrid, name: str) -> dict:
     """Full config echo, sufficient to reproduce a run bitwise."""
-    config = {
-        "name": name,
-        "dgp_kind": grid.dgp_kind,
-        "beta_values": list(grid.beta_values),
-        "kappa_values": list(grid.kappa_values),
-        "T_values": list(grid.T_values),
-        "vol_models": list(grid.vol_models),
-        "methods": list(grid.methods),
-        "n_reps": grid.n_reps,
-        "alpha": grid.alpha,
-        "sided": grid.sided,
-        "master_seed": grid.master_seed,
-    }
-    if grid.dgp_kind == "continuous":
-        config.update(
-            delta=grid.delta,
-            rho_vw=grid.rho_vw,
-            rho_wz=grid.rho_wz,
-            jump_intensity=grid.jump_intensity,
-            jump_sd=grid.jump_sd,
-        )
-    else:
-        config.update(
-            ma_order=grid.ma_order,
-            slope_scale=grid.slope_scale,
-            rho=grid.rho,
-            endogeneity=grid.endogeneity,
-        )
+    config = {"name": name}
+    for key in _FIELDS:
+        if _design_of(key, grid.dgp_kind) == grid.dgp_kind:
+            value = getattr(grid, key)
+            config[key] = list(value) if isinstance(value, tuple) else value
     return config
 
 

@@ -68,7 +68,6 @@ class VolatilityPath:
 
     model: str
     sigma: np.ndarray
-    params: VolParams
     z_increments: Optional[np.ndarray] = None
 
 
@@ -100,7 +99,6 @@ def gen_volatility(
     model: str,
     params: VolParams,
     n_steps: int,
-    dt_years: float,
     total_years: float,
     stream: RngStream | np.random.Generator,
 ) -> VolatilityPath:
@@ -121,15 +119,15 @@ def gen_volatility(
         raise DomainError("n_steps must be >= 1")
     gen = stream.generator() if isinstance(stream, RngStream) else stream
     if model == "CNST":
-        return VolatilityPath(model, np.full(n_steps, params.sigma0), params)
+        return VolatilityPath(model, np.full(n_steps, params.sigma0))
     if model == "SB":
         frac = np.arange(1, n_steps + 1) / n_steps
         sigma = np.where(frac >= params.break_fraction, params.sigma1, params.sigma0)
-        return VolatilityPath(model, sigma.astype(float), params)
+        return VolatilityPath(model, sigma.astype(float))
     if model == "RS":
         states = _rs_states(gen, n_steps, params)
         sigma = np.where(states == 1, params.sigma1, params.sigma0).astype(float)
-        return VolatilityPath(model, sigma, params)
+        return VolatilityPath(model, sigma)
     # GBM: exact log-step; sigma used at each step is the value at its start,
     # so the path stays adapted to the shock history.
     n_daily = max(int(round(total_years * TRADING_DAYS_PER_YEAR)), n_steps)
@@ -139,7 +137,7 @@ def gen_volatility(
     z = gen.standard_normal(n_steps)
     log_inc = drift_total / n_steps + sd_total / np.sqrt(n_steps) * z
     log_sig2 = np.concatenate([[np.log(params.sigma0**2)], np.cumsum(log_inc)[:-1]])
-    return VolatilityPath(model, np.exp(0.5 * log_sig2), params, z_increments=z)
+    return VolatilityPath(model, np.exp(0.5 * log_sig2), z_increments=z)
 
 
 @dataclass(frozen=True)
@@ -274,9 +272,7 @@ def simulate_continuous(config: DgpContinuousConfig) -> RegressionSample:
     config.validate()
     n = config.n_obs
     gen = config.stream().generator()
-    vol = gen_volatility(
-        config.vol_model, config.vol_params, n, config.delta, config.years, gen
-    )
+    vol = gen_volatility(config.vol_model, config.vol_params, n, config.years, gen)
     sig = vol.sigma
     if vol.z_increments is not None:
         # order: error channel from the vol shocks, then the v channel
@@ -316,7 +312,7 @@ def simulate_discrete(config: DgpDiscreteConfig) -> RegressionSample:
     config.validate()
     n = config.n_obs
     gen = config.stream().generator()
-    vol = gen_volatility(config.vol_model, config.vol_params, n, 1.0, float(n), gen)
+    vol = gen_volatility(config.vol_model, config.vol_params, n, float(n), gen)
     sig = vol.sigma
     order = config.ma_order
     v_full = gen.standard_normal(n + order)
@@ -337,7 +333,6 @@ class BrownianAbsFunctionals:
     """Left-endpoint Riemann sums of |path| over [0,1] and its subdivisions."""
 
     full: float
-    halves: tuple[float, float]
     blocks: np.ndarray  # q block integrals
 
 
@@ -347,11 +342,9 @@ def abs_integral_blocks(path: np.ndarray, q: int) -> BrownianAbsFunctionals:
     if n < 2 * max(q, 2):
         raise DomainError("path too short for the requested partition")
     a = np.abs(np.asarray(path, dtype=float))
-    half = n // 2
-    halves = (float(a[:half].sum() / n), float(a[half:].sum() / n))
     block = n // q
     blocks = a[: q * block].reshape(q, block).sum(axis=1) / n
-    return BrownianAbsFunctionals(full=float(a.sum() / n), halves=halves, blocks=blocks)
+    return BrownianAbsFunctionals(full=float(a.sum() / n), blocks=blocks)
 
 
 def brownian_path(gen: np.random.Generator, n_steps: int, demean: bool = False) -> np.ndarray:

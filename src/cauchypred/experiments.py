@@ -24,6 +24,7 @@ import numpy as np
 
 from . import dists
 from .dgp import (
+    VOL_MODELS,
     DgpContinuousConfig,
     DgpDiscreteConfig,
     JumpConfig,
@@ -34,6 +35,8 @@ from .dgp import simulate_continuous, simulate_discrete
 from .errors import DegenerateStatisticError, DomainError, SchemaError
 from .estimators import RegressionSample, group_gammas
 from .inference import (
+    SIDES,
+    TestOutcome,
     grouped_hybrid_test,
     hybrid_test,
     hybrid_test_intercept,
@@ -92,22 +95,32 @@ def parse_method(label: str) -> MethodSpec:
 
 def evaluate_method(
     method: MethodSpec, sample: RegressionSample, alpha: float, sided: str
-) -> bool:
-    """Run one test on one sample and return the rejection decision."""
+) -> TestOutcome:
+    """Run the test a method label names on one sample."""
     if method.kind == "t_q":
-        return t_q_test(group_gammas(sample, method.q), alpha, sided).reject
+        return t_q_test(group_gammas(sample, method.q), alpha, sided)
     if method.kind == "hybrid":
-        return hybrid_test(sample, alpha, sided).reject
+        return hybrid_test(sample, alpha, sided)
     if method.kind == "hybrid_diff":
-        return hybrid_test_intercept(sample, method.parity, alpha, sided).reject
+        return hybrid_test_intercept(sample, method.parity, alpha, sided)
     if method.kind == "grouped_hybrid":
-        return grouped_hybrid_test(sample, method.parity, method.q, alpha, sided).reject
+        return grouped_hybrid_test(sample, method.parity, method.q, alpha, sided)
     raise DomainError(f"unknown method kind {method.kind!r}")
+
+
+def _only(design: str, default):
+    """A knob of one design; experiment files of the other design reject it."""
+    return field(default=default, metadata={"design": design})
 
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Full parameterization of one experiment table."""
+    """Full parameterization of one experiment table.
+
+    This is also the experiment-file schema (see :mod:`cauchypred.dataio`):
+    every field is a key, fields without a default are required, and the
+    ``design`` metadata marks the knobs of a single design.
+    """
 
     dgp_kind: str  # "continuous" | "discrete"
     beta_values: tuple[float, ...]
@@ -118,18 +131,16 @@ class ExperimentGrid:
     n_reps: int
     alpha: float = 0.05
     sided: str = "two"
-    master_seed: int = 0
-    # continuous design knobs
-    delta: float = 1.0 / 12.0
-    rho_vw: float = -0.98
-    rho_wz: float = -0.4
-    jump_intensity: float = 0.0
-    jump_sd: float = 0.0
-    # discrete design knobs
-    ma_order: int = 2
-    slope_scale: str = "per_sample"
-    rho: float = -0.98
-    endogeneity: str = "v"
+    master_seed: int = field(kw_only=True)  # required; keyword-only to keep its place
+    delta: float = _only("continuous", 1.0 / 12.0)
+    rho_vw: float = _only("continuous", -0.98)
+    rho_wz: float = _only("continuous", -0.4)
+    jump_intensity: float = _only("continuous", 0.0)
+    jump_sd: float = _only("continuous", 0.0)
+    ma_order: int = _only("discrete", 2)
+    slope_scale: str = _only("discrete", "per_sample")
+    rho: float = _only("discrete", -0.98)
+    endogeneity: str = _only("discrete", "v")
 
     def validate(self) -> None:
         if self.dgp_kind not in ("continuous", "discrete"):
@@ -141,8 +152,8 @@ class ExperimentGrid:
             raise SchemaError("n_reps must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise SchemaError("alpha must be in (0, 1)")
-        if self.sided not in ("two", "right", "left"):
-            raise SchemaError("sided must be 'two', 'right' or 'left'")
+        if self.sided not in SIDES:
+            raise SchemaError(f"sided must be one of {SIDES}")
         specs = [parse_method(m) for m in self.methods]
         if self.dgp_kind == "continuous":
             for s in specs:
@@ -155,7 +166,7 @@ class ExperimentGrid:
             if "GBM" in self.vol_models:
                 raise SchemaError("the GBM volatility model is not part of the discrete design")
         for v in self.vol_models:
-            if v not in ("CNST", "SB", "RS", "GBM"):
+            if v not in VOL_MODELS:
                 raise SchemaError(f"unknown volatility model {v!r}")
         # construct one config per combination to surface bad parameters early
         for beta in self.beta_values:
@@ -315,7 +326,7 @@ def _run_combination(grid: ExperimentGrid, beta, kappa, T, vol) -> dict[CellKey,
         sample = simulate(grid.dgp_config(beta, kappa, T, vol, rep))
         for spec in specs:
             try:
-                if evaluate_method(spec, sample, grid.alpha, grid.sided):
+                if evaluate_method(spec, sample, grid.alpha, grid.sided).reject:
                     rejections[spec.label] += 1
             except DegenerateStatisticError:
                 degenerate[spec.label] += 1

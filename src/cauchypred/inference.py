@@ -52,13 +52,12 @@ class ReferenceDistribution:
     df: Optional[int] = None
 
     def cdf(self, x: float) -> float:
+        """CDF of the symmetric families; chi-square p-values use its survival function."""
         if self.family == "student_t":
             return dists.student_t(x, self.df, "cdf")
         if self.family == "std_normal":
             return dists.std_normal(x, "cdf")
-        if self.family == "chi_square":
-            return 1.0 - dists.chi_square_sf(max(x, 0.0), self.df)
-        raise DomainError(f"unknown reference distribution {self.family!r}")
+        raise DomainError(f"no cdf for reference distribution {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -93,12 +92,13 @@ def _p_value(statistic: float, ref: ReferenceDistribution, sided: str) -> float:
         if sided != "right":
             raise DomainError("chi-square tests are right-tailed only")
         return dists.chi_square_sf(max(statistic, 0.0), ref.df)
-    cdf = ref.cdf(statistic)
+    # both references are symmetric: tails as cdf(-|x|) keep their accuracy
+    # where 1 - cdf would round to 0
     if sided == "right":
-        return 1.0 - cdf
+        return ref.cdf(-statistic)
     if sided == "left":
-        return cdf
-    return 2.0 * min(cdf, 1.0 - cdf)
+        return ref.cdf(statistic)
+    return 2.0 * ref.cdf(-abs(statistic))
 
 
 def _outcome(
@@ -131,46 +131,38 @@ def t_statistic(values: np.ndarray) -> float:
     return float(np.sqrt(q) * v.mean() / sd)
 
 
-def t_q_test(groups: GroupStatistics, alpha: float, sided: str = "two") -> TestOutcome:
-    """Group t-test on the per-block normalized numerators.
+def _group_t_outcome(values: np.ndarray, sided: str, alpha: float) -> TestOutcome:
+    """t-statistic of q block values against t(q-1).
 
-    The statistic is sqrt(q) * mean / sd of the q block values, referred to
-    a t distribution with q-1 degrees of freedom.  Levels above
-    ``ALPHA_VALIDITY_BOUND`` are flagged on the outcome rather than
-    rejected outright.
+    Levels above ``ALPHA_VALIDITY_BOUND`` are flagged on the outcome rather
+    than rejected outright.
     """
+    stat = t_statistic(values)
     warning = None
     if alpha > ALPHA_VALIDITY_BOUND:
         warning = (
             f"group t-test validity is only guaranteed for alpha <= "
             f"{ALPHA_VALIDITY_BOUND}; got alpha={alpha}"
         )
-    stat = t_statistic(groups.gammas)
-    ref = ReferenceDistribution("student_t", df=groups.q - 1)
+    ref = ReferenceDistribution("student_t", df=len(values) - 1)
     return _outcome(stat, ref, sided, alpha, warning)
 
 
-def hybrid_test(
-    sample: RegressionSample,
-    alpha: float,
-    sided: str = "two",
-    variance: str = "ols_residual",
-) -> TestOutcome:
-    """Sign-instrument numerator studentized by a full-sample variance.
+def t_q_test(groups: GroupStatistics, alpha: float, sided: str = "two") -> TestOutcome:
+    """Group t-test on the per-block normalized numerators.
 
-    The default divides by the no-intercept OLS residual standard deviation.
-    ``variance="raw_y"`` divides by the raw second moment of y instead;
-    under the null this is equivalent, but it can destroy power against
-    heavy-tailed predictors, so it is not the default.
+    The statistic is sqrt(q) * mean / sd of the q block values, referred to
+    a t distribution with q-1 degrees of freedom.
     """
+    return _group_t_outcome(groups.gammas, sided, alpha)
+
+
+def hybrid_test(sample: RegressionSample, alpha: float, sided: str = "two") -> TestOutcome:
+    """Sign-instrument numerator studentized by the no-intercept OLS
+    residual standard deviation."""
     fit = cauchy_estimate(sample)
-    if variance == "ols_residual":
-        _, residuals = ols_fit(sample, intercept=False)
-        w2 = omega_hat_sq(residuals)
-    elif variance == "raw_y":
-        w2 = float(np.mean(sample.y * sample.y))
-    else:
-        raise DomainError(f"variance must be 'ols_residual' or 'raw_y', got {variance!r}")
+    _, residuals = ols_fit(sample, intercept=False)
+    w2 = omega_hat_sq(residuals)
     if w2 == 0.0:
         raise DegenerateVarianceError("residual variance is zero (perfect fit)")
     stat = fit.gamma / np.sqrt(w2)
@@ -219,14 +211,7 @@ def grouped_hybrid_test(
     numer_terms, _ = diff_terms(sample, parity)
     blocks, _ = partition_consecutive(numer_terms, q)
     scale = np.sqrt(q / numer_terms.shape[0])
-    stat = t_statistic(scale * blocks.sum(axis=1))
-    warning = None
-    if alpha > ALPHA_VALIDITY_BOUND:
-        warning = (
-            f"group t-test validity is only guaranteed for alpha <= "
-            f"{ALPHA_VALIDITY_BOUND}; got alpha={alpha}"
-        )
-    return _outcome(stat, ReferenceDistribution("student_t", df=q - 1), sided, alpha, warning)
+    return _group_t_outcome(scale * blocks.sum(axis=1), sided, alpha)
 
 
 def bonferroni_joint(
@@ -289,20 +274,11 @@ def wald_joint(sample: RegressionSample, alpha: float) -> JointTestOutcome:
         raise DegenerateVarianceError("residual variance is zero (perfect fit)")
     b = z.T @ sample.y
     stat = float(b @ np.linalg.solve(S, b) / w2)
-    ref = ReferenceDistribution("chi_square", df=k)
-    p = dists.chi_square_sf(stat, k)
-    marginal = TestOutcome(
-        statistic=stat,
-        ref_dist=ref,
-        p_value=float(p),
-        sided="right",
-        alpha=float(alpha),
-        reject=bool(p <= alpha),
-    )
+    marginal = _outcome(stat, ReferenceDistribution("chi_square", df=k), "right", alpha)
     return JointTestOutcome(
         per_predictor=(marginal,),
         method="wald",
-        joint_reject=bool(p <= alpha),
+        joint_reject=marginal.reject,
         alpha=float(alpha),
         wald_stat=stat,
     )

@@ -1,11 +1,17 @@
 """End-to-end runs of the command-line interface on small inputs."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cauchypred import cli
 from cauchypred.cli import main
+from cauchypred.dataio import bundled_config_names, parse_csv
+from cauchypred.experiments import McTable, evaluate_method, parse_method
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_dataset(tmp_path, n=60, beta=0.0, seed=0, name="series.csv"):
@@ -40,6 +46,27 @@ def small_config(tmp_path):
 
 
 class TestTestCommand:
+    @pytest.mark.parametrize(
+        "flags,label",
+        [
+            (["--method", "hybrid"], "tau"),
+            (["--method", "hybrid", "--intercept"], "tau_o"),
+            (["--method", "tq", "--q", "12"], "t12"),
+            (["--method", "tq", "--q", "12", "--intercept"], "t12_tau_o"),
+            (["--method", "hybrid", "--intercept", "--parity", "even"], "tau_e"),
+            (["--method", "tq", "--q", "12", "--intercept", "--parity", "even"], "t12_tau_e"),
+        ],
+    )
+    def test_flags_name_the_dispatched_method(self, tmp_path, capsys, flags, label):
+        csv = write_dataset(tmp_path, n=600, seed=3)
+        out_dir = tmp_path / "out"
+        assert main(["test", str(csv), *flags, "--out", str(out_dir)]) == 0
+        spec = parse_method(label)
+        assert capsys.readouterr().out.startswith(f"{spec.label}: ")
+        expected = evaluate_method(spec, parse_csv(csv).to_regression_sample(), 0.05, "two")
+        row = (out_dir / "test_result.csv").read_text().splitlines()[1].split(",")
+        assert row[:3] == [spec.label, repr(expected.statistic), repr(expected.p_value)]
+
     def test_hybrid_runs(self, tmp_path, capsys):
         csv = write_dataset(tmp_path)
         assert main(["test", str(csv)]) == 0
@@ -123,6 +150,23 @@ class TestTableCommand:
         bad.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["table", "--config", str(bad), "--out", str(tmp_path / "x")]) != 0
         assert "vol_modl" in capsys.readouterr().err
+
+    def test_optional_key_type_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        payload = json.loads(small_config(tmp_path).read_text())
+        payload["alpha"] = "abc"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["table", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: alpha")
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_manifest_matches_golden(self, name, tmp_path, monkeypatch):
+        # the config echo of every bundled config, written by the table
+        # command itself; the simulation is skipped
+        monkeypatch.setattr(cli, "run_grid", lambda grid, workers: McTable(n_reps=grid.n_reps))
+        assert main(["table", "--config", name, "--out", str(tmp_path)]) == 0
+        written = (tmp_path / f"{name}_manifest.json").read_bytes()
+        assert written == (GOLDEN / f"{name}_manifest.json").read_bytes()
 
     def test_bundled_name_resolves(self, tmp_path, capsys):
         # bundled config exists; run is too heavy here, so just check the

@@ -157,6 +157,10 @@ class TestExperimentFiles:
             config_to_grid(base_config(n_reps=2.5))
         with pytest.raises(SchemaError):
             config_to_grid(base_config(beta_values="0.0"))
+        # optional keys get the same checks as required ones
+        for key, value in (("alpha", "abc"), ("ma_order", 2.7), ("alpha", "0.1"), ("rho", True)):
+            with pytest.raises(SchemaError, match=key):
+                config_to_grid(base_config(**{key: value}))
 
     def test_load_file_and_manifest(self, tmp_path):
         config = base_config()

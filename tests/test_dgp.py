@@ -25,13 +25,13 @@ from cauchypred.dgp import abs_integral_blocks
 
 class TestVolatility:
     def test_cnst_flat(self):
-        path = gen_volatility("CNST", VolParams(), 50, 1.0, 50.0, RngStream(1))
+        path = gen_volatility("CNST", VolParams(), 50, 50.0, RngStream(1))
         assert_allclose(path.sigma, np.ones(50))
 
     def test_sb_pattern(self):
         # 10 steps, switch at the first step whose sample fraction t/n
         # reaches 0.8: seven low entries then three high
-        path = gen_volatility("SB", VolParams(), 10, 1.0, 10.0, RngStream(1))
+        path = gen_volatility("SB", VolParams(), 10, 10.0, RngStream(1))
         assert_allclose(path.sigma, [1.0] * 7 + [4.0] * 3)
 
     def test_rs_no_switch_at_time_zero(self):
@@ -39,7 +39,7 @@ class TestVolatility:
         # the initial state regardless of the uniform draw
         for seed in range(40):
             stream = RngStream(seed)
-            path = gen_volatility("RS", VolParams(), 500, 1.0, 500.0, stream)
+            path = gen_volatility("RS", VolParams(), 500, 500.0, stream)
             gen = stream.generator()
             u0 = gen.random(501)[0]
             initial = 4.0 if u0 < 0.2 else 1.0
@@ -49,20 +49,20 @@ class TestVolatility:
         # pooled high-state share approaches the invariant weight 0.2
         share = []
         for seed in range(60):
-            path = gen_volatility("RS", VolParams(), 2000, 1.0, 2000.0, RngStream(77, seed))
+            path = gen_volatility("RS", VolParams(), 2000, 2000.0, RngStream(77, seed))
             tail = path.sigma[1000:]
             share.append(np.mean(tail == 4.0))
         assert np.mean(share) == pytest.approx(0.2, abs=0.05)
 
     def test_gbm_positive_and_finite(self):
         for years in (5, 20, 50):
-            path = gen_volatility("GBM", VolParams(), 12 * years, 1 / 12, float(years), RngStream(5))
+            path = gen_volatility("GBM", VolParams(), 12 * years, float(years), RngStream(5))
             assert np.all(path.sigma > 0)
             assert np.all(np.isfinite(path.sigma))
             assert path.z_increments is not None
 
     def test_gbm_starts_at_sigma0(self):
-        path = gen_volatility("GBM", VolParams(), 240, 1 / 12, 20.0, RngStream(6))
+        path = gen_volatility("GBM", VolParams(), 240, 20.0, RngStream(6))
         assert path.sigma[0] == pytest.approx(1.0)
 
     def test_gbm_frequency_invariant_law(self):
@@ -71,7 +71,7 @@ class TestVolatility:
         for n in (240, 960):
             vals = [
                 np.log(
-                    gen_volatility("GBM", VolParams(), n, 20.0 / n, 20.0, RngStream(9, i)).sigma[-1]
+                    gen_volatility("GBM", VolParams(), n, 20.0, RngStream(9, i)).sigma[-1]
                     ** 2
                 )
                 for i in range(400)
@@ -81,9 +81,9 @@ class TestVolatility:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            gen_volatility("OU", VolParams(), 10, 1.0, 10.0, RngStream(1))
+            gen_volatility("OU", VolParams(), 10, 10.0, RngStream(1))
         with pytest.raises(DomainError):
-            gen_volatility("CNST", VolParams(sigma0=-1.0), 10, 1.0, 10.0, RngStream(1))
+            gen_volatility("CNST", VolParams(sigma0=-1.0), 10, 10.0, RngStream(1))
 
 
 class TestMaWeights:
@@ -215,8 +215,8 @@ class TestBrownianFunctionals:
     def test_injected_constant_path(self):
         f = abs_integral_blocks(np.ones(1000), 2)
         assert f.full == pytest.approx(1.0, abs=1e-12)
-        assert f.halves[0] == pytest.approx(0.5, abs=1e-12)
-        assert f.halves[1] == pytest.approx(0.5, abs=1e-12)
+        assert f.blocks[0] == pytest.approx(0.5, abs=1e-12)
+        assert f.blocks[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_blocks_sum_to_full(self):
         gen = RngStream(3, 1).generator()
@@ -229,7 +229,7 @@ class TestBrownianFunctionals:
             assert d_statistic(f) > 1.0
 
     def test_d_statistic_matches_two_group_form(self):
-        f = BrownianAbsFunctionals(full=1.0, halves=(0.7, 0.3), blocks=np.array([0.7, 0.3]))
+        f = BrownianAbsFunctionals(full=1.0, blocks=np.array([0.7, 0.3]))
         assert d_statistic(f) == pytest.approx(1.0 / 0.4, abs=1e-12)
 
     def test_demeaned_path_replayable(self):

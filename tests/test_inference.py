@@ -3,6 +3,7 @@ identities across tests, and degenerate-input errors."""
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
 
 from cauchypred import (
     DegenerateGroupsError,
@@ -93,6 +94,22 @@ class TestTqTest:
             assert _p_value(stat, ref, "two") == pytest.approx(2 * min(left, right), abs=1e-12)
 
 
+class TestTailPValues:
+    # 1 - cdf loses the tail this far out (at 10 it rounds to 0); abs=0 so
+    # a zero or imprecise p-value cannot pass on absolute tolerance
+    def test_normal_right_tail(self):
+        p = _p_value(10.0, ReferenceDistribution("std_normal"), "right")
+        assert p == pytest.approx(7.61985302416047e-24, rel=1e-10, abs=0)
+
+    def test_student_t_right_tail(self):
+        p = _p_value(40.0, ReferenceDistribution("student_t", df=5), "right")
+        assert p == pytest.approx(stdtr(5, -40.0), rel=1e-12, abs=0)
+
+    def test_two_sided_far_tail(self):
+        p = _p_value(10.0, ReferenceDistribution("std_normal"), "two")
+        assert p == pytest.approx(2 * 7.61985302416047e-24, rel=1e-10, abs=0)
+
+
 class TestHybridTest:
     def test_hand_example(self):
         out = hybrid_test(sample([1.0, 1.0], [1.0, -1.0]), alpha=0.05)
@@ -105,26 +122,12 @@ class TestHybridTest:
         with pytest.raises(DegenerateVarianceError):
             hybrid_test(sample([1.0, 1.0], [1.0, 1.0]), alpha=0.05)
 
-    def test_raw_y_variance_variant(self):
-        s = random_walk_sample(1, 50)
-        default = hybrid_test(s, 0.05)
-        raw = hybrid_test(s, 0.05, variance="raw_y")
-        w2 = float(np.mean(s.y**2))
-        _, res = ols_fit(s, intercept=False)
-        assert raw.statistic == pytest.approx(
-            default.statistic * np.sqrt(omega_hat_sq(res) / w2), rel=1e-10
-        )
-
     def test_positive_x_rescale_invariance(self):
         s = random_walk_sample(2, 80)
         base = hybrid_test(s, 0.05).statistic
         for c in (0.25, 3.0, 1e4):
             scaled = hybrid_test(sample(s.y, c * s.x_lag), 0.05).statistic
             assert scaled == pytest.approx(base, rel=1e-10)
-
-    def test_unknown_variance_mode(self):
-        with pytest.raises(DomainError):
-            hybrid_test(random_walk_sample(3, 20), 0.05, variance="sandwich")
 
 
 class TestHybridIntercept:
