@@ -15,7 +15,6 @@ from .dgp import (
     BrownianAbsFunctionals,
     DgpContinuousConfig,
     DgpDiscreteConfig,
-    JumpConfig,
     VolParams,
     VolatilityPath,
     gen_brownian_abs_functionals,

@@ -32,6 +32,7 @@ from .dgp import DgpContinuousConfig, DgpDiscreteConfig, simulate_continuous, si
 from .errors import CauchyPredError
 from .experiments import MethodSpec, d2_study, default_d2_threshold, evaluate_method, run_grid
 from .inference import TestOutcome
+from .rng import RngStream
 
 _SIG_MARKS = ((0.01, "**"), (0.05, "*"))
 
@@ -125,18 +126,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             kappa_bar=args.kappa,
             beta=args.beta,
             vol_model=args.vol,
-            master_seed=args.seed,
         )
-        sample = simulate_continuous(config)
+        sample = simulate_continuous(config, RngStream(args.seed))
     else:
         config = DgpDiscreteConfig(
             n_obs=args.n_obs,
             kappa_bar=args.kappa,
             beta=args.beta,
             vol_model=args.vol,
-            master_seed=args.seed,
         )
-        sample = simulate_discrete(config)
+        sample = simulate_discrete(config, RngStream(args.seed))
     lines = ["t,y,x_lag" + (",x_level" if sample.x_level is not None else "")]
     x1 = sample.x1()
     for t in range(sample.n_obs):

@@ -29,8 +29,6 @@ from .errors import CsvFormatError, InsufficientDataError, SchemaError
 from .estimators import RegressionSample
 from .experiments import ExperimentGrid
 
-FREQUENCIES = ("monthly", "quarterly", "yearly")
-
 _MIN_ROWS = 10
 
 
@@ -55,11 +53,8 @@ class EmpiricalDataset:
     dates: tuple[str, ...]
     y: np.ndarray
     x: np.ndarray
-    frequency: str = "monthly"
 
     def __post_init__(self) -> None:
-        if self.frequency not in FREQUENCIES:
-            raise SchemaError(f"frequency must be one of {FREQUENCIES}")
         y = np.asarray(self.y, dtype=float)
         x = np.asarray(self.x, dtype=float)
         if not (len(self.dates) == y.shape[0] == x.shape[0]):
@@ -101,7 +96,6 @@ def parse_csv(
     date_col: str = "date",
     y_col: str = "y",
     x_col: str = "x",
-    frequency: str = "monthly",
 ) -> EmpiricalDataset:
     """Read an empirical dataset from a headed CSV file.
 
@@ -143,9 +137,7 @@ def parse_csv(
         raise InsufficientDataError(
             f"{path}: need at least {_MIN_ROWS} usable rows, got {len(dates)}"
         )
-    return EmpiricalDataset(
-        dates=tuple(dates), y=np.array(ys), x=np.array(xs), frequency=frequency
-    )
+    return EmpiricalDataset(dates=tuple(dates), y=np.array(ys), x=np.array(xs))
 
 
 def dataset_to_csv_text(

@@ -17,9 +17,10 @@ Both share the volatility models in :func:`gen_volatility`: constant (CNST),
 a late structural break (SB), a two-state regime-switching chain (RS), and a
 lognormal stochastic-volatility path (GBM, continuous design only).
 
-Determinism contract: every generator consumes its stream in a fixed,
-documented order (volatility first, then the shock channels), so a given
-config and stream reproduce the same sample bitwise on any platform.
+Determinism contract: a config fixes the model and carries no randomness;
+every generator takes its random stream as an argument and consumes it in a
+fixed, documented order (volatility first, then the shock channels), so a
+config and a stream reproduce the same sample bitwise on any platform.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import signal
 
 from .errors import DomainError
 from .estimators import RegressionSample, recursive_demean
@@ -66,7 +66,6 @@ class VolParams:
 class VolatilityPath:
     """Realized sigma_t sequence plus the shocks that drove it (GBM only)."""
 
-    model: str
     sigma: np.ndarray
     z_increments: Optional[np.ndarray] = None
 
@@ -119,15 +118,15 @@ def gen_volatility(
         raise DomainError("n_steps must be >= 1")
     gen = stream.generator() if isinstance(stream, RngStream) else stream
     if model == "CNST":
-        return VolatilityPath(model, np.full(n_steps, params.sigma0))
+        return VolatilityPath(np.full(n_steps, params.sigma0))
     if model == "SB":
         frac = np.arange(1, n_steps + 1) / n_steps
         sigma = np.where(frac >= params.break_fraction, params.sigma1, params.sigma0)
-        return VolatilityPath(model, sigma.astype(float))
+        return VolatilityPath(sigma.astype(float))
     if model == "RS":
         states = _rs_states(gen, n_steps, params)
         sigma = np.where(states == 1, params.sigma1, params.sigma0).astype(float)
-        return VolatilityPath(model, sigma)
+        return VolatilityPath(sigma)
     # GBM: exact log-step; sigma used at each step is the value at its start,
     # so the path stays adapted to the shock history.
     n_daily = max(int(round(total_years * TRADING_DAYS_PER_YEAR)), n_steps)
@@ -137,24 +136,17 @@ def gen_volatility(
     z = gen.standard_normal(n_steps)
     log_inc = drift_total / n_steps + sd_total / np.sqrt(n_steps) * z
     log_sig2 = np.concatenate([[np.log(params.sigma0**2)], np.cumsum(log_inc)[:-1]])
-    return VolatilityPath(model, np.exp(0.5 * log_sig2), z_increments=z)
-
-
-@dataclass(frozen=True)
-class JumpConfig:
-    """Compound-Poisson jumps added to the error channel."""
-
-    intensity_per_year: float
-    size_sd: float
-
-    def validate(self) -> None:
-        if self.intensity_per_year < 0 or self.size_sd < 0:
-            raise DomainError("jump intensity and size must be nonnegative")
+    return VolatilityPath(np.exp(0.5 * log_sig2), z_increments=z)
 
 
 @dataclass(frozen=True)
 class DgpContinuousConfig:
-    """No-intercept design observed at delta-spaced points over `years`."""
+    """No-intercept design observed at delta-spaced points over `years`.
+
+    Compound-Poisson jumps with ``jump_intensity`` expected jumps per year
+    and normal sizes of standard deviation ``jump_sd`` are added to the
+    error channel when the intensity is positive.
+    """
 
     years: float
     delta: float = 1.0 / 12.0
@@ -162,11 +154,10 @@ class DgpContinuousConfig:
     beta: float = 0.0
     vol_model: str = "CNST"
     vol_params: VolParams = field(default_factory=VolParams)
-    jump: Optional[JumpConfig] = None
+    jump_intensity: float = 0.0
+    jump_sd: float = 0.0
     rho_vw: float = -0.98
     rho_wz: float = -0.4
-    master_seed: int = 0
-    stream_index: int = 0
 
     def validate(self) -> None:
         if self.years <= 0 or self.delta <= 0:
@@ -178,18 +169,15 @@ class DgpContinuousConfig:
         for rho in (self.rho_vw, self.rho_wz):
             if not -1.0 <= rho <= 1.0:
                 raise DomainError("correlations must lie in [-1, 1]")
+        if self.jump_intensity < 0 or self.jump_sd < 0:
+            raise DomainError("jump_intensity and jump_sd must be nonnegative")
         self.vol_params.validate()
-        if self.jump is not None:
-            self.jump.validate()
         if self.vol_model not in VOL_MODELS:
             raise DomainError(f"unknown volatility model {self.vol_model!r}")
 
     @property
     def n_obs(self) -> int:
         return int(round(self.years / self.delta))
-
-    def stream(self) -> RngStream:
-        return RngStream(self.master_seed, self.stream_index)
 
 
 @dataclass(frozen=True)
@@ -205,8 +193,6 @@ class DgpDiscreteConfig:
     vol_params: VolParams = field(default_factory=VolParams)
     rho: float = -0.98
     endogeneity: str = "v"  # correlate the error with "v" shocks or with "eta"
-    master_seed: int = 0
-    stream_index: int = 0
 
     def validate(self) -> None:
         if self.n_obs < 8:
@@ -226,9 +212,6 @@ class DgpDiscreteConfig:
         if self.endogeneity not in ("v", "eta"):
             raise DomainError("endogeneity must be 'v' or 'eta'")
         self.vol_params.validate()
-
-    def stream(self) -> RngStream:
-        return RngStream(self.master_seed, self.stream_index)
 
 
 def ma_weights(order: int) -> np.ndarray:
@@ -251,15 +234,20 @@ def _ma_filter(v_full: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
 def _ar_path(innovations: np.ndarray, coefficient: float) -> np.ndarray:
     """x_t = coefficient * x_{t-1} + innovations_t with x_0 = 0."""
-    return signal.lfilter([1.0], [1.0, -coefficient], innovations)
+    path = []
+    prev = 0.0
+    for u in innovations.tolist():
+        prev = coefficient * prev + u
+        path.append(prev)
+    return np.array(path)
 
 
-def simulate_continuous(config: DgpContinuousConfig) -> RegressionSample:
+def simulate_continuous(config: DgpContinuousConfig, stream: RngStream) -> RegressionSample:
     """One replication of the no-intercept design.
 
     Draw order: volatility shocks, then (for GBM) the error and predictor
     channels built from them, otherwise the predictor channel followed by
-    the error channel, then jump counts and sizes when configured.
+    the error channel, then jump counts and sizes when jump_intensity > 0.
 
     The predictor is a local-to-unity AR(1) whose innovations are the
     two-term moving average of the v shocks scaled by sigma_t; the series
@@ -271,7 +259,7 @@ def simulate_continuous(config: DgpContinuousConfig) -> RegressionSample:
     """
     config.validate()
     n = config.n_obs
-    gen = config.stream().generator()
+    gen = stream.generator()
     vol = gen_volatility(config.vol_model, config.vol_params, n, config.years, gen)
     sig = vol.sigma
     if vol.z_increments is not None:
@@ -287,10 +275,10 @@ def simulate_continuous(config: DgpContinuousConfig) -> RegressionSample:
         e_w = gen.standard_normal(n)
         w = config.rho_vw * v_full[2:] + np.sqrt(1.0 - config.rho_vw**2) * e_w
     shocks = w
-    if config.jump is not None and config.jump.intensity_per_year > 0:
-        counts = gen.poisson(config.jump.intensity_per_year * config.delta, n)
+    if config.jump_intensity > 0:
+        counts = gen.poisson(config.jump_intensity * config.delta, n)
         sizes = gen.standard_normal(n)
-        shocks = w + config.jump.size_sd * np.sqrt(counts) * sizes
+        shocks = w + config.jump_sd * np.sqrt(counts) * sizes
     eta = _ma_filter(v_full, ma_weights(2), n)
     ar = 1.0 - config.kappa_bar / config.years * config.delta
     x_path = _ar_path(sig * eta, ar)
@@ -300,7 +288,7 @@ def simulate_continuous(config: DgpContinuousConfig) -> RegressionSample:
     return RegressionSample(y=y, x_lag=x_lag)
 
 
-def simulate_discrete(config: DgpDiscreteConfig) -> RegressionSample:
+def simulate_discrete(config: DgpDiscreteConfig, stream: RngStream) -> RegressionSample:
     """One replication of the intercept-experiment design.
 
     Draw order: volatility, then the v shocks (with ma_order burn-in draws),
@@ -311,7 +299,7 @@ def simulate_discrete(config: DgpDiscreteConfig) -> RegressionSample:
     """
     config.validate()
     n = config.n_obs
-    gen = config.stream().generator()
+    gen = stream.generator()
     vol = gen_volatility(config.vol_model, config.vol_params, n, float(n), gen)
     sig = vol.sigma
     order = config.ma_order

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ from .dgp import (
     VOL_MODELS,
     DgpContinuousConfig,
     DgpDiscreteConfig,
-    JumpConfig,
     gen_brownian_abs_functionals,
     d_statistic,
 )
@@ -108,8 +107,13 @@ def evaluate_method(
     raise DomainError(f"unknown method kind {method.kind!r}")
 
 
-def _only(design: str, default):
-    """A knob of one design; experiment files of the other design reject it."""
+_DGP_CONFIGS = {"continuous": DgpContinuousConfig, "discrete": DgpDiscreteConfig}
+
+
+def _only(design: str, name: str):
+    """A knob of one design, defaulting to the same-named field of that
+    design's DGP config; experiment files of the other design reject it."""
+    default = next(f.default for f in fields(_DGP_CONFIGS[design]) if f.name == name)
     return field(default=default, metadata={"design": design})
 
 
@@ -132,15 +136,15 @@ class ExperimentGrid:
     alpha: float = 0.05
     sided: str = "two"
     master_seed: int = field(kw_only=True)  # required; keyword-only to keep its place
-    delta: float = _only("continuous", 1.0 / 12.0)
-    rho_vw: float = _only("continuous", -0.98)
-    rho_wz: float = _only("continuous", -0.4)
-    jump_intensity: float = _only("continuous", 0.0)
-    jump_sd: float = _only("continuous", 0.0)
-    ma_order: int = _only("discrete", 2)
-    slope_scale: str = _only("discrete", "per_sample")
-    rho: float = _only("discrete", -0.98)
-    endogeneity: str = _only("discrete", "v")
+    delta: float = _only("continuous", "delta")
+    rho_vw: float = _only("continuous", "rho_vw")
+    rho_wz: float = _only("continuous", "rho_wz")
+    jump_intensity: float = _only("continuous", "jump_intensity")
+    jump_sd: float = _only("continuous", "jump_sd")
+    ma_order: int = _only("discrete", "ma_order")
+    slope_scale: str = _only("discrete", "slope_scale")
+    rho: float = _only("discrete", "rho")
+    endogeneity: str = _only("discrete", "endogeneity")
 
     def validate(self) -> None:
         if self.dgp_kind not in ("continuous", "discrete"):
@@ -173,37 +177,22 @@ class ExperimentGrid:
             for kappa in self.kappa_values:
                 for T in self.T_values:
                     for vol in self.vol_models:
-                        self.dgp_config(beta, kappa, T, vol, rep=0).validate()
+                        self.dgp_config(beta, kappa, T, vol).validate()
 
-    def dgp_config(self, beta, kappa, T, vol, rep: int):
-        idx = substream_index(self.dgp_signature(beta, kappa, T, vol), rep)
-        if self.dgp_kind == "continuous":
-            jump = None
-            if self.jump_intensity > 0:
-                jump = JumpConfig(self.jump_intensity, self.jump_sd)
-            return DgpContinuousConfig(
-                years=float(T),
-                delta=self.delta,
-                kappa_bar=float(kappa),
-                beta=float(beta),
-                vol_model=vol,
-                jump=jump,
-                rho_vw=self.rho_vw,
-                rho_wz=self.rho_wz,
-                master_seed=self.master_seed,
-                stream_index=idx,
-            )
-        return DgpDiscreteConfig(
-            n_obs=int(T),
+    def dgp_config(self, beta, kappa, T, vol):
+        """The model of one combination: its coordinates plus the design's knobs."""
+        horizon = {"years": float(T)} if self.dgp_kind == "continuous" else {"n_obs": int(T)}
+        knobs = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata.get("design") == self.dgp_kind
+        }
+        return _DGP_CONFIGS[self.dgp_kind](
+            **horizon,
             kappa_bar=float(kappa),
             beta=float(beta),
-            slope_scale=self.slope_scale,
-            ma_order=self.ma_order,
             vol_model=vol,
-            rho=self.rho,
-            endogeneity=self.endogeneity,
-            master_seed=self.master_seed,
-            stream_index=idx,
+            **knobs,
         )
 
     def dgp_signature(self, beta, kappa, T, vol) -> str:
@@ -322,8 +311,10 @@ def _run_combination(grid: ExperimentGrid, beta, kappa, T, vol) -> dict[CellKey,
     rejections = {s.label: 0 for s in specs}
     degenerate = {s.label: 0 for s in specs}
     simulate = simulate_continuous if grid.dgp_kind == "continuous" else simulate_discrete
+    config = grid.dgp_config(beta, kappa, T, vol)
+    signature = grid.dgp_signature(beta, kappa, T, vol)
     for rep in range(grid.n_reps):
-        sample = simulate(grid.dgp_config(beta, kappa, T, vol, rep))
+        sample = simulate(config, RngStream(grid.master_seed, substream_index(signature, rep)))
         for spec in specs:
             try:
                 if evaluate_method(spec, sample, grid.alpha, grid.sided).reject:
@@ -408,14 +399,12 @@ def d2_study(
     n_steps: int,
     threshold: Optional[float] = None,
     master_seed: int = 0,
-    q: int = 2,
-    demean: bool = True,
 ) -> D2Result:
     """Simulate the two-group limit ratio of the group t-statistic.
 
-    Each draw builds a Brownian path (recursively demeaned by default, the
-    same recentering applied to predictors), integrates its absolute value
-    over the q blocks, and forms the limit ratio.  Reports the minimum, the
+    Each draw builds a Brownian path, recursively demeaned (the same
+    recentering applied to predictors), integrates its absolute value over
+    the two halves of [0, 1], and forms the limit ratio.  Reports the minimum, the
     exceedance probability of ``threshold``, and a fixed-bin histogram
     (values above the last edge are counted in the last bin).
 
@@ -433,10 +422,11 @@ def d2_study(
     chunk_id = 0
     while pos < n_draws:
         take = min(_D2_CHUNK, n_draws - pos)
-        stream = RngStream(master_seed, substream_index("d2", n_steps, q, demean, chunk_id))
+        # 2 groups of a demeaned path; both stay in the key, which fixes the draws
+        stream = RngStream(master_seed, substream_index("d2", n_steps, 2, True, chunk_id))
         gen = stream.generator()
         for i in range(take):
-            f = gen_brownian_abs_functionals(n_steps, gen, q=q, demean=demean)
+            f = gen_brownian_abs_functionals(n_steps, gen, q=2, demean=True)
             values[pos + i] = d_statistic(f)
         pos += take
         chunk_id += 1

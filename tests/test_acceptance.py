@@ -38,7 +38,7 @@ from cauchypred import (
     wald_joint,
 )
 from cauchypred.estimators import GroupStatistics
-from cauchypred.rng import substream_index
+from cauchypred.rng import RngStream, substream_index
 
 MASTER_SEED = 20260809
 ALPHA = 0.05
@@ -292,16 +292,9 @@ def test_criterion_7_null_distribution_shape():
     taus = np.empty(n_reps)
     taus_e = np.empty(n_reps)
     taus_o = np.empty(n_reps)
+    config = DgpDiscreteConfig(n_obs=T, kappa_bar=0.0, beta=0.0, vol_model="CNST")
     for rep in range(n_reps):
-        config = DgpDiscreteConfig(
-            n_obs=T,
-            kappa_bar=0.0,
-            beta=0.0,
-            vol_model="CNST",
-            master_seed=MASTER_SEED,
-            stream_index=substream_index("ks-null", rep),
-        )
-        s = simulate_discrete(config)
+        s = simulate_discrete(config, RngStream(MASTER_SEED, substream_index("ks-null", rep)))
         taus[rep] = hybrid_test(s, ALPHA).statistic
         taus_e[rep] = hybrid_test_intercept(s, "even", ALPHA).statistic
         taus_o[rep] = hybrid_test_intercept(s, "odd", ALPHA).statistic

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from cauchypred import (
     CsvFormatError,
+    DomainError,
     InsufficientDataError,
     SchemaError,
 )
@@ -151,6 +152,12 @@ class TestExperimentFiles:
     def test_bad_method_label(self):
         with pytest.raises(SchemaError, match="unknown method"):
             config_to_grid(base_config(methods=["tq8"]))
+
+    @pytest.mark.parametrize("knobs", [{"jump_intensity": -1.0}, {"jump_sd": -3.0}])
+    def test_negative_jump_knobs(self, knobs):
+        config = base_config(dgp_kind="continuous", methods=["tau"], T_values=[20], **knobs)
+        with pytest.raises(DomainError, match="jump"):
+            config_to_grid(config)
 
     def test_type_errors(self):
         with pytest.raises(SchemaError):

@@ -1,16 +1,21 @@
 """Generator contracts: volatility paths, determinism, moving-average
 weights, correlation audits, and the Brownian block functionals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cauchypred
 from cauchypred import (
     BrownianAbsFunctionals,
     DgpContinuousConfig,
     DgpDiscreteConfig,
     DomainError,
-    JumpConfig,
     RngStream,
     VolParams,
     d_statistic,
@@ -20,7 +25,7 @@ from cauchypred import (
     simulate_continuous,
     simulate_discrete,
 )
-from cauchypred.dgp import abs_integral_blocks
+from cauchypred.dgp import _ar_path, abs_integral_blocks
 
 
 class TestVolatility:
@@ -104,19 +109,19 @@ class TestMaWeights:
 
 class TestSimulateContinuous:
     def test_deterministic_replay(self):
-        config = DgpContinuousConfig(years=5, beta=0.0, master_seed=42, stream_index=7)
-        a = simulate_continuous(config)
-        b = simulate_continuous(config)
+        config = DgpContinuousConfig(years=5, beta=0.0)
+        a = simulate_continuous(config, RngStream(42, 7))
+        b = simulate_continuous(config, RngStream(42, 7))
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.x_lag, b.x_lag)
 
     def test_n_obs_from_delta(self):
         config = DgpContinuousConfig(years=20)
         assert config.n_obs == 240
-        assert simulate_continuous(config).n_obs == 240
+        assert simulate_continuous(config, RngStream(0)).n_obs == 240
 
     def test_demeaned_predictor_starts_at_zero(self):
-        s = simulate_continuous(DgpContinuousConfig(years=5, master_seed=3))
+        s = simulate_continuous(DgpContinuousConfig(years=5), RngStream(3))
         assert s.x_lag[0] == 0.0
 
     def test_unit_root_when_kappa_zero(self):
@@ -131,13 +136,31 @@ class TestSimulateContinuous:
         # and the mean-reverting path differs
         assert not np.allclose(_ar_path(innovations, 0.98), path)
 
-    def test_jumps_change_response_only_in_distribution(self):
-        base = DgpContinuousConfig(years=5, master_seed=10)
-        jumpy = DgpContinuousConfig(
-            years=5, master_seed=10, jump=JumpConfig(intensity_per_year=50.0, size_sd=2.0)
+    @pytest.mark.parametrize("coefficient", [1.0, 0.99, 1.0 - 50.0 / 600.0, 0.5])
+    @pytest.mark.parametrize("n", [1, 60, 600])
+    def test_ar_path_matches_lfilter(self, coefficient, n):
+        # the recursion reproduces the IIR filter it replaced, bit for bit
+        from scipy import signal
+
+        innovations = RngStream(21, n).generator().standard_normal(n)
+        expected = signal.lfilter([1.0], [1.0, -coefficient], innovations)
+        assert np.array_equal(_ar_path(innovations, coefficient), expected)
+
+    def test_import_leaves_out_scipy_signal(self):
+        code = "import sys, cauchypred; print('scipy.signal' in sys.modules)"
+        # the child finds the package where this process found it
+        package_root = str(Path(cauchypred.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_root}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
-        a = simulate_continuous(base)
-        b = simulate_continuous(jumpy)
+        assert out.stdout.strip() == "False"
+
+    def test_jumps_change_response_only_in_distribution(self):
+        base = DgpContinuousConfig(years=5)
+        jumpy = DgpContinuousConfig(years=5, jump_intensity=50.0, jump_sd=2.0)
+        a = simulate_continuous(base, RngStream(10))
+        b = simulate_continuous(jumpy, RngStream(10))
         assert np.array_equal(a.x_lag, b.x_lag)  # jumps live in the error channel
         assert not np.array_equal(a.y, b.y)
         assert np.var(b.y) > np.var(a.y)
@@ -147,8 +170,8 @@ class TestSimulateContinuous:
         # pooled set of replications stays near the configured value
         vs, ws = [], []
         for rep in range(300):
-            config = DgpContinuousConfig(years=20, kappa_bar=0.0, master_seed=55, stream_index=rep)
-            gen = config.stream().generator()
+            config = DgpContinuousConfig(years=20, kappa_bar=0.0)
+            gen = RngStream(55, rep).generator()
             v_full = gen.standard_normal(config.n_obs + 2)
             e_w = gen.standard_normal(config.n_obs)
             w = -0.98 * v_full[2:] + np.sqrt(1 - 0.98**2) * e_w
@@ -162,19 +185,23 @@ class TestSimulateContinuous:
             DgpContinuousConfig(years=-1.0).validate()
         with pytest.raises(DomainError):
             DgpContinuousConfig(years=5, rho_vw=-1.5).validate()
+        for knobs in ({"jump_intensity": -1.0}, {"jump_sd": -3.0}):
+            with pytest.raises(DomainError, match="jump"):
+                DgpContinuousConfig(years=5, **knobs).validate()
 
 
 class TestSimulateDiscrete:
     def test_levels_attached_and_consistent(self):
-        s = simulate_discrete(DgpDiscreteConfig(n_obs=240, master_seed=1))
+        s = simulate_discrete(DgpDiscreteConfig(n_obs=240), RngStream(1))
         assert s.x_level is not None
         assert s.x_level.shape[0] == 241
         assert s.x_level[0] == 0.0
         assert np.array_equal(s.x_level[:-1], s.x_lag)
 
     def test_deterministic_replay(self):
-        config = DgpDiscreteConfig(n_obs=120, kappa_bar=50.0, vol_model="SB", master_seed=9)
-        assert np.array_equal(simulate_discrete(config).y, simulate_discrete(config).y)
+        config = DgpDiscreteConfig(n_obs=120, kappa_bar=50.0, vol_model="SB")
+        a = simulate_discrete(config, RngStream(9))
+        assert np.array_equal(a.y, simulate_discrete(config, RngStream(9)).y)
 
     def test_random_walk_variance_growth(self):
         # kappa 0 and a single unit MA weight make x a Gaussian random walk:
@@ -200,13 +227,17 @@ class TestSimulateDiscrete:
             DgpDiscreteConfig(n_obs=240, vol_model="GBM").validate()
 
     def test_slope_scale(self):
-        base = DgpDiscreteConfig(n_obs=240, beta=2.4, master_seed=4)
-        raw = DgpDiscreteConfig(n_obs=240, beta=0.01, slope_scale="raw", master_seed=4)
-        assert_allclose(simulate_discrete(base).y, simulate_discrete(raw).y, atol=1e-12)
+        base = DgpDiscreteConfig(n_obs=240, beta=2.4)
+        raw = DgpDiscreteConfig(n_obs=240, beta=0.01, slope_scale="raw")
+        assert_allclose(
+            simulate_discrete(base, RngStream(4)).y,
+            simulate_discrete(raw, RngStream(4)).y,
+            atol=1e-12,
+        )
 
     def test_endogeneity_switch(self):
-        a = simulate_discrete(DgpDiscreteConfig(n_obs=240, master_seed=5, endogeneity="v"))
-        b = simulate_discrete(DgpDiscreteConfig(n_obs=240, master_seed=5, endogeneity="eta"))
+        a = simulate_discrete(DgpDiscreteConfig(n_obs=240, endogeneity="v"), RngStream(5))
+        b = simulate_discrete(DgpDiscreteConfig(n_obs=240, endogeneity="eta"), RngStream(5))
         assert np.array_equal(a.x_lag, b.x_lag)
         assert not np.array_equal(a.y, b.y)
 

@@ -1,10 +1,14 @@
 """Experiment-engine contracts: method parsing, grid validation, cell/grid
 agreement, worker-count invariance, and the exceedance study."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cauchypred import (
+    DgpDiscreteConfig,
     DomainError,
     ExperimentGrid,
     SchemaError,
@@ -14,6 +18,9 @@ from cauchypred import (
     run_cell,
     run_grid,
 )
+from cauchypred.dataio import bundled_config_names, load_experiment_file, resolve_config_path
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def small_discrete_grid(**overrides):
@@ -147,6 +154,20 @@ class TestRunGrid:
     def test_bad_workers(self):
         with pytest.raises(DomainError):
             run_grid(small_discrete_grid(), workers=0)
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_cells_match_golden(self, name):
+        # every bundled config at 10 reps and master seed 1, byte for byte
+        _, grid = load_experiment_file(resolve_config_path(name))
+        grid = dataclasses.replace(grid, n_reps=10, master_seed=1)
+        expected = (GOLDEN / f"{name}_cells.csv").read_text(encoding="utf-8")
+        assert run_grid(grid).to_csv_text() == expected
+
+    def test_one_model_per_combination(self):
+        # the config carries the model only; the replications differ by stream
+        grid = small_discrete_grid(rho=-0.5, endogeneity="eta")
+        config = grid.dgp_config(0.0, 50.0, 60.0, "CNST")
+        assert config == DgpDiscreteConfig(n_obs=60, kappa_bar=50.0, rho=-0.5, endogeneity="eta")
 
 
 class TestD2Study:

@@ -191,6 +191,28 @@ class TestGroupedHybrid:
         assert out.reject == (out.p_value <= 0.05)
 
 
+class TestAlphaValidityBound:
+    # two-sided bound 0.08326 (Bakirov & Szekely 2006); by symmetry the
+    # one-sided bound is half of it, 0.04163
+    CASES = [
+        (0.05, "right", True),
+        (0.04, "right", False),
+        (0.09, "two", True),
+        (0.08, "two", False),
+    ]
+
+    @pytest.mark.parametrize("alpha,sided,warns", CASES)
+    def test_t_q_test(self, alpha, sided, warns):
+        out = t_q_test(groups([0.3, -1.2, 0.8, 2.0, -0.5]), alpha, sided)
+        assert (out.warning is not None) == warns
+
+    @pytest.mark.parametrize("alpha,sided,warns", CASES)
+    def test_grouped_hybrid_test(self, alpha, sided, warns):
+        s = random_walk_sample(6, 150, with_levels=True)
+        out = grouped_hybrid_test(s, "odd", 5, alpha, sided)
+        assert (out.warning is not None) == warns
+
+
 class TestJointTests:
     def test_bonferroni_rule(self):
         # engineered marginals: strong first predictor, weak second
