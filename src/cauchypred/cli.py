@@ -70,12 +70,13 @@ def _outcome_csv(label: str, outcome: TestOutcome) -> str:
 
 def _method_spec(args: argparse.Namespace) -> MethodSpec:
     """The test named by --method, --q, --intercept and --parity."""
-    parity = args.parity if args.intercept else None
-    if args.method == "hybrid":
-        return MethodSpec("hybrid_diff" if args.intercept else "hybrid", parity=parity)
-    if args.q is None:
+    if args.q is not None and args.method != "tq":
+        raise CauchyPredError("--q applies only to --method tq")
+    if args.parity is not None and not args.intercept:
+        raise CauchyPredError("--parity applies only with --intercept")
+    if args.method == "tq" and args.q is None:
         raise CauchyPredError("--q is required for the group t-test")
-    return MethodSpec("grouped_hybrid" if args.intercept else "t_q", q=args.q, parity=parity)
+    return MethodSpec(q=args.q, parity=(args.parity or "odd") if args.intercept else None)
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
@@ -191,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--x-col", default="x")
     p_test.add_argument("--method", choices=("tq", "hybrid"), default="hybrid")
     p_test.add_argument("--q", type=int, default=None, help="number of groups for --method tq")
-    p_test.add_argument("--parity", choices=("even", "odd"), default="odd")
+    p_test.add_argument("--parity", choices=("even", "odd"), default=None,
+                        help="differenced pairs for --intercept (default odd)")
     p_test.add_argument("--intercept", action="store_true",
                         help="use the intercept-robust differenced statistics")
     p_test.add_argument("--alpha", type=float, default=0.05)

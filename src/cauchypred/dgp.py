@@ -51,7 +51,7 @@ class VolParams:
     omega_bar: float = 9.0       # GBM volatility-of-volatility
     rs_high_prob: float = 0.2    # RS long-run weight of the high state
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.sigma0 <= 0 or self.sigma1 <= 0:
             raise DomainError("volatility levels must be positive")
         if not 0.0 < self.break_fraction <= 1.0:
@@ -113,7 +113,6 @@ def gen_volatility(
     """
     if model not in VOL_MODELS:
         raise DomainError(f"unknown volatility model {model!r}, expected one of {VOL_MODELS}")
-    params.validate()
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     gen = stream.generator() if isinstance(stream, RngStream) else stream
@@ -159,7 +158,7 @@ class DgpContinuousConfig:
     rho_vw: float = -0.98
     rho_wz: float = -0.4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.years <= 0 or self.delta <= 0:
             raise DomainError("years and delta must be positive")
         if self.n_obs < 4:
@@ -171,7 +170,6 @@ class DgpContinuousConfig:
                 raise DomainError("correlations must lie in [-1, 1]")
         if self.jump_intensity < 0 or self.jump_sd < 0:
             raise DomainError("jump_intensity and jump_sd must be nonnegative")
-        self.vol_params.validate()
         if self.vol_model not in VOL_MODELS:
             raise DomainError(f"unknown volatility model {self.vol_model!r}")
 
@@ -194,7 +192,7 @@ class DgpDiscreteConfig:
     rho: float = -0.98
     endogeneity: str = "v"  # correlate the error with "v" shocks or with "eta"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_obs < 8:
             raise DomainError("sample is too short")
         if self.kappa_bar < 0:
@@ -211,7 +209,6 @@ class DgpDiscreteConfig:
             raise DomainError("rho must lie in [-1, 1]")
         if self.endogeneity not in ("v", "eta"):
             raise DomainError("endogeneity must be 'v' or 'eta'")
-        self.vol_params.validate()
 
 
 def ma_weights(order: int) -> np.ndarray:
@@ -257,7 +254,6 @@ def simulate_continuous(config: DgpContinuousConfig, stream: RngStream) -> Regre
     v shock at rho_vw, and under GBM also with the volatility shock at
     rho_wz.
     """
-    config.validate()
     n = config.n_obs
     gen = stream.generator()
     vol = gen_volatility(config.vol_model, config.vol_params, n, config.years, gen)
@@ -297,7 +293,6 @@ def simulate_discrete(config: DgpDiscreteConfig, stream: RngStream) -> Regressio
     innovation when ``endogeneity="eta"``.  The effective slope is
     beta / n_obs under the default localization.
     """
-    config.validate()
     n = config.n_obs
     gen = stream.generator()
     vol = gen_volatility(config.vol_model, config.vol_params, n, float(n), gen)

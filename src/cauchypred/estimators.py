@@ -126,6 +126,21 @@ class CauchyFit:
     n_used: int
 
 
+def _sign_fit(numer_terms: np.ndarray, denom_terms: np.ndarray) -> CauchyFit:
+    """Slope and normalized numerator from per-observation instrument terms."""
+    denom = float(denom_terms.sum())
+    if denom == 0.0:
+        raise DegenerateDenominatorError("sign-instrument denominator is zero")
+    numer = float(numer_terms.sum())
+    n_used = int(numer_terms.shape[0])
+    return CauchyFit(
+        beta=numer / denom,
+        gamma=numer / np.sqrt(n_used),
+        denom=denom,
+        n_used=n_used,
+    )
+
+
 def cauchy_estimate(sample: RegressionSample) -> CauchyFit:
     """Full-sample sign-instrument slope estimate.
 
@@ -133,17 +148,7 @@ def cauchy_estimate(sample: RegressionSample) -> CauchyFit:
     numerator divided by sqrt(T).
     """
     x = sample.x1()
-    denom = float(np.sum(np.abs(x)))
-    if denom == 0.0:
-        raise DegenerateDenominatorError("all lagged predictor values are zero")
-    numer = float(np.sum(sign_conv(x) * sample.y))
-    n = sample.n_obs
-    return CauchyFit(
-        beta=numer / denom,
-        gamma=numer / np.sqrt(n),
-        denom=denom,
-        n_used=n,
-    )
+    return _sign_fit(sign_conv(x) * sample.y, np.abs(x))
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,15 @@ class GroupStatistics:
             raise PartitionError("group blocks must contain at least one observation")
         if not 0 <= self.dropped < self.q:
             raise PartitionError(f"invalid trailing remainder {self.dropped}")
+
+    @classmethod
+    def from_terms(cls, terms: np.ndarray, q: int) -> "GroupStatistics":
+        """Sums of q consecutive blocks of per-observation numerator terms,
+        scaled by sqrt(q / len(terms)); the tail beyond q blocks is dropped."""
+        blocks, dropped = partition_consecutive(terms, q)
+        scale = np.sqrt(q / terms.shape[0])
+        gammas = scale * blocks.sum(axis=1)
+        return cls(q=q, gammas=gammas, block_size=blocks.shape[1], dropped=dropped)
 
 
 def partition_consecutive(values: np.ndarray, q: int) -> tuple[np.ndarray, int]:
@@ -185,16 +199,7 @@ def group_gammas(sample: RegressionSample, q: int) -> GroupStatistics:
     observations and scales by sqrt(q/T) with T the full sample size.
     Trailing observations beyond q * floor(T/q) are excluded.
     """
-    x = sample.x1()
-    terms = sign_conv(x) * sample.y
-    blocks, dropped = partition_consecutive(terms, q)
-    scale = np.sqrt(q / sample.n_obs)
-    return GroupStatistics(
-        q=q,
-        gammas=scale * blocks.sum(axis=1),
-        block_size=blocks.shape[1],
-        dropped=dropped,
-    )
+    return GroupStatistics.from_terms(sign_conv(sample.x1()) * sample.y, q)
 
 
 def ols_fit(
@@ -239,23 +244,12 @@ def diff_terms(sample: RegressionSample, parity: Parity) -> tuple[np.ndarray, np
     if parity not in ("even", "odd"):
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
     lev = sample.x_level
-    y = sample.y
-    T = sample.n_obs
-    if parity == "even":
-        tmax = T // 2
-        t = np.arange(1, tmax + 1)
-        inst = sign_conv(lev[2 * t - 2])
-        dy = y[2 * t - 1] - y[2 * t - 2]          # y_{2t} - y_{2t-1}, 0-based
-        dx = lev[2 * t - 1] - lev[2 * t - 2]      # x_{2t-1} - x_{2t-2}
-    else:
-        tmax = (T - 1) // 2
-        t = np.arange(1, tmax + 1)
-        inst = sign_conv(lev[2 * t - 1])
-        dy = y[2 * t] - y[2 * t - 1]              # y_{2t+1} - y_{2t}
-        dx = lev[2 * t] - lev[2 * t - 1]          # x_{2t} - x_{2t-1}
-    if len(t) < 2:
+    # 0-based pair starts: 0, 2, 4, ... (even) or 1, 3, 5, ... (odd)
+    i = np.arange(0 if parity == "even" else 1, sample.n_obs - 1, 2)
+    if len(i) < 2:
         raise DomainError("need at least 2 usable differenced terms")
-    return inst * dy, inst * dx
+    inst = sign_conv(lev[i])
+    return inst * (sample.y[i + 1] - sample.y[i]), inst * (lev[i + 1] - lev[i])
 
 
 def diff_cauchy(sample: RegressionSample, parity: Parity) -> CauchyFit:
@@ -266,20 +260,7 @@ def diff_cauchy(sample: RegressionSample, parity: Parity) -> CauchyFit:
     ``gamma`` is the numerator over sqrt(n_used), where n_used counts the
     differenced pairs (about T/2).
     """
-    numer_terms, denom_terms = diff_terms(sample, parity)
-    denom = float(denom_terms.sum())
-    if denom == 0.0:
-        raise DegenerateDenominatorError(
-            f"{parity} differenced instrument denominator is zero"
-        )
-    numer = float(numer_terms.sum())
-    n_used = int(numer_terms.shape[0])
-    return CauchyFit(
-        beta=numer / denom,
-        gamma=numer / np.sqrt(n_used),
-        denom=denom,
-        n_used=n_used,
-    )
+    return _sign_fit(*diff_terms(sample, parity))
 
 
 def recursive_demean(x_level) -> np.ndarray:

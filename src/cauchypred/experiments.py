@@ -11,6 +11,16 @@ replication number, so
 
 Replications that raise a degenerate-statistic error count as
 non-rejections and are tallied separately.
+
+A method label names one of the paper's two tests (test family) on one
+sample form, a :class:`MethodSpec` ``(q, parity)``:
+
+==========================  ==========  ===============================
+test family                 levels      differenced, even / odd
+==========================  ==========  ===============================
+group t over q >= 2 blocks  ``t<q>``    ``t<q>_tau_e`` / ``t<q>_tau_o``
+hybrid                      ``tau``     ``tau_e`` / ``tau_o``
+==========================  ==========  ===============================
 """
 
 from __future__ import annotations
@@ -43,35 +53,28 @@ from .inference import (
 )
 from .rng import RngStream, substream_index
 
-_METHOD_RE = re.compile(r"^(?:t(?P<q>\d+)|tau)(?:_(?P<parity>[eo]))?$|^t(?P<gq>\d+)_tau_(?P<gparity>[eo])$")
+_METHOD_RE = re.compile(r"^t(?P<q>\d+)$|^(?:t(?P<gq>\d+)_(?=tau_))?tau(?:_(?P<parity>[eo]))?$")
+_PARITIES = {"e": "even", "o": "odd"}
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """Parsed test identifier.
+    """A test, as its family times its sample form (labels: module docstring).
 
-    Labels: ``t8`` (group t, q=8), ``tau`` (hybrid), ``tau_e``/``tau_o``
-    (differenced hybrid by parity), ``t8_tau_o`` (group t over differenced
-    numerator blocks).
+    ``q`` set means the group t-test over q blocks, unset the hybrid test;
+    ``parity`` set means the first-differenced sample of that parity, unset
+    the levels sample.
     """
 
-    kind: str  # "t_q" | "hybrid" | "hybrid_diff" | "grouped_hybrid"
     q: Optional[int] = None
     parity: Optional[str] = None
 
     @property
     def label(self) -> str:
-        if self.kind == "t_q":
-            return f"t{self.q}"
-        if self.kind == "hybrid":
-            return "tau"
-        if self.kind == "hybrid_diff":
-            return f"tau_{self.parity[0]}"
-        return f"t{self.q}_tau_{self.parity[0]}"
-
-    @property
-    def needs_levels(self) -> bool:
-        return self.kind in ("hybrid_diff", "grouped_hybrid")
+        hybrid = "tau" if self.parity is None else f"tau_{self.parity[0]}"
+        if self.q is None:
+            return hybrid
+        return f"t{self.q}" if self.parity is None else f"t{self.q}_{hybrid}"
 
 
 def parse_method(label: str) -> MethodSpec:
@@ -80,31 +83,23 @@ def parse_method(label: str) -> MethodSpec:
         raise SchemaError(
             f"unknown method {label!r}; expected forms: t<q>, tau, tau_e, tau_o, t<q>_tau_e, t<q>_tau_o"
         )
-    parity = {"e": "even", "o": "odd", None: None}
-    if m.group("gq"):
-        return MethodSpec("grouped_hybrid", q=int(m.group("gq")), parity=parity[m.group("gparity")])
-    if m.group("q"):
-        if m.group("parity"):
-            raise SchemaError(f"group t-test label {label!r} cannot carry a parity suffix")
-        return MethodSpec("t_q", q=int(m.group("q")))
-    if m.group("parity"):
-        return MethodSpec("hybrid_diff", parity=parity[m.group("parity")])
-    return MethodSpec("hybrid")
+    q = m.group("q") or m.group("gq")
+    if q is not None and int(q) < 2:
+        raise SchemaError(f"method {label!r}: the group t-test needs q >= 2 groups")
+    return MethodSpec(q=None if q is None else int(q), parity=_PARITIES.get(m.group("parity")))
 
 
 def evaluate_method(
     method: MethodSpec, sample: RegressionSample, alpha: float, sided: str
 ) -> TestOutcome:
     """Run the test a method label names on one sample."""
-    if method.kind == "t_q":
+    if method.parity is None:
+        if method.q is None:
+            return hybrid_test(sample, alpha, sided)
         return t_q_test(group_gammas(sample, method.q), alpha, sided)
-    if method.kind == "hybrid":
-        return hybrid_test(sample, alpha, sided)
-    if method.kind == "hybrid_diff":
+    if method.q is None:
         return hybrid_test_intercept(sample, method.parity, alpha, sided)
-    if method.kind == "grouped_hybrid":
-        return grouped_hybrid_test(sample, method.parity, method.q, alpha, sided)
-    raise DomainError(f"unknown method kind {method.kind!r}")
+    return grouped_hybrid_test(sample, method.parity, method.q, alpha, sided)
 
 
 _DGP_CONFIGS = {"continuous": DgpContinuousConfig, "discrete": DgpDiscreteConfig}
@@ -159,16 +154,16 @@ class ExperimentGrid:
         if self.sided not in SIDES:
             raise SchemaError(f"sided must be one of {SIDES}")
         specs = [parse_method(m) for m in self.methods]
-        if self.dgp_kind == "continuous":
-            for s in specs:
-                if s.needs_levels:
-                    raise SchemaError(
-                        f"method {s.label!r} needs predictor levels and is only "
-                        "available under the discrete design"
-                    )
-        else:
-            if "GBM" in self.vol_models:
-                raise SchemaError("the GBM volatility model is not part of the discrete design")
+        for s in specs:
+            if specs.count(s) > 1:
+                raise SchemaError(f"method {s.label!r} is listed more than once")
+            if s.parity is not None and self.dgp_kind == "continuous":
+                raise SchemaError(
+                    f"method {s.label!r} needs predictor levels and is only "
+                    "available under the discrete design"
+                )
+        if self.dgp_kind == "discrete" and "GBM" in self.vol_models:
+            raise SchemaError("the GBM volatility model is not part of the discrete design")
         for v in self.vol_models:
             if v not in VOL_MODELS:
                 raise SchemaError(f"unknown volatility model {v!r}")
@@ -177,7 +172,7 @@ class ExperimentGrid:
             for kappa in self.kappa_values:
                 for T in self.T_values:
                     for vol in self.vol_models:
-                        self.dgp_config(beta, kappa, T, vol).validate()
+                        self.dgp_config(beta, kappa, T, vol)
 
     def dgp_config(self, beta, kappa, T, vol):
         """The model of one combination: its coordinates plus the design's knobs."""
@@ -218,11 +213,11 @@ class ExperimentGrid:
 
 
 def method_sort_key(label: str):
-    """Natural ordering: group t first by q, then hybrid, then the
-    differenced and grouped-differenced variants."""
+    """Natural ordering: levels tests first (group t by q, then hybrid), then
+    differenced ones (hybrid, then group t by q), parities even before odd."""
     spec = parse_method(label)
-    kind_rank = {"t_q": 0, "hybrid": 1, "hybrid_diff": 2, "grouped_hybrid": 3}[spec.kind]
-    return (kind_rank, spec.q or 0, spec.parity or "")
+    differenced = spec.parity is not None
+    return (differenced, (spec.q is None) != differenced, spec.q or 0, spec.parity or "")
 
 
 @dataclass(frozen=True)

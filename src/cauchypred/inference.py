@@ -1,16 +1,27 @@
 """Hypothesis tests for predictive regressions.
 
-Two families are provided, both built on the sign-instrument numerator:
+The paper's two tests, both built on the sign-instrument numerator, each
+come in two sample forms, a 2 x 2 of test family times sample form:
 
-* group t-statistic tests: split the normalized numerator into q consecutive
+=================  ===========================  ================================
+test family        levels                       differenced (unknown intercept)
+=================  ===========================  ================================
+group t            :func:`t_q_test`             :func:`grouped_hybrid_test`
+hybrid             :func:`hybrid_test`          :func:`hybrid_test_intercept`
+=================  ===========================  ================================
+
+* group t-statistic tests split the numerator terms into q consecutive
   blocks and compare the t-statistic of the block values to a t(q-1)
   reference, which keeps size under heterogeneous and persistent volatility;
-* hybrid tests: studentize the full-sample numerator by the OLS-residual
+* hybrid tests studentize the full-sample numerator by the OLS-residual
   standard deviation, giving a standard normal reference and consistency
   against persistent predictors.
 
-The first-differenced variants handle an unknown intercept; Bonferroni and
-Wald combinations handle several predictors jointly.  Every test returns a
+The levels form uses the terms sign(x_{t-1}) y_t; the differenced form uses
+one parity of first-differenced pairs (:func:`~cauchypred.estimators.diff_terms`),
+which removes the intercept.  Each family has one body (``_group_t_outcome``,
+``_hybrid_outcome``) shared by its two forms.  Bonferroni and Wald
+combinations handle several predictors jointly.  Every test returns a
 :class:`TestOutcome` whose decision satisfies reject iff p_value <= alpha.
 """
 
@@ -29,6 +40,7 @@ from .errors import (
     SignDegeneracyError,
 )
 from .estimators import (
+    CauchyFit,
     GroupStatistics,
     RegressionSample,
     cauchy_estimate,
@@ -36,7 +48,6 @@ from .estimators import (
     diff_terms,
     ols_fit,
     omega_hat_sq,
-    partition_consecutive,
     sign_conv,
 )
 
@@ -164,16 +175,31 @@ def t_q_test(groups: GroupStatistics, alpha: float, sided: str = "two") -> TestO
     return _group_t_outcome(groups.gammas, sided, alpha)
 
 
-def hybrid_test(sample: RegressionSample, alpha: float, sided: str = "two") -> TestOutcome:
-    """Sign-instrument numerator studentized by the no-intercept OLS
-    residual standard deviation."""
-    fit = cauchy_estimate(sample)
-    _, residuals = ols_fit(sample, intercept=False)
+def _hybrid_outcome(
+    fit: CauchyFit, sample: RegressionSample, differenced: bool, alpha: float, sided: str
+) -> TestOutcome:
+    """sign(D) * gamma / sqrt(c * omega_hat^2) against N(0, 1).
+
+    Levels: c = 1 and omega_hat^2 from the no-intercept OLS residuals; D > 0
+    always.  Differenced: c = 2 for the doubled variance of differenced
+    errors, omega_hat^2 from the demeaned OLS residuals, and sign(D) aligns
+    the statistic with the slope estimate so one-sided tests point in the
+    direction of the alternative.
+    """
+    _, residuals = ols_fit(sample, intercept=differenced)
     w2 = omega_hat_sq(residuals)
     if w2 == 0.0:
         raise DegenerateVarianceError("residual variance is zero (perfect fit)")
-    stat = fit.gamma / np.sqrt(w2)
+    stat = fit.gamma / np.sqrt((2.0 if differenced else 1.0) * w2)
+    if fit.denom < 0:  # sign(D); the fit has already rejected D == 0
+        stat = -stat
     return _outcome(stat, ReferenceDistribution("std_normal"), sided, alpha)
+
+
+def hybrid_test(sample: RegressionSample, alpha: float, sided: str = "two") -> TestOutcome:
+    """Sign-instrument numerator studentized by the no-intercept OLS
+    residual standard deviation."""
+    return _hybrid_outcome(cauchy_estimate(sample), sample, False, alpha, sided)
 
 
 def hybrid_test_intercept(
@@ -188,17 +214,9 @@ def hybrid_test_intercept(
     sign(D) * gamma / (sqrt(2) * omega_hat), where D is the instrument
     denominator, gamma the normalized numerator of the chosen parity
     subsample, and omega_hat the full-sample demeaned-OLS residual standard
-    deviation.  The sqrt(2) accounts for the doubled variance of differenced
-    errors; the sign(D) factor aligns the statistic with the slope estimate
-    so one-sided tests point in the direction of the alternative.
+    deviation.
     """
-    fit = diff_cauchy(sample, parity)
-    _, residuals = ols_fit(sample, intercept=True)
-    w2 = omega_hat_sq(residuals)
-    if w2 == 0.0:
-        raise DegenerateVarianceError("residual variance is zero (perfect fit)")
-    stat = sign_conv(fit.denom) * fit.gamma / np.sqrt(2.0 * w2)
-    return _outcome(stat, ReferenceDistribution("std_normal"), sided, alpha)
+    return _hybrid_outcome(diff_cauchy(sample, parity), sample, True, alpha, sided)
 
 
 def grouped_hybrid_test(
@@ -216,9 +234,7 @@ def grouped_hybrid_test(
     estimate would leave the statistic unchanged, so none is estimated.
     """
     numer_terms, _ = diff_terms(sample, parity)
-    blocks, _ = partition_consecutive(numer_terms, q)
-    scale = np.sqrt(q / numer_terms.shape[0])
-    return _group_t_outcome(scale * blocks.sum(axis=1), sided, alpha)
+    return _group_t_outcome(GroupStatistics.from_terms(numer_terms, q).gammas, sided, alpha)
 
 
 def bonferroni_joint(

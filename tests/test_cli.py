@@ -96,6 +96,22 @@ class TestTestCommand:
         csv = write_dataset(tmp_path)
         assert main(["test", str(csv), "--method", "tq"]) != 0
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--method", "hybrid", "--q", "12"], "--q applies only to --method tq"),
+            (["--method", "hybrid", "--intercept", "--q", "12"], "--q applies only"),
+            (["--method", "hybrid", "--parity", "even"], "--parity applies only with --intercept"),
+            (["--method", "tq", "--q", "12", "--parity", "odd"], "--parity applies only"),
+        ],
+    )
+    def test_flag_without_effect_is_an_error(self, tmp_path, capsys, flags, message):
+        csv = write_dataset(tmp_path)
+        assert main(["test", str(csv), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
     def test_writes_csv_result(self, tmp_path):
         csv = write_dataset(tmp_path)
         out_dir = tmp_path / "out"

@@ -182,12 +182,12 @@ class TestSimulateContinuous:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            DgpContinuousConfig(years=-1.0).validate()
+            DgpContinuousConfig(years=-1.0)
         with pytest.raises(DomainError):
-            DgpContinuousConfig(years=5, rho_vw=-1.5).validate()
+            DgpContinuousConfig(years=5, rho_vw=-1.5)
         for knobs in ({"jump_intensity": -1.0}, {"jump_sd": -3.0}):
             with pytest.raises(DomainError, match="jump"):
-                DgpContinuousConfig(years=5, **knobs).validate()
+                DgpContinuousConfig(years=5, **knobs)
 
 
 class TestSimulateDiscrete:
@@ -224,7 +224,7 @@ class TestSimulateDiscrete:
 
     def test_gbm_rejected(self):
         with pytest.raises(DomainError):
-            DgpDiscreteConfig(n_obs=240, vol_model="GBM").validate()
+            DgpDiscreteConfig(n_obs=240, vol_model="GBM")
 
     def test_slope_scale(self):
         base = DgpDiscreteConfig(n_obs=240, beta=2.4)

@@ -11,14 +11,18 @@ from cauchypred import (
     DgpDiscreteConfig,
     DomainError,
     ExperimentGrid,
+    RngStream,
     SchemaError,
     d2_study,
     default_d2_threshold,
+    experiments,
     parse_method,
     run_cell,
     run_grid,
+    simulate_discrete,
 )
 from cauchypred.dataio import bundled_config_names, load_experiment_file, resolve_config_path
+from cauchypred.experiments import evaluate_method
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,12 +56,24 @@ class TestMethodParsing:
             ("t8_tau_e", "grouped_hybrid", 8, "even"),
         ],
     )
-    def test_labels(self, label, kind, q, parity):
+    def test_labels(self, label, kind, q, parity, monkeypatch):
         spec = parse_method(label)
-        assert (spec.kind, spec.q, spec.parity) == (kind, q, parity)
+        assert (spec.q, spec.parity) == (q, parity)
         assert spec.label == label
+        # each (q, parity) cell dispatches to its own public test
+        test = {
+            "t_q": "t_q_test",
+            "hybrid": "hybrid_test",
+            "hybrid_diff": "hybrid_test_intercept",
+            "grouped_hybrid": "grouped_hybrid_test",
+        }[kind]
+        monkeypatch.setattr(experiments, test, lambda *args: kind)
+        sample = simulate_discrete(DgpDiscreteConfig(n_obs=60), RngStream(1))
+        assert evaluate_method(spec, sample, 0.05, "two") == kind
 
-    @pytest.mark.parametrize("label", ["t", "tau_x", "q8", "t8tau", "", "t8_tau"])
+    @pytest.mark.parametrize(
+        "label", ["t", "tau_x", "q8", "t8tau", "", "t8_tau", "t0", "t1", "t1_tau_o"]
+    )
     def test_bad_labels(self, label):
         with pytest.raises(SchemaError):
             parse_method(label)
@@ -89,6 +105,12 @@ class TestGridValidation:
     def test_bad_alpha(self):
         with pytest.raises(SchemaError):
             small_discrete_grid(alpha=1.5).validate()
+
+    @pytest.mark.parametrize("methods", [("tau_o", "tau_o"), ("t8", "t08")])
+    def test_duplicate_methods(self, methods):
+        # cells are keyed by label, so a repeated method would be counted twice
+        with pytest.raises(SchemaError, match="more than once"):
+            small_discrete_grid(methods=methods).validate()
 
 
 class TestRunGrid:

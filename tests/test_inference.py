@@ -3,14 +3,18 @@ identities across tests, and degenerate-input errors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import stdtr
 
 from cauchypred import (
     DegenerateGroupsError,
+    DgpDiscreteConfig,
     DegenerateVarianceError,
     DomainError,
     GroupStatistics,
     RegressionSample,
+    RngStream,
     SignDegeneracyError,
     bonferroni_joint,
     grouped_hybrid_test,
@@ -20,10 +24,12 @@ from cauchypred import (
     ols_fit,
     omega_hat_sq,
     sign_conv,
+    simulate_discrete,
     t_q_test,
     wald_joint,
 )
 from cauchypred.estimators import diff_cauchy
+from cauchypred.experiments import evaluate_method, parse_method
 from cauchypred.inference import _p_value, ReferenceDistribution
 
 
@@ -334,3 +340,25 @@ def test_signs_enter_only_through_instrument():
     signs_equal = np.array_equal(sign_conv(-s.x_lag), -sign_conv(s.x_lag))
     if signs_equal:  # true unless some entry is exactly zero
         assert a == pytest.approx(-b, rel=1e-10)
+
+
+class TestMetamorphic:
+    """Invariances the theory promises, checked on simulated discrete samples
+    through the same dispatcher the experiment runner uses."""
+
+    @given(
+        label=st.sampled_from(["t8", "tau", "tau_e", "tau_o", "t8_tau_o"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kappa=st.sampled_from([0.0, 5.0, 50.0]),
+        c=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_response_sign_and_predictor_scale(self, label, seed, kappa, c):
+        s = simulate_discrete(DgpDiscreteConfig(n_obs=120, kappa_bar=kappa), RngStream(seed))
+        spec = parse_method(label)
+        stat = evaluate_method(spec, s, 0.05, "two").statistic
+        negated = RegressionSample(y=-s.y, x_lag=s.x_lag, x_level=s.x_level)
+        assert evaluate_method(spec, negated, 0.05, "two").statistic == -stat
+        scaled = RegressionSample(y=s.y, x_lag=c * s.x_lag, x_level=c * s.x_level)
+        scaled_stat = evaluate_method(spec, scaled, 0.05, "two").statistic
+        assert scaled_stat == pytest.approx(stat, rel=1e-9, abs=0)
