@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import typing
 from dataclasses import dataclass
 from importlib import resources
@@ -99,8 +100,8 @@ def parse_csv(
 ) -> EmpiricalDataset:
     """Read an empirical dataset from a headed CSV file.
 
-    Malformed or missing numeric cells are reported with their row number
-    and column name; fewer than 10 data rows is an error.
+    Malformed, non-finite or missing numeric cells are reported with their
+    row number and column name; fewer than 10 data rows is an error.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -127,9 +128,11 @@ def parse_csv(
                 try:
                     values[col] = float(cell)
                 except ValueError:
+                    values[col] = math.nan
+                if not math.isfinite(values[col]):
                     raise CsvFormatError(
-                        f"{path}: row {i}: column {col!r}: {cell!r} is not numeric"
-                    ) from None
+                        f"{path}: row {i}: column {col!r}: {cell!r} is not a finite number"
+                    )
             dates.append(date)
             ys.append(values[y_col])
             xs.append(values[x_col])

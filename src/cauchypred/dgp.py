@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .estimators import RegressionSample, recursive_demean
+from .estimators import RegressionSample, partition_consecutive, recursive_demean
 from .rng import RngStream
 
 VOL_MODELS = ("CNST", "SB", "RS", "GBM")
@@ -99,7 +99,7 @@ def gen_volatility(
     params: VolParams,
     n_steps: int,
     total_years: float,
-    stream: RngStream | np.random.Generator,
+    gen: np.random.Generator,
 ) -> VolatilityPath:
     """Volatility path over n_steps observations spanning total_years.
 
@@ -115,7 +115,6 @@ def gen_volatility(
         raise DomainError(f"unknown volatility model {model!r}, expected one of {VOL_MODELS}")
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    gen = stream.generator() if isinstance(stream, RngStream) else stream
     if model == "CNST":
         return VolatilityPath(np.full(n_steps, params.sigma0))
     if model == "SB":
@@ -325,9 +324,8 @@ def abs_integral_blocks(path: np.ndarray, q: int) -> BrownianAbsFunctionals:
     if n < 2 * max(q, 2):
         raise DomainError("path too short for the requested partition")
     a = np.abs(np.asarray(path, dtype=float))
-    block = n // q
-    blocks = a[: q * block].reshape(q, block).sum(axis=1) / n
-    return BrownianAbsFunctionals(full=float(a.sum() / n), blocks=blocks)
+    blocks, _ = partition_consecutive(a, q)
+    return BrownianAbsFunctionals(full=float(a.sum() / n), blocks=blocks.sum(axis=1) / n)
 
 
 def brownian_path(gen: np.random.Generator, n_steps: int, demean: bool = False) -> np.ndarray:
@@ -347,13 +345,9 @@ def brownian_path(gen: np.random.Generator, n_steps: int, demean: bool = False) 
 
 
 def gen_brownian_abs_functionals(
-    n_steps: int,
-    stream: RngStream | np.random.Generator,
-    q: int = 2,
-    demean: bool = False,
+    n_steps: int, gen: np.random.Generator, q: int = 2, demean: bool = False
 ) -> BrownianAbsFunctionals:
     """Draw one Brownian path and return its absolute-value block integrals."""
-    gen = stream.generator() if isinstance(stream, RngStream) else stream
     return abs_integral_blocks(brownian_path(gen, n_steps, demean=demean), q)
 
 

@@ -14,31 +14,16 @@ from scipy import special
 
 from .errors import DomainError
 
-_NORMAL_MODES = ("cdf", "quantile", "one_sided_p", "two_sided_p")
-_T_MODES = ("cdf", "quantile", "two_sided_cv")
+_T_MODES = ("cdf", "two_sided_cv")
 
 
-def std_normal(x: float, mode: str = "cdf") -> float:
-    """Standard normal cdf, quantile, or tail probability.
-
-    ``one_sided_p`` is the right tail P(Z > x); ``two_sided_p`` is
-    2 P(Z > |x|).
-    """
-    if mode == "cdf":
-        return float(special.ndtr(x))
-    if mode == "quantile":
-        if not 0.0 < x < 1.0:
-            raise DomainError(f"quantile argument must be in (0, 1), got {x}")
-        return float(special.ndtri(x))
-    if mode == "one_sided_p":
-        return float(special.ndtr(-x))
-    if mode == "two_sided_p":
-        return float(2.0 * special.ndtr(-abs(x)))
-    raise DomainError(f"unknown mode {mode!r}, expected one of {_NORMAL_MODES}")
+def std_normal(x: float) -> float:
+    """Standard normal cdf."""
+    return float(special.ndtr(x))
 
 
 def student_t(x: float, df: int, mode: str = "cdf") -> float:
-    """Student-t cdf, quantile, or two-sided critical value.
+    """Student-t cdf or two-sided critical value.
 
     ``two_sided_cv`` interprets ``x`` as the level alpha and returns the c
     with P(|T_df| > c) = alpha.
@@ -47,10 +32,6 @@ def student_t(x: float, df: int, mode: str = "cdf") -> float:
         raise DomainError(f"degrees of freedom must be a positive integer, got {df!r}")
     if mode == "cdf":
         return float(special.stdtr(df, x))
-    if mode == "quantile":
-        if not 0.0 < x < 1.0:
-            raise DomainError(f"quantile argument must be in (0, 1), got {x}")
-        return float(special.stdtrit(df, x))
     if mode == "two_sided_cv":
         if not 0.0 < x < 1.0:
             raise DomainError(f"level must be in (0, 1), got {x}")

@@ -217,8 +217,10 @@ def ols_fit(
         y = y - y.mean()
         X = X - X.mean(axis=0)
     xtx = X.T @ X
-    scale = float(np.trace(xtx)) / max(X.shape[1], 1)
-    if scale == 0.0 or np.linalg.matrix_rank(xtx) < X.shape[1]:
+    k = X.shape[1]
+    # for one predictor the rank test (an SVD) decides the same as xtx == 0
+    singular = xtx[0, 0] == 0.0 if k == 1 else np.linalg.matrix_rank(xtx) < k
+    if singular:
         raise SingularDesignError("design matrix is rank deficient")
     beta = np.linalg.solve(xtx, X.T @ y)
     residuals = y - X @ beta

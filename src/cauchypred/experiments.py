@@ -164,6 +164,8 @@ class ExperimentGrid:
                 )
         if self.dgp_kind == "discrete" and "GBM" in self.vol_models:
             raise SchemaError("the GBM volatility model is not part of the discrete design")
+        if self.dgp_kind == "discrete" and not all(float(T).is_integer() for T in self.T_values):
+            raise SchemaError("T_values must be whole numbers under the discrete design")
         for v in self.vol_models:
             if v not in VOL_MODELS:
                 raise SchemaError(f"unknown volatility model {v!r}")
@@ -408,10 +410,10 @@ def d2_study(
     """
     if n_draws < 1000:
         raise DomainError("need at least 1000 draws")
-    if n_steps < 100:
-        raise DomainError("need at least 100 steps")
     if threshold is None:
         threshold = default_d2_threshold()
+    if not np.isfinite(threshold):
+        raise DomainError(f"threshold must be finite, got {threshold}")
     values = np.empty(n_draws)
     pos = 0
     chunk_id = 0

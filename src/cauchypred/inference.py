@@ -69,7 +69,7 @@ class ReferenceDistribution:
         if self.family == "student_t":
             return dists.student_t(x, self.df, "cdf")
         if self.family == "std_normal":
-            return dists.std_normal(x, "cdf")
+            return dists.std_normal(x)
         raise DomainError(f"no cdf for reference distribution {self.family!r}")
 
 

@@ -49,12 +49,6 @@ def substream_index(*labels: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _as_generator(stream: RngStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(stream, RngStream):
-        return stream.generator()
-    return stream
-
-
 def correlated_normal_arrays(
     gen: np.random.Generator, rho: float, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -72,10 +66,7 @@ def correlated_normal_arrays(
     return first, second
 
 
-def draw_correlated_normals(
-    stream: RngStream | np.random.Generator, rho: float
-) -> tuple[float, float]:
+def draw_correlated_normals(gen: np.random.Generator, rho: float) -> tuple[float, float]:
     """One pair of standard normals with correlation ``rho``."""
-    gen = _as_generator(stream)
     a, b = correlated_normal_arrays(gen, rho, 1)
     return float(a[0]), float(b[0])

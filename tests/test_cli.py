@@ -232,3 +232,9 @@ class TestD2Command:
     def test_threshold_one(self, capsys):
         assert main(["d2", "--draws", "1000", "--steps", "150", "--threshold", "1.0"]) == 0
         assert "= 1.0000" in capsys.readouterr().out
+
+    def test_non_finite_threshold(self, capsys):
+        assert main(["d2", "--draws", "1000", "--steps", "150", "--threshold", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: threshold must be finite" in captured.err

@@ -55,6 +55,13 @@ class TestParseCsv:
         with pytest.raises(CsvFormatError, match="row 9.*'y'"):
             parse_csv(write_csv(tmp_path, rows))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_names_row_and_column(self, tmp_path, cell):
+        rows = make_rows(12)
+        rows[3] = f"2003,0.1,{cell}"
+        with pytest.raises(CsvFormatError, match=f"row 5: column 'x': '{cell}'"):
+            parse_csv(write_csv(tmp_path, rows))
+
     def test_too_few_rows(self, tmp_path):
         with pytest.raises(InsufficientDataError):
             parse_csv(write_csv(tmp_path, make_rows(6)))

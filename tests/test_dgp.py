@@ -16,6 +16,7 @@ from cauchypred import (
     DgpContinuousConfig,
     DgpDiscreteConfig,
     DomainError,
+    PartitionError,
     RngStream,
     VolParams,
     d_statistic,
@@ -30,13 +31,13 @@ from cauchypred.dgp import _ar_path, abs_integral_blocks
 
 class TestVolatility:
     def test_cnst_flat(self):
-        path = gen_volatility("CNST", VolParams(), 50, 50.0, RngStream(1))
+        path = gen_volatility("CNST", VolParams(), 50, 50.0, RngStream(1).generator())
         assert_allclose(path.sigma, np.ones(50))
 
     def test_sb_pattern(self):
         # 10 steps, switch at the first step whose sample fraction t/n
         # reaches 0.8: seven low entries then three high
-        path = gen_volatility("SB", VolParams(), 10, 10.0, RngStream(1))
+        path = gen_volatility("SB", VolParams(), 10, 10.0, RngStream(1).generator())
         assert_allclose(path.sigma, [1.0] * 7 + [4.0] * 3)
 
     def test_rs_no_switch_at_time_zero(self):
@@ -44,7 +45,7 @@ class TestVolatility:
         # the initial state regardless of the uniform draw
         for seed in range(40):
             stream = RngStream(seed)
-            path = gen_volatility("RS", VolParams(), 500, 500.0, stream)
+            path = gen_volatility("RS", VolParams(), 500, 500.0, stream.generator())
             gen = stream.generator()
             u0 = gen.random(501)[0]
             initial = 4.0 if u0 < 0.2 else 1.0
@@ -54,20 +55,21 @@ class TestVolatility:
         # pooled high-state share approaches the invariant weight 0.2
         share = []
         for seed in range(60):
-            path = gen_volatility("RS", VolParams(), 2000, 2000.0, RngStream(77, seed))
+            path = gen_volatility("RS", VolParams(), 2000, 2000.0, RngStream(77, seed).generator())
             tail = path.sigma[1000:]
             share.append(np.mean(tail == 4.0))
         assert np.mean(share) == pytest.approx(0.2, abs=0.05)
 
     def test_gbm_positive_and_finite(self):
         for years in (5, 20, 50):
-            path = gen_volatility("GBM", VolParams(), 12 * years, float(years), RngStream(5))
+            gen = RngStream(5).generator()
+            path = gen_volatility("GBM", VolParams(), 12 * years, float(years), gen)
             assert np.all(path.sigma > 0)
             assert np.all(np.isfinite(path.sigma))
             assert path.z_increments is not None
 
     def test_gbm_starts_at_sigma0(self):
-        path = gen_volatility("GBM", VolParams(), 240, 20.0, RngStream(6))
+        path = gen_volatility("GBM", VolParams(), 240, 20.0, RngStream(6).generator())
         assert path.sigma[0] == pytest.approx(1.0)
 
     def test_gbm_frequency_invariant_law(self):
@@ -76,8 +78,8 @@ class TestVolatility:
         for n in (240, 960):
             vals = [
                 np.log(
-                    gen_volatility("GBM", VolParams(), n, 20.0, RngStream(9, i)).sigma[-1]
-                    ** 2
+                    gen_volatility("GBM", VolParams(), n, 20.0, RngStream(9, i).generator())
+                    .sigma[-1] ** 2
                 )
                 for i in range(400)
             ]
@@ -86,9 +88,9 @@ class TestVolatility:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            gen_volatility("OU", VolParams(), 10, 10.0, RngStream(1))
+            gen_volatility("OU", VolParams(), 10, 10.0, RngStream(1).generator())
         with pytest.raises(DomainError):
-            gen_volatility("CNST", VolParams(sigma0=-1.0), 10, 10.0, RngStream(1))
+            gen_volatility("CNST", VolParams(sigma0=-1.0), 10, 10.0, RngStream(1).generator())
 
 
 class TestMaWeights:
@@ -249,6 +251,10 @@ class TestBrownianFunctionals:
         assert f.blocks[0] == pytest.approx(0.5, abs=1e-12)
         assert f.blocks[1] == pytest.approx(0.5, abs=1e-12)
 
+    def test_one_block_is_a_partition_error(self):
+        with pytest.raises(PartitionError):
+            abs_integral_blocks(np.ones(1000), 1)
+
     def test_blocks_sum_to_full(self):
         gen = RngStream(3, 1).generator()
         f = gen_brownian_abs_functionals(1000, gen, q=4)
@@ -256,7 +262,7 @@ class TestBrownianFunctionals:
 
     def test_two_group_ratio_exceeds_one(self):
         for rep in range(200):
-            f = gen_brownian_abs_functionals(500, RngStream(14, rep), q=2, demean=True)
+            f = gen_brownian_abs_functionals(500, RngStream(14, rep).generator(), q=2, demean=True)
             assert d_statistic(f) > 1.0
 
     def test_d_statistic_matches_two_group_form(self):
@@ -264,10 +270,10 @@ class TestBrownianFunctionals:
         assert d_statistic(f) == pytest.approx(1.0 / 0.4, abs=1e-12)
 
     def test_demeaned_path_replayable(self):
-        a = gen_brownian_abs_functionals(300, RngStream(15, 2), demean=True)
-        b = gen_brownian_abs_functionals(300, RngStream(15, 2), demean=True)
+        a = gen_brownian_abs_functionals(300, RngStream(15, 2).generator(), demean=True)
+        b = gen_brownian_abs_functionals(300, RngStream(15, 2).generator(), demean=True)
         assert a.full == b.full
 
     def test_min_steps(self):
         with pytest.raises(DomainError):
-            gen_brownian_abs_functionals(50, RngStream(1))
+            gen_brownian_abs_functionals(50, RngStream(1).generator())

@@ -106,6 +106,11 @@ class TestGridValidation:
         with pytest.raises(SchemaError):
             small_discrete_grid(alpha=1.5).validate()
 
+    def test_fractional_T_on_discrete(self):
+        # T counts observations; 240.5 would simulate 240 but label the cell 240.5
+        with pytest.raises(SchemaError, match="whole numbers"):
+            small_discrete_grid(T_values=(60.0, 240.5)).validate()
+
     @pytest.mark.parametrize("methods", [("tau_o", "tau_o"), ("t8", "t08")])
     def test_duplicate_methods(self, methods):
         # cells are keyed by label, so a repeated method would be counted twice
@@ -220,3 +225,6 @@ class TestD2Study:
             d2_study(10, 200)
         with pytest.raises(DomainError):
             d2_study(2000, 10)
+        for threshold in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(DomainError, match="threshold must be finite"):
+                d2_study(1000, 200, threshold=threshold)

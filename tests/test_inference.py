@@ -1,6 +1,8 @@
 """Test-layer contracts: worked statistics, decision consistency, algebraic
 identities across tests, and degenerate-input errors."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from cauchypred import (
     DegenerateVarianceError,
     DomainError,
     GroupStatistics,
+    PartitionError,
     RegressionSample,
     RngStream,
     SignDegeneracyError,
@@ -252,6 +255,15 @@ class TestJointTests:
         joint = wald_joint(s, 0.05)
         assert joint.wald_stat == pytest.approx(tau**2, abs=1e-10)
 
+    def test_wald_invariant_to_predictor_order(self):
+        gen = np.random.default_rng(21)
+        X = np.cumsum(gen.standard_normal((300, 3)), axis=0)
+        y = 0.05 * X[:, 1] + gen.standard_normal(300)
+        stat = wald_joint(RegressionSample(y=y, x_lag=X), 0.05).wald_stat
+        for order in itertools.permutations(range(3)):
+            permuted = RegressionSample(y=y, x_lag=X[:, list(order)])
+            assert wald_joint(permuted, 0.05).wald_stat == pytest.approx(stat, rel=1e-12, abs=0)
+
     def test_wald_identical_signs_singular(self):
         gen = np.random.default_rng(17)
         x1 = np.abs(gen.standard_normal(100)) + 0.1
@@ -347,18 +359,36 @@ class TestMetamorphic:
     through the same dispatcher the experiment runner uses."""
 
     @given(
-        label=st.sampled_from(["t8", "tau", "tau_e", "tau_o", "t8_tau_o"]),
+        label=st.sampled_from(["t8", "tau", "tau_e", "tau_o", "t8_tau_e", "t8_tau_o"]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         kappa=st.sampled_from([0.0, 5.0, 50.0]),
         c=st.floats(min_value=1e-3, max_value=1e3),
+        a=st.floats(min_value=-1e3, max_value=1e3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_response_sign_and_predictor_scale(self, label, seed, kappa, c):
+    def test_response_sign_and_predictor_scale(self, label, seed, kappa, c, a):
         s = simulate_discrete(DgpDiscreteConfig(n_obs=120, kappa_bar=kappa), RngStream(seed))
         spec = parse_method(label)
-        stat = evaluate_method(spec, s, 0.05, "two").statistic
-        negated = RegressionSample(y=-s.y, x_lag=s.x_lag, x_level=s.x_level)
-        assert evaluate_method(spec, negated, 0.05, "two").statistic == -stat
-        scaled = RegressionSample(y=s.y, x_lag=c * s.x_lag, x_level=c * s.x_level)
-        scaled_stat = evaluate_method(spec, scaled, 0.05, "two").statistic
-        assert scaled_stat == pytest.approx(stat, rel=1e-9, abs=0)
+
+        def statistic(y=s.y, x_level=s.x_level):
+            t = RegressionSample(y=y, x_lag=x_level[:-1], x_level=x_level)
+            return evaluate_method(spec, t, 0.05, "two").statistic
+
+        stat = statistic()
+        assert statistic(y=-s.y) == -stat
+        assert statistic(x_level=c * s.x_level) == pytest.approx(stat, rel=1e-9, abs=0)
+        assert statistic(y=c * s.y) == pytest.approx(stat, rel=1e-9, abs=0)
+        if spec.parity is not None:  # differencing removes any intercept
+            assert statistic(y=s.y + a) == pytest.approx(stat, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("q", [8, 12, 16])
+    def test_group_test_too_few_pairs_for_q_blocks(self, q):
+        # the odd-parity pairs of T observations number floor((T - 1) / 2),
+        # fewer than q at T = 2q - 1 and T = 2q, q at T = 2q + 1
+        spec = parse_method(f"t{q}_tau_o")
+        for T in (2 * q - 1, 2 * q):
+            s = random_walk_sample(q + T, T, with_levels=True)
+            with pytest.raises(PartitionError, match=f"into q={q} groups"):
+                evaluate_method(spec, s, 0.05, "two")
+        s = random_walk_sample(q, 2 * q + 1, with_levels=True)
+        assert evaluate_method(spec, s, 0.05, "two").statistic != 0.0

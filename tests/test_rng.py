@@ -47,7 +47,7 @@ def test_substream_index_stable():
 
 
 def test_pair_rho_one_identical():
-    a, b = draw_correlated_normals(RngStream(1, 2), 1.0)
+    a, b = draw_correlated_normals(RngStream(1, 2).generator(), 1.0)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -72,4 +72,4 @@ def test_sample_correlation(rho, target):
 
 def test_rho_domain():
     with pytest.raises(DomainError):
-        draw_correlated_normals(RngStream(0, 0), 1.5)
+        draw_correlated_normals(RngStream(0, 0).generator(), 1.5)
