@@ -199,6 +199,17 @@ class TestGroupedHybrid:
         assert out.ref_dist.df == 4
         assert out.reject == (out.p_value <= 0.05)
 
+    @pytest.mark.parametrize("q", [8, 12, 16])
+    def test_too_few_pairs_for_q_blocks(self, q):
+        # the odd-parity pairs of T observations number floor((T - 1) / 2),
+        # fewer than q at T = 2q - 1 and T = 2q, q at T = 2q + 1
+        for T in (2 * q - 1, 2 * q):
+            s = random_walk_sample(q + T, T, with_levels=True)
+            with pytest.raises(PartitionError, match=f"into q={q} groups"):
+                grouped_hybrid_test(s, "odd", q, 0.05)
+        s = random_walk_sample(q, 2 * q + 1, with_levels=True)
+        assert grouped_hybrid_test(s, "odd", q, 0.05).statistic != 0.0
+
 
 class TestAlphaValidityBound:
     # two-sided bound 0.08326 (Bakirov & Szekely 2006); by symmetry the
@@ -380,15 +391,3 @@ class TestMetamorphic:
         assert statistic(y=c * s.y) == pytest.approx(stat, rel=1e-9, abs=0)
         if spec.parity is not None:  # differencing removes any intercept
             assert statistic(y=s.y + a) == pytest.approx(stat, rel=1e-9, abs=0)
-
-    @pytest.mark.parametrize("q", [8, 12, 16])
-    def test_group_test_too_few_pairs_for_q_blocks(self, q):
-        # the odd-parity pairs of T observations number floor((T - 1) / 2),
-        # fewer than q at T = 2q - 1 and T = 2q, q at T = 2q + 1
-        spec = parse_method(f"t{q}_tau_o")
-        for T in (2 * q - 1, 2 * q):
-            s = random_walk_sample(q + T, T, with_levels=True)
-            with pytest.raises(PartitionError, match=f"into q={q} groups"):
-                evaluate_method(spec, s, 0.05, "two")
-        s = random_walk_sample(q, 2 * q + 1, with_levels=True)
-        assert evaluate_method(spec, s, 0.05, "two").statistic != 0.0
