@@ -22,7 +22,9 @@ from .dgp import (
     d_statistic,
     ma_weights,
     simulate_continuous,
+    simulate_continuous_batch,
     simulate_discrete,
+    simulate_discrete_batch,
 )
 from .dataio import EmpiricalDataset, load_experiment_file, parse_csv
 from .dists import chi_square_sf, std_normal, student_t
@@ -44,6 +46,7 @@ from .estimators import (
     CauchyFit,
     GroupStatistics,
     RegressionSample,
+    SampleBatch,
     cauchy_estimate,
     diff_cauchy,
     group_gammas,
@@ -61,11 +64,13 @@ from .experiments import (
     MethodSpec,
     d2_study,
     default_d2_threshold,
+    evaluate_batch,
     parse_method,
     run_cell,
     run_grid,
 )
 from .inference import (
+    BatchOutcomes,
     JointTestOutcome,
     ReferenceDistribution,
     TestOutcome,

@@ -21,23 +21,36 @@ Determinism contract: a config fixes the model and carries no randomness;
 every generator takes its random stream as an argument and consumes it in a
 fixed, documented order (volatility first, then the shock channels), so a
 config and a stream reproduce the same sample bitwise on any platform.
+
+:func:`simulate_continuous_batch` and :func:`simulate_discrete_batch` build
+one sample per stream as the rows of a
+:class:`~cauchypred.estimators.SampleBatch`: each row draws from its own
+stream in the documented order, then the moving average, volatility chain,
+autoregression and demeaning run over the whole (R, T) arrays.  The
+single-sample functions are their batch-of-one wrappers, so a row of a
+batch equals the sample of its stream bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .estimators import RegressionSample, partition_consecutive, recursive_demean
-from .rng import RngStream
+from .estimators import RegressionSample, SampleBatch, _recursive_demean, partition_consecutive
+from .rng import RngStream, generators
 
 VOL_MODELS = ("CNST", "SB", "RS", "GBM")
 
 # per-step scaling of daily paths used by the stochastic-volatility model
 TRADING_DAYS_PER_YEAR = 252
+
+# With fewer rows than this the AR recursion runs row by row on Python
+# floats; from it on, one vector step per time point across the rows is
+# faster (a step costs about as much as 20 rows of one element each).
+AR_ROWS_PER_VECTOR_STEP = 24
 
 
 @dataclass(frozen=True)
@@ -70,28 +83,67 @@ class VolatilityPath:
     z_increments: Optional[np.ndarray] = None
 
 
-def _rs_states(gen: np.random.Generator, n: int, params: VolParams) -> np.ndarray:
-    """Two-state chain with time-varying mixing.
+def _rs_states(u: np.ndarray, params: VolParams) -> np.ndarray:
+    """Two-state chain with time-varying mixing, one path per row of ``u``.
 
     The transition matrix starts at the identity and relaxes toward rows
     equal to the invariant law (1 - p, p) at rate lambda_bar in sample
-    fraction; the initial state is drawn from that invariant law.  One
-    uniform is consumed for the initial state and one per step.
+    fraction; the initial state is drawn from that invariant law.  Row r
+    consumes the n + 1 uniforms ``u[r]``: one for the initial state and one
+    per step.
+
+    Step i moves to the high state when its uniform is below
+    p_to_high = p (1 - decay_i) from the low state, or p + (1 - p) decay_i
+    from the high state.  In floating point the first is at most p and the
+    second at least p, so a uniform below the first moves high from either
+    state, one at or above the second moves low from either, and one in
+    between keeps the state: the path is a forward fill of those steps.
     """
-    p_high = params.rs_high_prob
-    u = gen.random(n + 1)
-    states = np.empty(n, dtype=np.int64)
-    state = 1 if u[0] < p_high else 0
-    lam = params.lambda_bar
-    for i in range(n):
-        decay = np.exp(-lam * i / n)  # step's start time as fraction of sample
-        if state == 0:
-            p_to_high = p_high * (1.0 - decay)
-        else:
-            p_to_high = p_high + (1.0 - p_high) * decay
-        state = 1 if u[i + 1] < p_to_high else 0
-        states[i] = state
-    return states
+    n = u.shape[-1] - 1
+    p = params.rs_high_prob
+    decay = np.exp(-params.lambda_bar * np.arange(n) / n)  # step start as fraction of sample
+    step = u[:, 1:]
+    goes_high = step < p * (1.0 - decay)
+    settled = goes_high | (step >= p + (1.0 - p) * decay)
+    state = np.concatenate([u[:, :1] < p, goes_high], axis=1)
+    source = np.where(np.concatenate([np.ones_like(u[:, :1], dtype=bool), settled], axis=1),
+                      np.arange(n + 1), 0)
+    np.maximum.accumulate(source, axis=1, out=source)
+    return np.take_along_axis(state, source, axis=1)[:, 1:]
+
+
+def _volatility_draws(model: str, n_steps: int) -> Optional[tuple[str, int]]:
+    """The generator method and count of the draws a model takes first from
+    each stream (uniforms for RS, normals for GBM), or None."""
+    if model == "RS":
+        return "random", n_steps + 1
+    if model == "GBM":
+        return "standard_normal", n_steps
+    return None
+
+
+def _volatility(
+    model: str, params: VolParams, n_steps: int, total_years: float, draws: Optional[np.ndarray]
+) -> np.ndarray:
+    """sigma_t of each path: (R, n_steps) from the (R, .) draws of RS and
+    GBM, one (n_steps,) row shared by every path for CNST and SB."""
+    if model == "CNST":
+        return np.full(n_steps, params.sigma0)
+    if model == "SB":
+        frac = np.arange(1, n_steps + 1) / n_steps
+        return np.where(frac >= params.break_fraction, params.sigma1, params.sigma0).astype(float)
+    if model == "RS":
+        return np.where(_rs_states(draws, params), params.sigma1, params.sigma0).astype(float)
+    # GBM: exact log-step; sigma used at each step is the value at its start,
+    # so the path stays adapted to the shock history.
+    n_daily = max(int(round(total_years * TRADING_DAYS_PER_YEAR)), n_steps)
+    om2 = params.omega_bar**2
+    drift_total = 0.5 * (om2 - om2 * om2) / n_daily  # includes the Ito correction
+    sd_total = om2 / np.sqrt(n_daily)
+    log_inc = drift_total / n_steps + sd_total / np.sqrt(n_steps) * draws
+    start = np.full(draws.shape[:-1] + (1,), np.log(params.sigma0**2))
+    log_sig2 = np.concatenate([start, np.cumsum(log_inc, axis=-1)[..., :-1]], axis=-1)
+    return np.exp(0.5 * log_sig2)
 
 
 def gen_volatility(
@@ -115,26 +167,12 @@ def gen_volatility(
         raise DomainError(f"unknown volatility model {model!r}, expected one of {VOL_MODELS}")
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    if model == "CNST":
-        return VolatilityPath(np.full(n_steps, params.sigma0))
-    if model == "SB":
-        frac = np.arange(1, n_steps + 1) / n_steps
-        sigma = np.where(frac >= params.break_fraction, params.sigma1, params.sigma0)
-        return VolatilityPath(sigma.astype(float))
-    if model == "RS":
-        states = _rs_states(gen, n_steps, params)
-        sigma = np.where(states == 1, params.sigma1, params.sigma0).astype(float)
+    spec = _volatility_draws(model, n_steps)
+    draws = None if spec is None else getattr(gen, spec[0])(spec[1])[None]
+    sigma = _volatility(model, params, n_steps, total_years, draws)
+    if draws is None:
         return VolatilityPath(sigma)
-    # GBM: exact log-step; sigma used at each step is the value at its start,
-    # so the path stays adapted to the shock history.
-    n_daily = max(int(round(total_years * TRADING_DAYS_PER_YEAR)), n_steps)
-    om2 = params.omega_bar**2
-    drift_total = 0.5 * (om2 - om2 * om2) / n_daily  # includes the Ito correction
-    sd_total = om2 / np.sqrt(n_daily)
-    z = gen.standard_normal(n_steps)
-    log_inc = drift_total / n_steps + sd_total / np.sqrt(n_steps) * z
-    log_sig2 = np.concatenate([[np.log(params.sigma0**2)], np.cumsum(log_inc)[:-1]])
-    return VolatilityPath(np.exp(0.5 * log_sig2), z_increments=z)
+    return VolatilityPath(sigma[0], z_increments=draws[0] if model == "GBM" else None)
 
 
 @dataclass(frozen=True)
@@ -220,22 +258,89 @@ def ma_weights(order: int) -> np.ndarray:
 
 
 def _ma_filter(v_full: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """eta_t = sum_j w_j v_{t-j} for t = 1..n, with len(weights) burn-in draws."""
+    """eta_t = sum_j w_j v_{t-j} for t = 1..n along the last axis, with
+    len(weights) burn-in draws."""
     order = weights.shape[0]
-    eta = np.zeros(n)
+    eta = np.zeros(v_full.shape[:-1] + (n,))
     for j in range(1, order + 1):
-        eta += weights[j - 1] * v_full[order - j : order - j + n]
+        eta += weights[j - 1] * v_full[..., order - j : order - j + n]
     return eta
 
 
-def _ar_path(innovations: np.ndarray, coefficient: float) -> np.ndarray:
-    """x_t = coefficient * x_{t-1} + innovations_t with x_0 = 0."""
+def _ar_row(innovations: list, coefficient: float) -> list:
     path = []
     prev = 0.0
-    for u in innovations.tolist():
+    for u in innovations:
         prev = coefficient * prev + u
         path.append(prev)
-    return np.array(path)
+    return path
+
+
+def _ar_path(innovations: np.ndarray, coefficient: float) -> np.ndarray:
+    """x_t = coefficient * x_{t-1} + innovations_t with x_0 = 0, along the
+    last axis.
+
+    Every step rounds the product, then the sum, as the IIR filter this
+    replaced did, so both loop orders give the same paths bit for bit.
+    """
+    rows = innovations.reshape(-1, innovations.shape[-1])
+    if rows.shape[0] < AR_ROWS_PER_VECTOR_STEP:
+        paths = np.array([_ar_row(row, coefficient) for row in rows.tolist()])
+    else:
+        steps = rows.T.copy()  # time on the first axis, so each step is contiguous
+        prev = np.zeros(steps.shape[1])
+        for t in range(steps.shape[0]):
+            steps[t] += coefficient * prev
+            prev = steps[t]
+        paths = np.ascontiguousarray(steps.T)
+    return paths.reshape(innovations.shape)
+
+
+def simulate_continuous_batch(
+    config: DgpContinuousConfig, streams: Sequence[RngStream]
+) -> SampleBatch:
+    """One replication of the no-intercept design per stream, as the rows
+    of a batch; row r is ``simulate_continuous(config, streams[r])``."""
+    n, reps = config.n_obs, len(streams)
+    gbm = config.vol_model == "GBM"
+    jumps = config.jump_intensity > 0
+    vol = _volatility_draws(config.vol_model, n)
+    vol_draws = None if vol is None else np.empty((reps, vol[1]))
+    v_full = np.empty((reps, n + 2))
+    e_w = np.empty((reps, n))
+    e_v = np.empty((reps, n)) if gbm else None
+    counts = np.empty((reps, n)) if jumps else None
+    sizes = np.empty((reps, n)) if jumps else None
+    for r, gen in enumerate(generators(streams)):
+        if vol is not None:
+            getattr(gen, vol[0])(out=vol_draws[r])
+        if gbm:
+            # order: error channel from the vol shocks, then the v channel
+            gen.standard_normal(out=e_w[r])
+            gen.standard_normal(out=e_v[r])
+            gen.standard_normal(out=v_full[r, :2])
+        else:
+            gen.standard_normal(out=v_full[r])
+            gen.standard_normal(out=e_w[r])
+        if jumps:
+            counts[r] = gen.poisson(config.jump_intensity * config.delta, n)
+            gen.standard_normal(out=sizes[r])
+    sig = _volatility(config.vol_model, config.vol_params, n, config.years, vol_draws)
+    if gbm:
+        w = config.rho_wz * vol_draws + np.sqrt(1.0 - config.rho_wz**2) * e_w
+        v_full[:, 2:] = config.rho_vw * w + np.sqrt(1.0 - config.rho_vw**2) * e_v
+    else:
+        w = config.rho_vw * v_full[:, 2:] + np.sqrt(1.0 - config.rho_vw**2) * e_w
+    shocks = w
+    if jumps:
+        shocks = w + config.jump_sd * np.sqrt(counts) * sizes
+    eta = _ma_filter(v_full, ma_weights(2), n)
+    ar = 1.0 - config.kappa_bar / config.years * config.delta
+    x_path = _ar_path(sig * eta, ar)
+    x_lag_raw = np.concatenate([np.zeros((reps, 1)), x_path[:, :-1]], axis=1)  # x_0 .. x_{n-1}
+    x_lag = _recursive_demean(x_lag_raw)
+    y = config.beta * x_lag + sig * shocks
+    return SampleBatch(y=y, x_lag=x_lag)
 
 
 def simulate_continuous(config: DgpContinuousConfig, stream: RngStream) -> RegressionSample:
@@ -253,34 +358,33 @@ def simulate_continuous(config: DgpContinuousConfig, stream: RngStream) -> Regre
     v shock at rho_vw, and under GBM also with the volatility shock at
     rho_wz.
     """
-    n = config.n_obs
-    gen = stream.generator()
-    vol = gen_volatility(config.vol_model, config.vol_params, n, config.years, gen)
-    sig = vol.sigma
-    if vol.z_increments is not None:
-        # order: error channel from the vol shocks, then the v channel
-        e_w = gen.standard_normal(n)
-        e_v = gen.standard_normal(n)
-        v_burn = gen.standard_normal(2)
-        w = config.rho_wz * vol.z_increments + np.sqrt(1.0 - config.rho_wz**2) * e_w
-        v_t = config.rho_vw * w + np.sqrt(1.0 - config.rho_vw**2) * e_v
-        v_full = np.concatenate([v_burn, v_t])
-    else:
-        v_full = gen.standard_normal(n + 2)
-        e_w = gen.standard_normal(n)
-        w = config.rho_vw * v_full[2:] + np.sqrt(1.0 - config.rho_vw**2) * e_w
-    shocks = w
-    if config.jump_intensity > 0:
-        counts = gen.poisson(config.jump_intensity * config.delta, n)
-        sizes = gen.standard_normal(n)
-        shocks = w + config.jump_sd * np.sqrt(counts) * sizes
-    eta = _ma_filter(v_full, ma_weights(2), n)
-    ar = 1.0 - config.kappa_bar / config.years * config.delta
+    batch = simulate_continuous_batch(config, [stream])
+    return RegressionSample(y=batch.y[0], x_lag=batch.x_lag[0])
+
+
+def simulate_discrete_batch(config: DgpDiscreteConfig, streams: Sequence[RngStream]) -> SampleBatch:
+    """One replication of the intercept-experiment design per stream, as
+    the rows of a batch; row r is ``simulate_discrete(config, streams[r])``."""
+    n, reps, order = config.n_obs, len(streams), config.ma_order
+    vol = _volatility_draws(config.vol_model, n)
+    vol_draws = None if vol is None else np.empty((reps, vol[1]))
+    v_full = np.empty((reps, n + order))
+    e = np.empty((reps, n))
+    for r, gen in enumerate(generators(streams)):
+        if vol is not None:
+            getattr(gen, vol[0])(out=vol_draws[r])
+        gen.standard_normal(out=v_full[r])
+        gen.standard_normal(out=e[r])
+    sig = _volatility(config.vol_model, config.vol_params, n, float(n), vol_draws)
+    eta = _ma_filter(v_full, ma_weights(order), n)
+    anchor = v_full[:, order:] if config.endogeneity == "v" else eta
+    eps = config.rho * anchor + np.sqrt(1.0 - config.rho**2) * e
+    ar = 1.0 - config.kappa_bar / n
     x_path = _ar_path(sig * eta, ar)
-    x_lag_raw = np.concatenate([[0.0], x_path[:-1]])  # x_0 .. x_{n-1}
-    x_lag = recursive_demean(x_lag_raw)
-    y = config.beta * x_lag + sig * shocks
-    return RegressionSample(y=y, x_lag=x_lag)
+    x_level = np.concatenate([np.zeros((reps, 1)), x_path], axis=1)  # x_0 .. x_n
+    slope = config.beta / n if config.slope_scale == "per_sample" else config.beta
+    y = slope * x_level[:, :-1] + sig * eps
+    return SampleBatch(y=y, x_lag=x_level[:, :-1], x_level=x_level)
 
 
 def simulate_discrete(config: DgpDiscreteConfig, stream: RngStream) -> RegressionSample:
@@ -292,56 +396,52 @@ def simulate_discrete(config: DgpDiscreteConfig, stream: RngStream) -> Regressio
     innovation when ``endogeneity="eta"``.  The effective slope is
     beta / n_obs under the default localization.
     """
-    n = config.n_obs
-    gen = stream.generator()
-    vol = gen_volatility(config.vol_model, config.vol_params, n, float(n), gen)
-    sig = vol.sigma
-    order = config.ma_order
-    v_full = gen.standard_normal(n + order)
-    e = gen.standard_normal(n)
-    eta = _ma_filter(v_full, ma_weights(order), n)
-    anchor = v_full[order:] if config.endogeneity == "v" else eta
-    eps = config.rho * anchor + np.sqrt(1.0 - config.rho**2) * e
-    ar = 1.0 - config.kappa_bar / n
-    x_path = _ar_path(sig * eta, ar)
-    x_level = np.concatenate([[0.0], x_path])  # x_0 .. x_n
-    slope = config.beta / n if config.slope_scale == "per_sample" else config.beta
-    y = slope * x_level[:-1] + sig * eps
-    return RegressionSample(y=y, x_lag=x_level[:-1], x_level=x_level)
+    batch = simulate_discrete_batch(config, [stream])
+    return RegressionSample(y=batch.y[0], x_lag=batch.x_lag[0], x_level=batch.x_level[0])
 
 
 @dataclass(frozen=True)
 class BrownianAbsFunctionals:
-    """Left-endpoint Riemann sums of |path| over [0,1] and its subdivisions."""
+    """Left-endpoint Riemann sums of |path| over [0,1] and its subdivisions
+    (arrays over the paths when computed for several)."""
 
     full: float
-    blocks: np.ndarray  # q block integrals
+    blocks: np.ndarray  # q block integrals, on the last axis
 
 
 def abs_integral_blocks(path: np.ndarray, q: int) -> BrownianAbsFunctionals:
-    """Riemann block sums of |path| for an injected path of left endpoints."""
-    n = path.shape[0]
+    """Riemann block sums of |path| for an injected path of left endpoints
+    (the last axis; leading axes index several paths)."""
+    n = path.shape[-1]
     if n < 2 * max(q, 2):
         raise DomainError("path too short for the requested partition")
     a = np.abs(np.asarray(path, dtype=float))
     blocks, _ = partition_consecutive(a, q)
-    return BrownianAbsFunctionals(full=float(a.sum() / n), blocks=blocks.sum(axis=1) / n)
+    full = a.sum(axis=-1) / n
+    return BrownianAbsFunctionals(
+        full=float(full) if full.ndim == 0 else full, blocks=blocks.sum(axis=-1) / n
+    )
 
 
-def brownian_path(gen: np.random.Generator, n_steps: int, demean: bool = False) -> np.ndarray:
-    """Left-endpoint values of a standard Brownian motion on [0, 1].
+def brownian_paths(gen: np.random.Generator, count: int, n_steps: int, demean: bool = False) -> np.ndarray:
+    """``count`` paths of left-endpoint values of a standard Brownian motion
+    on [0, 1], one per row, drawn from ``gen`` path after path.
 
-    With ``demean=True`` the running mean of the path is subtracted, the
+    With ``demean=True`` the running mean of each path is subtracted, the
     same recursive recentering applied to predictors.
     """
     if n_steps < 100:
         raise DomainError("need at least 100 steps")
-    z = gen.standard_normal(n_steps)
-    w = np.cumsum(z) / np.sqrt(n_steps)
-    path = np.concatenate([[0.0], w[:-1]])
-    if demean:
-        path = recursive_demean(path)
-    return path
+    z = gen.standard_normal((count, n_steps))
+    w = np.cumsum(z, axis=-1) / np.sqrt(n_steps)
+    path = np.concatenate([np.zeros((count, 1)), w[:, :-1]], axis=1)
+    return _recursive_demean(path) if demean else path
+
+
+def brownian_path(gen: np.random.Generator, n_steps: int, demean: bool = False) -> np.ndarray:
+    """Left-endpoint values of one standard Brownian motion on [0, 1] (see
+    :func:`brownian_paths`)."""
+    return brownian_paths(gen, 1, n_steps, demean=demean)[0]
 
 
 def gen_brownian_abs_functionals(
@@ -351,16 +451,19 @@ def gen_brownian_abs_functionals(
     return abs_integral_blocks(brownian_path(gen, n_steps, demean=demean), q)
 
 
-def d_statistic(functionals: BrownianAbsFunctionals) -> float:
+def d_statistic(functionals: BrownianAbsFunctionals):
     """Limit ratio of the group t-statistic under a drifting alternative.
 
     For q blocks: full * sqrt(q (q-1) / sum_j (full - q * block_j)^2).
-    At q = 2 this reduces to full / |block_1 - block_2|.
+    At q = 2 this reduces to full / |block_1 - block_2|.  Over several
+    paths the result is an array.
     """
     blocks = functionals.blocks
-    q = blocks.shape[0]
-    dev = functionals.full - q * blocks
-    denom = float(np.sum(dev * dev))
-    if denom == 0.0:
+    q = blocks.shape[-1]
+    full = np.asarray(functionals.full, dtype=float)
+    dev = full[..., None] - q * blocks
+    denom = np.sum(dev * dev, axis=-1)
+    if np.any(denom == 0.0):
         raise DomainError("degenerate block integrals")
-    return float(functionals.full * np.sqrt(q * (q - 1) / denom))
+    out = full * np.sqrt(q * (q - 1) / denom)
+    return float(out) if out.ndim == 0 else out

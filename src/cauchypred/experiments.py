@@ -12,6 +12,11 @@ replication number, so
 Replications that raise a degenerate-statistic error count as
 non-rejections and are tallied separately.
 
+A combination's replications are simulated and tested together, in blocks
+of ``REP_BLOCK`` as the rows of a
+:class:`~cauchypred.estimators.SampleBatch`; the intermediates the methods
+share (sign terms, OLS fits) are computed once per block.
+
 A method label names one of the paper's two tests (test family) on one
 sample form, a :class:`MethodSpec` ``(q, parity)``:
 
@@ -25,6 +30,7 @@ hybrid                      ``tau``     ``tau_e`` / ``tau_o``
 
 from __future__ import annotations
 
+import math
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -37,16 +43,21 @@ from .dgp import (
     VOL_MODELS,
     DgpContinuousConfig,
     DgpDiscreteConfig,
-    gen_brownian_abs_functionals,
+    abs_integral_blocks,
+    brownian_paths,
     d_statistic,
+    simulate_continuous_batch,
+    simulate_discrete_batch,
 )
-from .dgp import simulate_continuous, simulate_discrete
-from .errors import DegenerateStatisticError, DomainError, SchemaError
-from .estimators import RegressionSample, group_gammas
+from .errors import DomainError, SchemaError
+from .estimators import RegressionSample, SampleBatch, group_gammas
 from .inference import (
     SIDES,
+    BatchOutcomes,
     TestOutcome,
+    group_t_outcomes,
     grouped_hybrid_test,
+    hybrid_outcomes,
     hybrid_test,
     hybrid_test_intercept,
     t_q_test,
@@ -102,6 +113,15 @@ def evaluate_method(
     return grouped_hybrid_test(sample, method.parity, method.q, alpha, sided)
 
 
+def evaluate_batch(
+    method: MethodSpec, batch: SampleBatch, alpha: float, sided: str
+) -> BatchOutcomes:
+    """Run the test a method label names on every sample of a batch."""
+    if method.q is None:
+        return hybrid_outcomes(batch, method.parity, alpha, sided)
+    return group_t_outcomes(batch, method.q, method.parity, alpha, sided)
+
+
 _DGP_CONFIGS = {"continuous": DgpContinuousConfig, "discrete": DgpDiscreteConfig}
 
 
@@ -142,6 +162,11 @@ class ExperimentGrid:
     endogeneity: str = _only("discrete", "endogeneity")
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise SchemaError(f"{f.name} must be finite, got {value!r}")
         if self.dgp_kind not in ("continuous", "discrete"):
             raise SchemaError(f"dgp_kind must be 'continuous' or 'discrete', got {self.dgp_kind!r}")
         for name in ("beta_values", "kappa_values", "T_values", "vol_models", "methods"):
@@ -222,7 +247,7 @@ def method_sort_key(label: str):
     return (differenced, (spec.q is None) != differenced, spec.q or 0, spec.parity or "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellKey:
     beta: float
     kappa: float
@@ -234,7 +259,7 @@ class CellKey:
         return (self.beta, self.kappa, self.T, self.vol, method_sort_key(self.method))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellResult:
     n_reps: int
     rejections: int
@@ -302,30 +327,32 @@ class McTable:
         return "\n".join(out)
 
 
-def _run_combination(grid: ExperimentGrid, beta, kappa, T, vol) -> dict[CellKey, CellResult]:
-    """All methods over all replications of one simulated-data combination."""
+# Replications simulated and tested together: at T = 1200 one (REP_BLOCK, T)
+# array of the block is 1.2 MB.
+REP_BLOCK = 128
+
+
+def _run_combination(grid: ExperimentGrid, beta, kappa, T, vol) -> list[CellResult]:
+    """All methods over all replications of one simulated-data combination;
+    one result per entry of ``grid.methods``, in order."""
     specs = [parse_method(m) for m in grid.methods]
-    rejections = {s.label: 0 for s in specs}
-    degenerate = {s.label: 0 for s in specs}
-    simulate = simulate_continuous if grid.dgp_kind == "continuous" else simulate_discrete
+    rejections = np.zeros(len(specs), dtype=np.int64)
+    degenerate = np.zeros(len(specs), dtype=np.int64)
+    simulate = simulate_continuous_batch if grid.dgp_kind == "continuous" else simulate_discrete_batch
     config = grid.dgp_config(beta, kappa, T, vol)
     signature = grid.dgp_signature(beta, kappa, T, vol)
-    for rep in range(grid.n_reps):
-        sample = simulate(config, RngStream(grid.master_seed, substream_index(signature, rep)))
-        for spec in specs:
-            try:
-                if evaluate_method(spec, sample, grid.alpha, grid.sided).reject:
-                    rejections[spec.label] += 1
-            except DegenerateStatisticError:
-                degenerate[spec.label] += 1
-    return {
-        CellKey(float(beta), float(kappa), float(T), vol, s.label): CellResult(
-            n_reps=grid.n_reps,
-            rejections=rejections[s.label],
-            degenerate=degenerate[s.label],
-        )
-        for s in specs
-    }
+    for start in range(0, grid.n_reps, REP_BLOCK):
+        reps = range(start, min(start + REP_BLOCK, grid.n_reps))
+        streams = [RngStream(grid.master_seed, substream_index(signature, rep)) for rep in reps]
+        batch = simulate(config, streams)
+        for k, spec in enumerate(specs):
+            outcomes = evaluate_batch(spec, batch, grid.alpha, grid.sided)
+            rejections[k] += np.count_nonzero(outcomes.reject)
+            degenerate[k] += np.count_nonzero(outcomes.cause)
+    return [
+        CellResult(n_reps=grid.n_reps, rejections=int(r), degenerate=int(d))
+        for r, d in zip(rejections, degenerate)
+    ]
 
 
 def run_cell(
@@ -336,9 +363,7 @@ def run_cell(
     Uses the same per-replication streams as :func:`run_grid`, so the result
     matches the corresponding cell of a full-grid run bitwise.
     """
-    sub = replace(grid, methods=(method,))
-    out = _run_combination(sub, beta, kappa, T, vol)
-    return out[CellKey(float(beta), float(kappa), float(T), vol, parse_method(method).label)]
+    return _run_combination(replace(grid, methods=(method,)), beta, kappa, T, vol)[0]
 
 
 def _combination_worker(args):
@@ -365,8 +390,11 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_combination_worker, [(grid, c) for c in combos]))
-    for chunk in results:
-        table.cells.update(chunk)
+    labels = [parse_method(m).label for m in grid.methods]  # one string per method
+    for (beta, kappa, T, vol), cells in zip(combos, results):
+        coords = (float(beta), float(kappa), float(T), vol)
+        for label, cell in zip(labels, cells):
+            table.cells[CellKey(*coords, label)] = cell
     return table
 
 
@@ -383,6 +411,7 @@ class D2Result:
 
 
 _D2_CHUNK = 1000
+_D2_BLOCK = 100  # paths drawn and reduced together within a chunk
 _D2_BIN_EDGES = np.linspace(1.0, 26.0, 126)  # 125 bins of width 0.2
 
 
@@ -422,9 +451,10 @@ def d2_study(
         # 2 groups of a demeaned path; both stay in the key, which fixes the draws
         stream = RngStream(master_seed, substream_index("d2", n_steps, 2, True, chunk_id))
         gen = stream.generator()
-        for i in range(take):
-            f = gen_brownian_abs_functionals(n_steps, gen, q=2, demean=True)
-            values[pos + i] = d_statistic(f)
+        for i in range(0, take, _D2_BLOCK):
+            count = min(_D2_BLOCK, take - i)
+            paths = brownian_paths(gen, count, n_steps, demean=True)
+            values[pos + i : pos + i + count] = d_statistic(abs_integral_blocks(paths, 2))
         pos += take
         chunk_id += 1
     tail = float(np.mean(values > threshold))

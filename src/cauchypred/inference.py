@@ -19,9 +19,13 @@ hybrid             :func:`hybrid_test`          :func:`hybrid_test_intercept`
 
 The levels form uses the terms sign(x_{t-1}) y_t; the differenced form uses
 one parity of first-differenced pairs (:func:`~cauchypred.estimators.diff_terms`),
-which removes the intercept.  Each family has one body (``_group_t_outcome``,
-``_hybrid_outcome``) shared by its two forms.  Bonferroni and Wald
-combinations handle several predictors jointly.  Every test returns a
+which removes the intercept.  Each family has one body,
+:func:`group_t_outcomes` and :func:`hybrid_outcomes`, shared by its two
+forms (``parity=None`` is the levels form).  It runs on a
+:class:`~cauchypred.estimators.SampleBatch` and returns
+:class:`BatchOutcomes`, arrays over the batch's samples; the four public
+tests are its batch-of-one wrappers.  Bonferroni and Wald combinations
+handle several predictors jointly.  Every test returns a
 :class:`TestOutcome` whose decision satisfies reject iff p_value <= alpha.
 """
 
@@ -34,18 +38,20 @@ import numpy as np
 
 from . import dists
 from .errors import (
+    DegenerateDenominatorError,
     DegenerateGroupsError,
     DegenerateVarianceError,
     DomainError,
     SignDegeneracyError,
+    SingularDesignError,
 )
 from .estimators import (
-    CauchyFit,
     GroupStatistics,
+    Parity,
     RegressionSample,
-    cauchy_estimate,
-    diff_cauchy,
-    diff_terms,
+    SampleBatch,
+    _sign_fit,
+    check_parity,
     ols_fit,
     omega_hat_sq,
     sign_conv,
@@ -58,14 +64,25 @@ SIDES = ("two", "right", "left")
 # block values keeps its size for alpha up to this level.
 ALPHA_VALIDITY_BOUND = 0.08326
 
+# The degenerate-statistic errors a test raises on a sample, in the order
+# the tests check them; BatchOutcomes.cause is 1 + the index, 0 if none.
+DEGENERACIES = (
+    (DegenerateDenominatorError, "sign-instrument denominator is zero"),
+    (SingularDesignError, "design matrix is rank deficient"),
+    (DegenerateVarianceError, "residual variance is zero (perfect fit)"),
+    (DegenerateGroupsError, "all group statistics are identical"),
+)
+_DENOMINATOR, _SINGULAR, _VARIANCE, _GROUPS = range(1, len(DEGENERACIES) + 1)
+
 
 @dataclass(frozen=True)
 class ReferenceDistribution:
     family: str  # "student_t" | "std_normal" | "chi_square"
     df: Optional[int] = None
 
-    def cdf(self, x: float) -> float:
-        """CDF of the symmetric families; chi-square p-values use its survival function."""
+    def cdf(self, x):
+        """CDF of the symmetric families, elementwise; chi-square p-values
+        use its survival function."""
         if self.family == "student_t":
             return dists.student_t(x, self.df, "cdf")
         if self.family == "std_normal":
@@ -85,6 +102,43 @@ class TestOutcome:
 
 
 @dataclass(frozen=True)
+class BatchOutcomes:
+    """One test on every sample of a batch, as arrays over the samples.
+
+    On a sample where the test raises a degenerate-statistic error,
+    ``cause`` is 1 + that error's index in :data:`DEGENERACIES`, the
+    statistic and p-value are nan and the sample does not reject;
+    elsewhere ``cause`` is 0.
+    """
+
+    statistic: np.ndarray
+    p_value: np.ndarray
+    reject: np.ndarray
+    cause: np.ndarray
+    ref_dist: ReferenceDistribution
+    sided: str
+    alpha: float
+    warning: Optional[str] = None
+
+    def single(self) -> TestOutcome:
+        """The outcome of a batch of one sample, or its degenerate-statistic error."""
+        if self.cause.shape != (1,):
+            raise DomainError(f"expected a batch of one sample, got {self.cause.shape[0]}")
+        if self.cause[0]:
+            error, message = DEGENERACIES[self.cause[0] - 1]
+            raise error(message)
+        return TestOutcome(
+            statistic=float(self.statistic[0]),
+            ref_dist=self.ref_dist,
+            p_value=float(self.p_value[0]),
+            sided=self.sided,
+            alpha=float(self.alpha),
+            reject=bool(self.reject[0]),
+            warning=self.warning,
+        )
+
+
+@dataclass(frozen=True)
 class JointTestOutcome:
     per_predictor: tuple[TestOutcome, ...]
     method: str  # "bonferroni" | "wald"
@@ -98,54 +152,77 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _p_value(statistic: float, ref: ReferenceDistribution, sided: str) -> float:
+def _p_value(statistic, ref: ReferenceDistribution, sided: str):
+    """p-value of a statistic, elementwise over an array of them."""
     if sided not in SIDES:
         raise DomainError(f"sided must be one of {SIDES}, got {sided!r}")
     if ref.family == "chi_square":
         if sided != "right":
             raise DomainError("chi-square tests are right-tailed only")
-        return dists.chi_square_sf(max(statistic, 0.0), ref.df)
+        return dists.chi_square_sf(np.maximum(statistic, 0.0), ref.df)
     # both references are symmetric: tails as cdf(-|x|) keep their accuracy
     # where 1 - cdf would round to 0
     if sided == "right":
         return ref.cdf(-statistic)
     if sided == "left":
         return ref.cdf(statistic)
-    return 2.0 * ref.cdf(-abs(statistic))
+    return 2.0 * ref.cdf(-np.abs(statistic))
 
 
-def _outcome(
-    statistic: float,
+def _outcomes(
+    statistic: np.ndarray,
     ref: ReferenceDistribution,
     sided: str,
     alpha: float,
+    cause: Optional[np.ndarray] = None,
     warning: Optional[str] = None,
-) -> TestOutcome:
+) -> BatchOutcomes:
+    """p-values and decisions of the samples whose statistic is defined."""
     _check_alpha(alpha)
-    p = _p_value(statistic, ref, sided)
-    return TestOutcome(
-        statistic=float(statistic),
+    if cause is None:
+        cause = np.zeros(statistic.shape, dtype=np.int8)
+    if cause.any():
+        defined = cause == 0
+        statistic = np.where(defined, statistic, np.nan)
+        p = np.full(statistic.shape, np.nan)
+        p[defined] = _p_value(statistic[defined], ref, sided)
+    else:
+        p = _p_value(statistic, ref, sided)
+    return BatchOutcomes(
+        statistic=statistic,
+        p_value=p,
+        reject=p <= alpha,
+        cause=cause,
         ref_dist=ref,
-        p_value=float(p),
         sided=sided,
-        alpha=float(alpha),
-        reject=bool(p <= alpha),
+        alpha=alpha,
         warning=warning,
     )
 
 
+def _t_statistics(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(q) * mean / sd (q-1 divisor) over the last axis, and where sd is 0.
+
+    The mean and sd are numpy's ``mean`` and ``std(ddof=1)``, spelled out.
+    """
+    q = values.shape[-1]
+    mean = values.sum(axis=-1, keepdims=True) / q
+    dev = values - mean
+    sd = np.sqrt((dev * dev).sum(axis=-1) / (q - 1))
+    flat = sd == 0.0
+    return np.sqrt(q) * mean[..., 0] / np.where(flat, 1.0, sd), flat
+
+
 def t_statistic(values: np.ndarray) -> float:
     """sqrt(q) * mean / sd with the q-1 divisor; errors on zero spread."""
-    v = np.asarray(values, dtype=float)
-    q = v.shape[0]
-    sd = v.std(ddof=1)
-    if sd == 0.0:
-        raise DegenerateGroupsError("all group statistics are identical")
-    return float(np.sqrt(q) * v.mean() / sd)
+    stat, flat = _t_statistics(np.asarray(values, dtype=float))
+    if flat:
+        raise DegenerateGroupsError(DEGENERACIES[_GROUPS - 1][1])
+    return float(stat)
 
 
-def _group_t_outcome(values: np.ndarray, sided: str, alpha: float) -> TestOutcome:
-    """t-statistic of q block values against t(q-1).
+def _group_t_outcomes(values: np.ndarray, alpha: float, sided: str) -> BatchOutcomes:
+    """t-statistic of the q block values (last axis) against t(q-1).
 
     ``ALPHA_VALIDITY_BOUND`` is the two-sided bound.  Under the null the
     statistic is symmetric, so a one-sided level-alpha test rejects with
@@ -154,7 +231,7 @@ def _group_t_outcome(values: np.ndarray, sided: str, alpha: float) -> TestOutcom
     is half the two-sided one.  Levels above the bound for ``sided`` are
     flagged on the outcome rather than rejected outright.
     """
-    stat = t_statistic(values)
+    stat, flat = _t_statistics(values)
     bound = ALPHA_VALIDITY_BOUND if sided == "two" else ALPHA_VALIDITY_BOUND / 2
     warning = None
     if alpha > bound:
@@ -162,8 +239,40 @@ def _group_t_outcome(values: np.ndarray, sided: str, alpha: float) -> TestOutcom
             f"{sided}-sided group t-test validity is only guaranteed for "
             f"alpha <= {bound:g}; got alpha={alpha}"
         )
-    ref = ReferenceDistribution("student_t", df=len(values) - 1)
-    return _outcome(stat, ref, sided, alpha, warning)
+    ref = ReferenceDistribution("student_t", df=values.shape[-1] - 1)
+    cause = np.where(flat, _GROUPS, 0).astype(np.int8)
+    return _outcomes(stat, ref, sided, alpha, cause, warning)
+
+
+def group_t_outcomes(
+    batch: SampleBatch, q: int, parity: Optional[Parity], alpha: float, sided: str = "two"
+) -> BatchOutcomes:
+    """Group t-test over q blocks of each sample's numerator terms: the
+    levels terms for ``parity=None``, else the differenced pairs."""
+    numer_terms, _ = batch.terms(parity)
+    return _group_t_outcomes(GroupStatistics.from_terms(numer_terms, q).gammas, alpha, sided)
+
+
+def hybrid_outcomes(
+    batch: SampleBatch, parity: Optional[Parity], alpha: float, sided: str = "two"
+) -> BatchOutcomes:
+    """sign(D) * gamma / sqrt(c * omega_hat^2) against N(0, 1), per sample.
+
+    Levels (``parity=None``): c = 1 and omega_hat^2 from the no-intercept
+    OLS residuals; D > 0 always.  Differenced: c = 2 for the doubled
+    variance of differenced errors, omega_hat^2 from the demeaned OLS
+    residuals, and sign(D) aligns the statistic with the slope estimate so
+    one-sided tests point in the direction of the alternative.
+    """
+    differenced = parity is not None
+    fit = _sign_fit(*batch.terms(parity))
+    w2, singular = batch.residual_variance(intercept=differenced)
+    cause = np.where(
+        fit.denom == 0.0, _DENOMINATOR, np.where(singular, _SINGULAR, np.where(w2 == 0.0, _VARIANCE, 0))
+    ).astype(np.int8)
+    stat = fit.gamma / np.sqrt((2.0 if differenced else 1.0) * np.where(w2 == 0.0, 1.0, w2))
+    stat = np.where(fit.denom < 0, -stat, stat)  # sign(D)
+    return _outcomes(stat, ReferenceDistribution("std_normal"), sided, alpha, cause)
 
 
 def t_q_test(groups: GroupStatistics, alpha: float, sided: str = "two") -> TestOutcome:
@@ -172,34 +281,13 @@ def t_q_test(groups: GroupStatistics, alpha: float, sided: str = "two") -> TestO
     The statistic is sqrt(q) * mean / sd of the q block values, referred to
     a t distribution with q-1 degrees of freedom.
     """
-    return _group_t_outcome(groups.gammas, sided, alpha)
-
-
-def _hybrid_outcome(
-    fit: CauchyFit, sample: RegressionSample, differenced: bool, alpha: float, sided: str
-) -> TestOutcome:
-    """sign(D) * gamma / sqrt(c * omega_hat^2) against N(0, 1).
-
-    Levels: c = 1 and omega_hat^2 from the no-intercept OLS residuals; D > 0
-    always.  Differenced: c = 2 for the doubled variance of differenced
-    errors, omega_hat^2 from the demeaned OLS residuals, and sign(D) aligns
-    the statistic with the slope estimate so one-sided tests point in the
-    direction of the alternative.
-    """
-    _, residuals = ols_fit(sample, intercept=differenced)
-    w2 = omega_hat_sq(residuals)
-    if w2 == 0.0:
-        raise DegenerateVarianceError("residual variance is zero (perfect fit)")
-    stat = fit.gamma / np.sqrt((2.0 if differenced else 1.0) * w2)
-    if fit.denom < 0:  # sign(D); the fit has already rejected D == 0
-        stat = -stat
-    return _outcome(stat, ReferenceDistribution("std_normal"), sided, alpha)
+    return _group_t_outcomes(np.asarray(groups.gammas, dtype=float)[None], alpha, sided).single()
 
 
 def hybrid_test(sample: RegressionSample, alpha: float, sided: str = "two") -> TestOutcome:
     """Sign-instrument numerator studentized by the no-intercept OLS
     residual standard deviation."""
-    return _hybrid_outcome(cauchy_estimate(sample), sample, False, alpha, sided)
+    return hybrid_outcomes(SampleBatch.of(sample), None, alpha, sided).single()
 
 
 def hybrid_test_intercept(
@@ -216,7 +304,8 @@ def hybrid_test_intercept(
     subsample, and omega_hat the full-sample demeaned-OLS residual standard
     deviation.
     """
-    return _hybrid_outcome(diff_cauchy(sample, parity), sample, True, alpha, sided)
+    check_parity(parity)
+    return hybrid_outcomes(SampleBatch.of(sample), parity, alpha, sided).single()
 
 
 def grouped_hybrid_test(
@@ -233,8 +322,8 @@ def grouped_hybrid_test(
     :func:`t_q_test`.  Dividing every block by a common positive variance
     estimate would leave the statistic unchanged, so none is estimated.
     """
-    numer_terms, _ = diff_terms(sample, parity)
-    return _group_t_outcome(GroupStatistics.from_terms(numer_terms, q).gammas, sided, alpha)
+    check_parity(parity)
+    return group_t_outcomes(SampleBatch.of(sample), q, parity, alpha, sided).single()
 
 
 def bonferroni_joint(
@@ -294,10 +383,11 @@ def wald_joint(sample: RegressionSample, alpha: float) -> JointTestOutcome:
     _, residuals = ols_fit(sample, intercept=False)
     w2 = omega_hat_sq(residuals)
     if w2 == 0.0:
-        raise DegenerateVarianceError("residual variance is zero (perfect fit)")
+        raise DegenerateVarianceError(DEGENERACIES[_VARIANCE - 1][1])
     b = z.T @ sample.y
     stat = float(b @ np.linalg.solve(S, b) / w2)
-    marginal = _outcome(stat, ReferenceDistribution("chi_square", df=k), "right", alpha)
+    ref = ReferenceDistribution("chi_square", df=k)
+    marginal = _outcomes(np.array([stat]), ref, "right", alpha).single()
     return JointTestOutcome(
         per_predictor=(marginal,),
         method="wald",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +37,31 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def generators(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
+    """The generator of each stream in turn, each starting in the state of a
+    fresh ``stream.generator()``, so it yields the same variates.
+
+    One Philox generator is re-keyed for every stream, which costs about a
+    quarter of building a new one.  A generator yielded is valid only until
+    the next one is requested.
+    """
+    bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bit_generator)
+    for stream in streams:
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([stream.master_seed, stream.stream_index], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
 
 
 def substream_index(*labels: object) -> int:

@@ -175,6 +175,17 @@ class TestExperimentFiles:
         for key, value in (("alpha", "abc"), ("ma_order", 2.7), ("alpha", "0.1"), ("rho", True)):
             with pytest.raises(SchemaError, match=key):
                 config_to_grid(base_config(**{key: value}))
+        # JSON's NaN and Infinity are numbers too, but no value of a grid
+        continuous = {"dgp_kind": "continuous", "methods": ["tau"], "T_values": [20]}
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            for key in ("beta_values", "kappa_values", "T_values"):
+                with pytest.raises(SchemaError, match=key):
+                    config_to_grid(base_config(**{**continuous, key: [1.0, bad]}))
+            for key in ("alpha", "delta", "rho_vw", "rho_wz", "jump_intensity", "jump_sd"):
+                with pytest.raises(SchemaError, match=key):
+                    config_to_grid(base_config(**{**continuous, key: bad}))
+            with pytest.raises(SchemaError, match="rho"):
+                config_to_grid(base_config(rho=bad))
 
     def test_load_file_and_manifest(self, tmp_path):
         config = base_config()

@@ -149,14 +149,16 @@ class TestSimulateContinuous:
         assert np.array_equal(_ar_path(innovations, coefficient), expected)
 
     def test_import_leaves_out_scipy_signal(self):
-        code = "import sys, cauchypred; print('scipy.signal' in sys.modules)"
-        # the child finds the package where this process found it
-        package_root = str(Path(cauchypred.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": package_root}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        )
-        assert out.stdout.strip() == "False"
+        # scipy is a test dependency only: no scipy module, not even the package
+        for module in ("scipy.signal", "scipy"):
+            code = f"import sys, cauchypred; print({module!r} in sys.modules)"
+            # the child finds the package where this process found it
+            package_root = str(Path(cauchypred.__file__).resolve().parents[1])
+            env = {**os.environ, "PYTHONPATH": package_root}
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+            )
+            assert out.stdout.strip() == "False", module
 
     def test_jumps_change_response_only_in_distribution(self):
         base = DgpContinuousConfig(years=5)

@@ -18,6 +18,7 @@ from cauchypred import (
     PartitionError,
     RegressionSample,
     RngStream,
+    SampleBatch,
     SignDegeneracyError,
     bonferroni_joint,
     grouped_hybrid_test,
@@ -33,7 +34,7 @@ from cauchypred import (
 )
 from cauchypred.estimators import diff_cauchy
 from cauchypred.experiments import evaluate_method, parse_method
-from cauchypred.inference import _p_value, ReferenceDistribution
+from cauchypred.inference import _p_value, ReferenceDistribution, group_t_outcomes
 
 
 def groups(values):
@@ -201,14 +202,39 @@ class TestGroupedHybrid:
 
     @pytest.mark.parametrize("q", [8, 12, 16])
     def test_too_few_pairs_for_q_blocks(self, q):
-        # the odd-parity pairs of T observations number floor((T - 1) / 2),
-        # fewer than q at T = 2q - 1 and T = 2q, q at T = 2q + 1
-        for T in (2 * q - 1, 2 * q):
-            s = random_walk_sample(q + T, T, with_levels=True)
-            with pytest.raises(PartitionError, match=f"into q={q} groups"):
-                grouped_hybrid_test(s, "odd", q, 0.05)
-        s = random_walk_sample(q, 2 * q + 1, with_levels=True)
-        assert grouped_hybrid_test(s, "odd", q, 0.05).statistic != 0.0
+        # the terms of T observations number floor((T - 1) / 2) for odd
+        # pairs, fewer than q at T = 2q - 1 and T = 2q, q at T = 2q + 1;
+        # floor(T / 2) for even pairs, fewer than q at T = 2q - 1, q at 2q;
+        # T for the levels form t<q>, fewer than q at T = q - 1, q at T = q
+        cases = [
+            ("odd", 2 * q - 1, False), ("odd", 2 * q, False), ("odd", 2 * q + 1, True),
+            ("even", 2 * q - 1, False), ("even", 2 * q, True),
+            (None, q - 1, False), (None, q, True),
+        ]
+        for parity, T, enough in cases:
+            samples = [random_walk_sample(q + T + k, T, with_levels=True) for k in range(3)]
+            s = samples[0]
+            batch = SampleBatch(
+                y=np.stack([t.y for t in samples]),
+                x_lag=np.stack([t.x_lag for t in samples]),
+                x_level=np.stack([t.x_level for t in samples]),
+            )
+
+            def wrapper():
+                if parity is None:
+                    return t_q_test(group_gammas(s, q), 0.05)
+                return grouped_hybrid_test(s, parity, q, 0.05)
+
+            def kernel():
+                return group_t_outcomes(batch, q, parity, 0.05)
+
+            if enough:
+                assert wrapper().statistic != 0.0
+                assert kernel().statistic[0] == wrapper().statistic
+            else:
+                for run in (wrapper, kernel):
+                    with pytest.raises(PartitionError, match=f"into q={q} groups"):
+                        run()
 
 
 class TestAlphaValidityBound:

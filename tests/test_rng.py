@@ -10,6 +10,7 @@ from cauchypred import (
     draw_correlated_normals,
     substream_index,
 )
+from cauchypred.rng import generators
 
 
 def test_same_key_bitwise_identical():
@@ -31,6 +32,21 @@ def test_streams_do_not_require_sequential_construction():
     direct = RngStream(7, 10**6).generator().standard_normal(8)
     again = RngStream(7, 10**6).generator().standard_normal(8)
     assert np.array_equal(direct, again)
+
+
+def test_rekeyed_generators_match_fresh_streams():
+    # every variate kind the generators draw, in an order that leaves a
+    # partly used Philox buffer behind before the next stream is keyed
+    streams = [RngStream(2**64 - 1, 0), RngStream(5, 17), RngStream(5, 2**63 + 9), RngStream(5, 17)]
+    for stream, gen in zip(streams, generators(streams)):
+        fresh = stream.generator()
+        for draw in (
+            lambda g: g.random(3),
+            lambda g: g.standard_normal(5),
+            lambda g: g.poisson(0.7, 4),
+            lambda g: g.integers(0, 2**31, 3, dtype=np.uint32),
+        ):
+            assert np.array_equal(draw(gen), draw(fresh))
 
 
 def test_key_domain():
