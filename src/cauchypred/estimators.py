@@ -283,8 +283,9 @@ def _ols(y: np.ndarray, X: np.ndarray, intercept: bool):
     """Least squares of y (..., T) on X (..., T, K), per leading index.
 
     Returns the slopes (..., K), the residuals (..., T) and whether each
-    design is singular; a singular design gets zero slopes, so the other
-    samples of a batch are unaffected.
+    design is singular.  The slopes and residuals of a singular design mean
+    nothing; they are computed only so the other samples of a batch are
+    unaffected.
     """
     if intercept:
         y = y - y.mean(axis=-1, keepdims=True)
@@ -301,7 +302,6 @@ def _ols(y: np.ndarray, X: np.ndarray, intercept: bool):
     else:
         singular = np.asarray(np.linalg.matrix_rank(xtx) < k)
         beta = np.linalg.solve(np.where(singular[..., None, None], np.eye(k), xtx), xty)
-        beta[singular] = 0.0
     residuals = y - (X @ beta)[..., 0]
     return beta[..., 0], residuals, singular
 
