@@ -24,16 +24,19 @@ config and a stream reproduce the same sample bitwise on any platform.
 
 :func:`simulate_continuous_batch` and :func:`simulate_discrete_batch` build
 one sample per stream as the rows of a
-:class:`~cauchypred.estimators.SampleBatch`: each row draws from its own
-stream in the documented order, then the moving average, volatility chain,
-autoregression and demeaning run over the whole (R, T) arrays.  The
-single-sample functions are their batch-of-one wrappers, so a row of a
-batch equals the sample of its stream bit for bit.
+:class:`~cauchypred.estimators.SampleBatch`, each from its own config: the
+configs of a batch share the sample length, the volatility model and every
+other knob, and may differ only in ``beta`` and ``kappa_bar``.  Each row
+draws from its own stream in the documented order, then the moving
+average, volatility chain, autoregression (one coefficient per row) and
+demeaning run over the whole (R, T) arrays.  The single-sample functions
+are their batch-of-one wrappers, so a row of a batch equals the sample of
+its config and stream bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -276,31 +279,51 @@ def _ar_row(innovations: list, coefficient: float) -> list:
     return path
 
 
-def _ar_path(innovations: np.ndarray, coefficient: float) -> np.ndarray:
-    """x_t = coefficient * x_{t-1} + innovations_t with x_0 = 0, along the
-    last axis.
+def _ar_path(innovations: np.ndarray, coefficients) -> np.ndarray:
+    """x_t = c * x_{t-1} + innovations_t with x_0 = 0, along the last axis,
+    where c is the path's entry of ``coefficients`` (broadcast over the
+    leading axes: one number for every path, or one per path).
 
     Every step rounds the product, then the sum, as the IIR filter this
     replaced did, so both loop orders give the same paths bit for bit.
     """
     rows = innovations.reshape(-1, innovations.shape[-1])
+    coef = np.broadcast_to(np.asarray(coefficients, dtype=float), innovations.shape[:-1]).reshape(-1)
     if rows.shape[0] < AR_ROWS_PER_VECTOR_STEP:
-        paths = np.array([_ar_row(row, coefficient) for row in rows.tolist()])
+        paths = np.array([_ar_row(row, c) for row, c in zip(rows.tolist(), coef.tolist())])
     else:
         steps = rows.T.copy()  # time on the first axis, so each step is contiguous
         prev = np.zeros(steps.shape[1])
         for t in range(steps.shape[0]):
-            steps[t] += coefficient * prev
+            steps[t] += coef * prev
             prev = steps[t]
         paths = np.ascontiguousarray(steps.T)
     return paths.reshape(innovations.shape)
 
 
+def _per_row(configs: Sequence, streams: Sequence[RngStream]):
+    """The model the configs of a batch share, and each row's beta and
+    kappa_bar as arrays: one config per stream, differing at most in
+    those two fields."""
+    if len(configs) == 0 or len(configs) != len(streams):
+        raise DomainError("a batch needs one config per stream, and at least one")
+    distinct = list({id(c): c for c in configs}.values())
+    model = distinct[0]
+    for config in distinct[1:]:
+        if replace(config, beta=model.beta, kappa_bar=model.kappa_bar) != model:
+            raise DomainError("the configs of a batch may differ only in beta and kappa_bar")
+    beta = np.array([c.beta for c in configs])
+    kappa = np.array([c.kappa_bar for c in configs])
+    return model, beta, kappa
+
+
 def simulate_continuous_batch(
-    config: DgpContinuousConfig, streams: Sequence[RngStream]
+    configs: Sequence[DgpContinuousConfig], streams: Sequence[RngStream]
 ) -> SampleBatch:
-    """One replication of the no-intercept design per stream, as the rows
-    of a batch; row r is ``simulate_continuous(config, streams[r])``."""
+    """One replication of the no-intercept design per (config, stream)
+    pair, as the rows of a batch; row r is
+    ``simulate_continuous(configs[r], streams[r])``."""
+    config, beta, kappa = _per_row(configs, streams)
     n, reps = config.n_obs, len(streams)
     gbm = config.vol_model == "GBM"
     jumps = config.jump_intensity > 0
@@ -335,11 +358,11 @@ def simulate_continuous_batch(
     if jumps:
         shocks = w + config.jump_sd * np.sqrt(counts) * sizes
     eta = _ma_filter(v_full, ma_weights(2), n)
-    ar = 1.0 - config.kappa_bar / config.years * config.delta
+    ar = 1.0 - kappa / config.years * config.delta
     x_path = _ar_path(sig * eta, ar)
     x_lag_raw = np.concatenate([np.zeros((reps, 1)), x_path[:, :-1]], axis=1)  # x_0 .. x_{n-1}
     x_lag = _recursive_demean(x_lag_raw)
-    y = config.beta * x_lag + sig * shocks
+    y = beta[:, None] * x_lag + sig * shocks
     return SampleBatch(y=y, x_lag=x_lag)
 
 
@@ -358,13 +381,17 @@ def simulate_continuous(config: DgpContinuousConfig, stream: RngStream) -> Regre
     v shock at rho_vw, and under GBM also with the volatility shock at
     rho_wz.
     """
-    batch = simulate_continuous_batch(config, [stream])
+    batch = simulate_continuous_batch([config], [stream])
     return RegressionSample(y=batch.y[0], x_lag=batch.x_lag[0])
 
 
-def simulate_discrete_batch(config: DgpDiscreteConfig, streams: Sequence[RngStream]) -> SampleBatch:
-    """One replication of the intercept-experiment design per stream, as
-    the rows of a batch; row r is ``simulate_discrete(config, streams[r])``."""
+def simulate_discrete_batch(
+    configs: Sequence[DgpDiscreteConfig], streams: Sequence[RngStream]
+) -> SampleBatch:
+    """One replication of the intercept-experiment design per (config,
+    stream) pair, as the rows of a batch; row r is
+    ``simulate_discrete(configs[r], streams[r])``."""
+    config, beta, kappa = _per_row(configs, streams)
     n, reps, order = config.n_obs, len(streams), config.ma_order
     vol = _volatility_draws(config.vol_model, n)
     vol_draws = None if vol is None else np.empty((reps, vol[1]))
@@ -379,11 +406,11 @@ def simulate_discrete_batch(config: DgpDiscreteConfig, streams: Sequence[RngStre
     eta = _ma_filter(v_full, ma_weights(order), n)
     anchor = v_full[:, order:] if config.endogeneity == "v" else eta
     eps = config.rho * anchor + np.sqrt(1.0 - config.rho**2) * e
-    ar = 1.0 - config.kappa_bar / n
+    ar = 1.0 - kappa / n
     x_path = _ar_path(sig * eta, ar)
     x_level = np.concatenate([np.zeros((reps, 1)), x_path], axis=1)  # x_0 .. x_n
-    slope = config.beta / n if config.slope_scale == "per_sample" else config.beta
-    y = slope * x_level[:, :-1] + sig * eps
+    slope = beta / n if config.slope_scale == "per_sample" else beta
+    y = slope[:, None] * x_level[:, :-1] + sig * eps
     return SampleBatch(y=y, x_lag=x_level[:, :-1], x_level=x_level)
 
 
@@ -396,7 +423,7 @@ def simulate_discrete(config: DgpDiscreteConfig, stream: RngStream) -> Regressio
     innovation when ``endogeneity="eta"``.  The effective slope is
     beta / n_obs under the default localization.
     """
-    batch = simulate_discrete_batch(config, [stream])
+    batch = simulate_discrete_batch([config], [stream])
     return RegressionSample(y=batch.y[0], x_lag=batch.x_lag[0], x_level=batch.x_level[0])
 
 

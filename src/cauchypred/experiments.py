@@ -12,10 +12,16 @@ replication number, so
 Replications that raise a degenerate-statistic error count as
 non-rejections and are tallied separately.
 
-A combination's replications are simulated and tested together, in blocks
-of ``REP_BLOCK`` as the rows of a
-:class:`~cauchypred.estimators.SampleBatch`; the intermediates the methods
-share (sign terms, OLS fits) are computed once per block.
+Combinations that share (T, vol) differ only in beta and kappa, so their
+replications are simulated and tested together as the rows of one
+:class:`~cauchypred.estimators.SampleBatch`: the rows of such a group run in
+grid order, combination-major, and are cut into blocks of at most
+``BLOCK_ELEMENTS`` (rows x observations).  A block is the unit of work both
+in-process and in the worker pool; it counts rejections and degenerate
+replications per combination, and the intermediates the methods share
+(sign terms, OLS fits) are computed once per block.  Every row's outcome
+depends on its own sample only, so the counts do not depend on the block
+size.  :class:`McTable` keeps the counts as one dense array.
 
 A method label names one of the paper's two tests (test family) on one
 sample form, a :class:`MethodSpec` ``(q, parity)``:
@@ -30,11 +36,12 @@ hybrid                      ``tau``     ``tau_e`` / ``tau_o``
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -170,8 +177,12 @@ class ExperimentGrid:
         if self.dgp_kind not in ("continuous", "discrete"):
             raise SchemaError(f"dgp_kind must be 'continuous' or 'discrete', got {self.dgp_kind!r}")
         for name in ("beta_values", "kappa_values", "T_values", "vol_models", "methods"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise SchemaError(f"{name} must be nonempty")
+            # each coordinate names one row of the table; methods are compared parsed, below
+            if name != "methods" and len(set(values)) < len(values):
+                raise SchemaError(f"{name} lists a value more than once")
         if self.n_reps < 1:
             raise SchemaError("n_reps must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -275,20 +286,46 @@ class CellResult:
         return float(np.sqrt(p * (1.0 - p) / self.n_reps))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class McTable:
-    """Rejection frequencies per (beta, kappa, T, vol, method) cell."""
+    """Rejection frequencies per (beta, kappa, T, vol, method) cell.
 
-    cells: dict[CellKey, CellResult] = field(default_factory=dict)
+    The grid's coordinates are kept once, and ``counts[c, m]`` holds the
+    rejections and the degenerate replications of combination ``c`` under
+    ``methods[m]``; combinations are numbered in grid order (beta, kappa,
+    T, vol, the last varying fastest).
+    """
+
     n_reps: int = 0
+    beta_values: tuple[float, ...] = ()
+    kappa_values: tuple[float, ...] = ()
+    T_values: tuple[float, ...] = ()
+    vol_models: tuple[str, ...] = ()
+    methods: tuple[str, ...] = ()
+    counts: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 2), dtype=np.int64))
+
+    @property
+    def cells(self) -> Mapping[CellKey, CellResult]:
+        """Every cell, in :meth:`CellKey.sort_key` order, as a read-only
+        mapping built anew on each access."""
+        return MappingProxyType(dict(self._sorted_cells()))
+
+    def _sorted_cells(self):
+        axes = (self.beta_values, self.kappa_values, self.T_values, self.vol_models)
+        dense = self.counts.reshape(tuple(map(len, axes)) + self.counts.shape[1:]).tolist()
+        methods = sorted(enumerate(self.methods), key=lambda im: method_sort_key(im[1]))
+        ordered = [sorted(enumerate(values), key=lambda iv: iv[1]) for values in axes]
+        for (b, beta), (k, kappa), (t, T), (v, vol) in itertools.product(*ordered):
+            for m, method in methods:
+                rejections, degenerate = dense[b][k][t][v][m]
+                yield CellKey(beta, kappa, T, vol, method), CellResult(self.n_reps, rejections, degenerate)
 
     def frequency(self, beta, kappa, T, vol, method) -> float:
         return self.cells[CellKey(float(beta), float(kappa), float(T), vol, method)].frequency
 
     def to_csv_text(self) -> str:
         lines = ["beta,kappa,T,vol,method,freq,mc_se,degenerate_count"]
-        for key in sorted(self.cells, key=CellKey.sort_key):
-            c = self.cells[key]
+        for key, c in self._sorted_cells():
             lines.append(
                 f"{key.beta!r},{key.kappa!r},{key.T!r},{key.vol},{key.method},"
                 f"{c.frequency!r},{c.mc_se!r},{c.degenerate}"
@@ -298,61 +335,61 @@ class McTable:
     def to_aligned_text(self) -> str:
         """Panel layout: one block per (vol, beta), methods in rows and
         (kappa, T) combinations in columns, frequencies in percent."""
-        keys = sorted(self.cells, key=CellKey.sort_key)
-        vols = sorted({k.vol for k in keys})
-        betas = sorted({k.beta for k in keys})
-        kappas = sorted({k.kappa for k in keys})
-        Ts = sorted({k.T for k in keys})
-        methods = sorted({k.method for k in keys}, key=method_sort_key)
-        cols = [(kp, T) for kp in kappas for T in Ts]
+        cells = self.cells
+        methods = sorted(self.methods, key=method_sort_key)
+        cols = [(kp, T) for kp in sorted(self.kappa_values) for T in sorted(self.T_values)]
         width = 9
         out = []
-        for vol in vols:
-            for beta in betas:
+        for vol in sorted(self.vol_models):
+            for beta in sorted(self.beta_values):
                 header = [f"vol={vol} beta={beta:g}".ljust(16)]
                 header += [f"k={kp:g},T={T:g}".rjust(width) for kp, T in cols]
                 out.append(" ".join(header))
                 for m in methods:
                     row = [m.ljust(16)]
                     for kp, T in cols:
-                        key = CellKey(beta, kp, T, vol, m)
-                        cell = self.cells.get(key)
-                        row.append(
-                            f"{100 * cell.frequency:.1f}".rjust(width)
-                            if cell is not None
-                            else "-".rjust(width)
-                        )
+                        cell = cells[CellKey(beta, kp, T, vol, m)]
+                        row.append(f"{100 * cell.frequency:.1f}".rjust(width))
                     out.append(" ".join(row))
                 out.append("")
         return "\n".join(out)
 
 
-# Replications simulated and tested together: at T = 1200 one (REP_BLOCK, T)
-# array of the block is 1.2 MB.
-REP_BLOCK = 128
+# Most elements (rows x observations) in one (R, T) array of a block: at
+# T = 1200 that is 40 rows, 384 KB.
+BLOCK_ELEMENTS = 48_000
 
 
-def _run_combination(grid: ExperimentGrid, beta, kappa, T, vol) -> list[CellResult]:
-    """All methods over all replications of one simulated-data combination;
-    one result per entry of ``grid.methods``, in order."""
+def _run_combination(grid: ExperimentGrid, T, vol, rows: range) -> np.ndarray:
+    """The unit of work of :func:`run_grid`: one block of rows of the
+    (T, vol) group, simulated and tested together.
+
+    Row ``i`` of the group is replication ``i % n_reps`` of the group's
+    ``i // n_reps``-th (beta, kappa) pair in grid order, drawn from the
+    stream of that replication.  Returns the rejection and degenerate
+    counts the block adds, as a (pairs, methods, 2) array.
+    """
     specs = [parse_method(m) for m in grid.methods]
-    rejections = np.zeros(len(specs), dtype=np.int64)
-    degenerate = np.zeros(len(specs), dtype=np.int64)
+    pairs = list(itertools.product(grid.beta_values, grid.kappa_values))
+    n = grid.n_reps
+    first = rows.start // n
+    configs, streams, starts = [], [], []
+    for j in range(first, (rows.stop - 1) // n + 1):
+        beta, kappa = pairs[j]
+        signature = grid.dgp_signature(beta, kappa, T, vol)
+        reps = range(max(rows.start - j * n, 0), min(rows.stop - j * n, n))
+        starts.append(len(streams))
+        streams += [RngStream(grid.master_seed, substream_index(signature, rep)) for rep in reps]
+        configs += [grid.dgp_config(beta, kappa, T, vol)] * len(reps)
     simulate = simulate_continuous_batch if grid.dgp_kind == "continuous" else simulate_discrete_batch
-    config = grid.dgp_config(beta, kappa, T, vol)
-    signature = grid.dgp_signature(beta, kappa, T, vol)
-    for start in range(0, grid.n_reps, REP_BLOCK):
-        reps = range(start, min(start + REP_BLOCK, grid.n_reps))
-        streams = [RngStream(grid.master_seed, substream_index(signature, rep)) for rep in reps]
-        batch = simulate(config, streams)
-        for k, spec in enumerate(specs):
-            outcomes = evaluate_batch(spec, batch, grid.alpha, grid.sided)
-            rejections[k] += np.count_nonzero(outcomes.reject)
-            degenerate[k] += np.count_nonzero(outcomes.cause)
-    return [
-        CellResult(n_reps=grid.n_reps, rejections=int(r), degenerate=int(d))
-        for r, d in zip(rejections, degenerate)
-    ]
+    batch = simulate(configs, streams)
+    counts = np.zeros((len(pairs), len(specs), 2), dtype=np.int64)
+    span = slice(first, first + len(starts))
+    for k, spec in enumerate(specs):
+        outcomes = evaluate_batch(spec, batch, grid.alpha, grid.sided)
+        counts[span, k, 0] = np.add.reduceat(outcomes.reject, starts, dtype=np.int64)
+        counts[span, k, 1] = np.add.reduceat(outcomes.cause != 0, starts, dtype=np.int64)
+    return counts
 
 
 def run_cell(
@@ -360,42 +397,58 @@ def run_cell(
 ) -> CellResult:
     """One (beta, kappa, T, vol, method) cell.
 
-    Uses the same per-replication streams as :func:`run_grid`, so the result
-    matches the corresponding cell of a full-grid run bitwise.
+    Runs :func:`run_grid` on the grid of that one cell, which draws the same
+    per-replication streams, so the result matches the corresponding cell
+    of a full-grid run bitwise.
     """
-    return _run_combination(replace(grid, methods=(method,)), beta, kappa, T, vol)[0]
-
-
-def _combination_worker(args):
-    grid, combo = args
-    return _run_combination(grid, *combo)
+    one = replace(
+        grid, beta_values=(beta,), kappa_values=(kappa,), T_values=(T,), vol_models=(vol,), methods=(method,)
+    )
+    (cell,) = run_grid(one).cells.values()
+    return cell
 
 
 def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
-    """Evaluate the whole grid, optionally fanning combinations out to
-    worker processes.  Output is independent of the worker count."""
+    """Evaluate the whole grid, optionally fanning its blocks out to worker
+    processes, largest first.  Output is independent of the worker count."""
     grid.validate()
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    combos = [
-        (beta, kappa, T, vol)
-        for beta in grid.beta_values
-        for kappa in grid.kappa_values
-        for T in grid.T_values
-        for vol in grid.vol_models
-    ]
-    table = McTable(n_reps=grid.n_reps)
-    if workers == 1 or len(combos) == 1:
-        results = [_run_combination(grid, *combo) for combo in combos]
+    pairs = len(grid.beta_values) * len(grid.kappa_values)
+    rows = pairs * grid.n_reps  # in each (T, vol) group
+    blocks = []  # (elements, T index, vol index, rows of the group)
+    first_pair = (grid.beta_values[0], grid.kappa_values[0])
+    for t, v in np.ndindex(len(grid.T_values), len(grid.vol_models)):
+        n_obs = grid.dgp_config(*first_pair, grid.T_values[t], grid.vol_models[v]).n_obs
+        step = max(1, BLOCK_ELEMENTS // n_obs)
+        blocks += [
+            (min(step, rows - start) * n_obs, t, v, range(start, min(start + step, rows)))
+            for start in range(0, rows, step)
+        ]
+    blocks.sort(key=lambda b: b[0], reverse=True)
+    tasks = [(grid, grid.T_values[t], grid.vol_models[v], block) for _, t, v, block in blocks]
+    if workers == 1 or len(tasks) == 1:
+        results = [_run_combination(*task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_combination_worker, [(grid, c) for c in combos]))
-    labels = [parse_method(m).label for m in grid.methods]  # one string per method
-    for (beta, kappa, T, vol), cells in zip(combos, results):
-        coords = (float(beta), float(kappa), float(T), vol)
-        for label, cell in zip(labels, cells):
-            table.cells[CellKey(*coords, label)] = cell
-    return table
+        from concurrent.futures import ProcessPoolExecutor  # loaded only where a pool runs
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            futures = [pool.submit(_run_combination, *task) for task in tasks]
+            results = [f.result() for f in futures]
+    counts = np.zeros(
+        (pairs, len(grid.T_values), len(grid.vol_models), len(grid.methods), 2), dtype=np.int64
+    )
+    for (_, t, v, _), result in zip(blocks, results):
+        counts[:, t, v] += result
+    return McTable(
+        n_reps=grid.n_reps,
+        beta_values=tuple(map(float, grid.beta_values)),
+        kappa_values=tuple(map(float, grid.kappa_values)),
+        T_values=tuple(map(float, grid.T_values)),
+        vol_models=grid.vol_models,
+        methods=tuple(parse_method(m).label for m in grid.methods),
+        counts=counts.reshape(-1, len(grid.methods), 2),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """The batch engine against its batch-of-one wrappers.
 
-The Monte Carlo engine simulates and tests the replications of a
-combination together, as the rows of a ``SampleBatch``; the public
+The Monte Carlo engine simulates and tests the replications of every
+combination that shares (T, vol) together, as the rows of a
+``SampleBatch`` whose rows may differ in beta and kappa; the public
 single-sample functions run the same kernels on a batch of one.  These
 tests check, replication by replication, that batching changes nothing:
-each row of a simulated batch is the sample of its stream, and each
-method's batch outcome on a row (statistic, p-value, decision, or the
+each row of a simulated batch is the sample of its config and stream, and
+each method's batch outcome on a row (statistic, p-value, decision, or the
 degenerate-statistic error) is what the single-sample test gives on it.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -42,6 +45,12 @@ def streams(n, seed=31):
     return [RngStream(seed, i) for i in range(n)]
 
 
+def mixed(config, n):
+    """n configs that cycle through four (beta, kappa_bar) pairs of ``config``."""
+    pairs = [(config.beta, config.kappa_bar), (0.0, 0.0), (2.5, 100.0), (-1.0, 5.0)]
+    return [dataclasses.replace(config, beta=b, kappa_bar=k) for b, k in (pairs * n)[:n]]
+
+
 @pytest.mark.parametrize("vol", ["CNST", "SB", "RS", "GBM"])
 @pytest.mark.parametrize("jumps", [0.0, 3.0])
 def test_continuous_rows_are_single_samples(vol, jumps):
@@ -51,7 +60,7 @@ def test_continuous_rows_are_single_samples(vol, jumps):
     )
     for n in (3, 30):
         keys = streams(n)
-        batch = simulate_continuous_batch(config, keys)
+        batch = simulate_continuous_batch([config] * n, keys)
         assert batch.x_level is None
         for r, stream in enumerate(keys):
             single = simulate_continuous(config, stream)
@@ -67,11 +76,49 @@ def test_discrete_rows_are_single_samples(vol, ma_order, endogeneity):
     )
     for n in (3, 30):
         keys = streams(n)
-        batch = simulate_discrete_batch(config, keys)
+        batch = simulate_discrete_batch([config] * n, keys)
         for r, stream in enumerate(keys):
             single = simulate_discrete(config, stream)
             assert np.array_equal(batch.y[r], single.y)
             assert np.array_equal(batch.x_level[r], single.x_level)
+
+
+@pytest.mark.parametrize("vol", ["CNST", "RS", "GBM"])
+def test_continuous_rows_mixing_beta_and_kappa(vol):
+    # a stacked (T, vol) group: every row follows its own config
+    config = DgpContinuousConfig(years=10, kappa_bar=5.0, beta=0.02, vol_model=vol)
+    for n in (3, 30):
+        keys, configs = streams(n), mixed(config, n)
+        batch = simulate_continuous_batch(configs, keys)
+        for r, (row_config, stream) in enumerate(zip(configs, keys)):
+            single = simulate_continuous(row_config, stream)
+            assert np.array_equal(batch.y[r], single.y)
+            assert np.array_equal(batch.x_lag[r], single.x_lag)
+
+
+@pytest.mark.parametrize("vol", ["CNST", "RS"])
+@pytest.mark.parametrize("slope_scale", ["per_sample", "raw"])
+def test_discrete_rows_mixing_beta_and_kappa(vol, slope_scale):
+    config = DgpDiscreteConfig(n_obs=120, kappa_bar=50.0, beta=1.0, vol_model=vol, slope_scale=slope_scale)
+    for n in (3, 30):
+        keys, configs = streams(n), mixed(config, n)
+        batch = simulate_discrete_batch(configs, keys)
+        for r, (row_config, stream) in enumerate(zip(configs, keys)):
+            single = simulate_discrete(row_config, stream)
+            assert np.array_equal(batch.y[r], single.y)
+            assert np.array_equal(batch.x_level[r], single.x_level)
+
+
+def test_batch_configs_may_differ_only_in_beta_and_kappa():
+    base = DgpDiscreteConfig(n_obs=60)
+    with pytest.raises(DomainError, match="differ only"):
+        simulate_discrete_batch([base, dataclasses.replace(base, rho=-0.5)], streams(2))
+    with pytest.raises(DomainError, match="differ only"):
+        simulate_discrete_batch([base, DgpDiscreteConfig(n_obs=61)], streams(2))
+    with pytest.raises(DomainError, match="one config per stream"):
+        simulate_discrete_batch([base], streams(2))
+    with pytest.raises(DomainError, match="one config per stream"):
+        simulate_continuous_batch([], [])
 
 
 def forced_rows():
@@ -95,7 +142,8 @@ def forced_rows():
 
 
 def simulated_rows(n):
-    batch = simulate_discrete_batch(DgpDiscreteConfig(n_obs=T, kappa_bar=50.0, vol_model="RS"), streams(n))
+    config = DgpDiscreteConfig(n_obs=T, kappa_bar=50.0, vol_model="RS")
+    batch = simulate_discrete_batch([config] * n, streams(n))
     return [(batch.y[r], batch.x_level[r]) for r in range(n)]
 
 
@@ -139,7 +187,7 @@ def test_batch_outcomes_match_single_samples(sided):
 def test_level_methods_on_a_continuous_batch():
     config = DgpContinuousConfig(years=5, kappa_bar=20.0, beta=0.05, vol_model="GBM")
     keys = streams(30)
-    batch = simulate_continuous_batch(config, keys)
+    batch = simulate_continuous_batch([config] * 30, keys)
     for label in LEVEL_METHODS:
         method = parse_method(label)
         out = evaluate_batch(method, batch, 0.05, "two")

@@ -147,10 +147,19 @@ class TestSimulateContinuous:
         innovations = RngStream(21, n).generator().standard_normal(n)
         expected = signal.lfilter([1.0], [1.0, -coefficient], innovations)
         assert np.array_equal(_ar_path(innovations, coefficient), expected)
+        # one coefficient per row, at 3 rows (row loop) and 30 (vector step)
+        others = [1.0, 0.99, 0.5]
+        for rows in (3, 30):
+            coefficients = np.array(([coefficient] + others) * rows)[:rows]
+            block = RngStream(21, n).generator().standard_normal((rows, n))
+            paths = _ar_path(block, coefficients)
+            for row, c, path in zip(block, coefficients, paths):
+                assert np.array_equal(path, signal.lfilter([1.0], [1.0, -c], row))
 
     def test_import_leaves_out_scipy_signal(self):
-        # scipy is a test dependency only: no scipy module, not even the package
-        for module in ("scipy.signal", "scipy"):
+        # scipy is a test dependency only: no scipy module, not even the
+        # package; the process pool's modules load only when a pool runs
+        for module in ("scipy.signal", "scipy", "concurrent.futures.process", "multiprocessing"):
             code = f"import sys, cauchypred; print({module!r} in sys.modules)"
             # the child finds the package where this process found it
             package_root = str(Path(cauchypred.__file__).resolve().parents[1])

@@ -133,11 +133,30 @@ class TestRunGrid:
         for cell in table.cells.values():
             assert cell.frequency in (0.0, 1.0)
 
-    def test_worker_invariance_bitwise(self):
-        grid = small_discrete_grid(kappa_values=(0.0, 50.0), T_values=(60.0, 120.0))
-        serial = run_grid(grid, workers=1)
-        parallel = run_grid(grid, workers=8)
-        assert serial.to_csv_text() == parallel.to_csv_text()
+    def test_worker_invariance_bitwise(self, monkeypatch):
+        grid = small_discrete_grid(
+            beta_values=(0.0, 1.0), kappa_values=(0.0, 50.0), T_values=(60.0, 120.0), n_reps=20
+        )
+        serial = run_grid(grid, workers=1).to_csv_text()
+        assert run_grid(grid, workers=8).to_csv_text() == serial
+        # blocks of one row at T = 60 (and of one at T = 120), and one block per
+        # (T, vol) group: the counts do not depend on how the rows are cut
+        for cap in (60, 4 * 20 * 120):
+            monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", cap)
+            assert run_grid(grid, workers=1).to_csv_text() == serial
+            assert run_grid(grid, workers=2).to_csv_text() == serial
+
+    def test_blocks_span_combinations(self, monkeypatch):
+        # 7-row blocks of 5-replication combinations: every block but the
+        # first starts inside a combination, and some span three
+        grid = small_discrete_grid(kappa_values=(0.0, 20.0, 50.0, 100.0), n_reps=5)
+        whole = run_grid(grid)
+        monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", 7 * 60)
+        assert np.array_equal(run_grid(grid).counts, whole.counts)
+        for kappa in grid.kappa_values:
+            assert run_cell(grid, 0.0, kappa, 60.0, "CNST", "t8_tau_o") == whole.cells[
+                experiments.CellKey(0.0, kappa, 60.0, "CNST", "t8_tau_o")
+            ]
 
     def test_run_cell_matches_grid(self):
         grid = small_discrete_grid()
@@ -189,6 +208,55 @@ class TestRunGrid:
         grid = dataclasses.replace(grid, n_reps=10, master_seed=1)
         expected = (GOLDEN / f"{name}_cells.csv").read_text(encoding="utf-8")
         assert run_grid(grid).to_csv_text() == expected
+
+    def test_dense_table_cells(self):
+        # the dense counts read back as one CellResult per (combination, method)
+        grid = small_discrete_grid(
+            beta_values=(1.0, 0.0), kappa_values=(50.0, 0.0), T_values=(120.0, 60.0),
+            vol_models=("SB", "CNST"), methods=("t08_tau_o", "tau_o"), n_reps=6,
+        )
+        table = run_grid(grid)
+        assert table.counts.shape == (16, 2, 2)
+        assert table.methods == ("t8_tau_o", "tau_o")
+        cells = table.cells
+        assert len(cells) == 32
+        assert list(cells) == sorted(cells, key=experiments.CellKey.sort_key)
+        for c, (beta, kappa, T, vol) in enumerate(
+            (b, k, t, v) for b in grid.beta_values for k in grid.kappa_values
+            for t in grid.T_values for v in grid.vol_models
+        ):
+            for m, method in enumerate(table.methods):
+                rejections, degenerate = table.counts[c, m]
+                cell = cells[experiments.CellKey(beta, kappa, T, vol, method)]
+                assert cell == experiments.CellResult(6, int(rejections), int(degenerate))
+                assert type(cell.rejections) is int and type(cell.degenerate) is int
+                assert table.frequency(int(beta), kappa, int(T), vol, method) == cell.frequency
+                assert cell == run_cell(grid, beta, kappa, T, vol, method)
+        with pytest.raises(TypeError):
+            cells[next(iter(cells))] = None  # read-only
+        with pytest.raises(KeyError):
+            table.frequency(0.5, 0.0, 60.0, "CNST", "tau_o")
+        text = table.to_aligned_text()
+        assert text.count("vol=SB beta=1") == 1 and "k=50,T=120" in text
+        # a panel per (vol, beta): a header, a row per method, a blank line
+        assert len(text.split("\n")) == 2 * 2 * (1 + 2 + 1)
+
+    def test_empty_table(self):
+        # what a run without cells writes, as the CLI tests rely on
+        table = experiments.McTable(n_reps=5)
+        assert dict(table.cells) == {}
+        assert table.to_csv_text() == "beta,kappa,T,vol,method,freq,mc_se,degenerate_count\n"
+        assert table.to_aligned_text() == ""
+
+    @pytest.mark.parametrize(
+        "axis,values",
+        [("beta_values", (0.0, -0.0)), ("kappa_values", (50.0, 0.0, 50.0)),
+         ("T_values", (60.0, 60)), ("vol_models", ("CNST", "CNST"))],
+    )
+    def test_repeated_coordinates(self, axis, values):
+        # one table row per coordinate: a repeated value would be run twice
+        with pytest.raises(SchemaError, match="more than once"):
+            small_discrete_grid(**{axis: values}).validate()
 
     def test_one_model_per_combination(self):
         # the config carries the model only; the replications differ by stream
