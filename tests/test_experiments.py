@@ -139,8 +139,8 @@ class TestRunGrid:
         )
         serial = run_grid(grid, workers=1).to_csv_text()
         assert run_grid(grid, workers=8).to_csv_text() == serial
-        # blocks of one row at T = 60 (and of one at T = 120), and one block per
-        # (T, vol) group: the counts do not depend on how the rows are cut
+        # blocks of one row (a cap below one row still takes one), and one
+        # block per (T, vol) group: the counts do not depend on the cut
         for cap in (60, 4 * 20 * 120):
             monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", cap)
             assert run_grid(grid, workers=1).to_csv_text() == serial
