@@ -30,8 +30,9 @@ from .dataio import (
 )
 from .dgp import DgpContinuousConfig, DgpDiscreteConfig, simulate_continuous, simulate_discrete
 from .errors import CauchyPredError
+from .estimators import PARITIES
 from .experiments import MethodSpec, d2_study, default_d2_threshold, evaluate_method, run_grid
-from .inference import TestOutcome
+from .inference import SIDES, TestOutcome
 from .rng import RngStream
 
 _SIG_MARKS = ((0.01, "**"), (0.05, "*"))
@@ -192,12 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--x-col", default="x")
     p_test.add_argument("--method", choices=("tq", "hybrid"), default="hybrid")
     p_test.add_argument("--q", type=int, default=None, help="number of groups for --method tq")
-    p_test.add_argument("--parity", choices=("even", "odd"), default=None,
+    p_test.add_argument("--parity", choices=PARITIES, default=None,
                         help="differenced pairs for --intercept (default odd)")
     p_test.add_argument("--intercept", action="store_true",
                         help="use the intercept-robust differenced statistics")
     p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--sided", choices=("two", "right", "left"), default="two")
+    p_test.add_argument("--sided", choices=SIDES, default="two")
     p_test.add_argument("--out", default=None, help="directory for a CSV copy of the result")
     p_test.set_defaults(func=_cmd_test)
 

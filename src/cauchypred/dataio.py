@@ -104,7 +104,8 @@ def parse_csv(
     row number and column name; fewer than 10 data rows is an error.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet "CSV UTF-8" exports start with
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise CsvFormatError(f"{path}: file is empty")

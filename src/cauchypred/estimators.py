@@ -18,6 +18,7 @@ functions and safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,12 +35,27 @@ Parity = str  # "even" | "odd"
 PARITIES = ("even", "odd")
 
 
-def _as_float_array(x, name: str) -> np.ndarray:
+# Largest max|v| * sqrt(n) accepted for a series of n observations: it keeps
+# every sum of squares or cross products the tests form below 1e300, so none
+# overflows to inf and turns a statistic into 0 or nan.
+MAGNITUDE_BOUND = 1e150
+
+
+def _as_float_array(x, name: str, axis: int = -1) -> np.ndarray:
+    """``x`` as a float array, nonempty, finite and within
+    :data:`MAGNITUDE_BOUND` for n = its length along ``axis``."""
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DomainError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} contains non-finite entries")
+    n = arr.shape[axis] if arr.ndim else 1
+    limit = MAGNITUDE_BOUND / math.sqrt(n)
+    # max and min catch both faults: nan fails either comparison, inf exceeds the limit
+    if not (-limit <= arr.min() and arr.max() <= limit):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{name} contains non-finite entries")
+        raise DomainError(
+            f"{name} is too large: max |value| * sqrt(n) exceeds {MAGNITUDE_BOUND:g} (n = {n})"
+        )
     return arr
 
 
@@ -60,7 +76,7 @@ class RegressionSample:
 
     def __post_init__(self) -> None:
         y = _as_float_array(self.y, "y")
-        x = _as_float_array(self.x_lag, "x_lag")
+        x = _as_float_array(self.x_lag, "x_lag", axis=0)
         if y.ndim != 1:
             raise DomainError("y must be one-dimensional")
         if x.ndim not in (1, 2):
@@ -330,19 +346,15 @@ def omega_hat_sq(residuals) -> float:
     return float(_mean_square(_as_float_array(residuals, "residuals")))
 
 
-def check_parity(parity: Parity) -> None:
-    if parity not in PARITIES:
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-
 def _sign_terms(y, x_lag, x_level, parity: Optional[Parity]) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator terms on the last axis: sign(x_{t-1}) y_t
     and |x_{t-1}| for ``parity=None``, else the differenced pairs."""
     if parity is None:
         return _sign(x_lag) * y, np.abs(x_lag)
+    if parity not in PARITIES:
+        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
     if x_level is None:
         raise DomainError("differenced estimators require x_level on the sample")
-    check_parity(parity)
     n = y.shape[-1]
     # 0-based pair starts i: 0, 2, 4, ... (even) or 1, 3, 5, ... (odd), i < n - 1
     start = 0 if parity == "even" else 1
@@ -364,7 +376,6 @@ def diff_terms(sample: RegressionSample, parity: Parity) -> tuple[np.ndarray, np
     sign(x_{2t-1}).  Summation starts at the smallest t for which every
     index exists, so the two parities use disjoint response differences.
     """
-    check_parity(parity)
     return _sign_terms(sample.y, sample.x_lag, sample.x_level, parity)
 
 

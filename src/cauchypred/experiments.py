@@ -24,7 +24,9 @@ depends on its own sample only, so the counts do not depend on the block
 size.  :class:`McTable` keeps the counts as one dense array.
 
 A method label names one of the paper's two tests (test family) on one
-sample form, a :class:`MethodSpec` ``(q, parity)``:
+sample form, a :class:`MethodSpec` ``(q, parity)``.  :func:`evaluate_batch`
+is the only label -> test dispatcher; :func:`evaluate_method` runs it on a
+single sample as a batch of one.
 
 ==========================  ==========  ===============================
 test family                 levels      differenced, even / odd
@@ -47,7 +49,6 @@ import numpy as np
 
 from . import dists
 from .dgp import (
-    VOL_MODELS,
     DgpContinuousConfig,
     DgpDiscreteConfig,
     abs_integral_blocks,
@@ -57,22 +58,12 @@ from .dgp import (
     simulate_discrete_batch,
 )
 from .errors import DomainError, SchemaError
-from .estimators import RegressionSample, SampleBatch, group_gammas
-from .inference import (
-    SIDES,
-    BatchOutcomes,
-    TestOutcome,
-    group_t_outcomes,
-    grouped_hybrid_test,
-    hybrid_outcomes,
-    hybrid_test,
-    hybrid_test_intercept,
-    t_q_test,
-)
+from .estimators import PARITIES, RegressionSample, SampleBatch
+from .inference import SIDES, BatchOutcomes, TestOutcome, group_t_outcomes, hybrid_outcomes
 from .rng import RngStream, substream_index
 
 _METHOD_RE = re.compile(r"^t(?P<q>\d+)$|^(?:t(?P<gq>\d+)_(?=tau_))?tau(?:_(?P<parity>[eo]))?$")
-_PARITIES = {"e": "even", "o": "odd"}
+_PARITIES = {parity[0]: parity for parity in PARITIES}
 
 
 @dataclass(frozen=True)
@@ -110,14 +101,8 @@ def parse_method(label: str) -> MethodSpec:
 def evaluate_method(
     method: MethodSpec, sample: RegressionSample, alpha: float, sided: str
 ) -> TestOutcome:
-    """Run the test a method label names on one sample."""
-    if method.parity is None:
-        if method.q is None:
-            return hybrid_test(sample, alpha, sided)
-        return t_q_test(group_gammas(sample, method.q), alpha, sided)
-    if method.q is None:
-        return hybrid_test_intercept(sample, method.parity, alpha, sided)
-    return grouped_hybrid_test(sample, method.parity, method.q, alpha, sided)
+    """Run the test a method label names on one sample, as a batch of one."""
+    return evaluate_batch(method, SampleBatch.of(sample), alpha, sided).single()
 
 
 def evaluate_batch(
@@ -198,19 +183,15 @@ class ExperimentGrid:
                     f"method {s.label!r} needs predictor levels and is only "
                     "available under the discrete design"
                 )
-        if self.dgp_kind == "discrete" and "GBM" in self.vol_models:
-            raise SchemaError("the GBM volatility model is not part of the discrete design")
         if self.dgp_kind == "discrete" and not all(float(T).is_integer() for T in self.T_values):
             raise SchemaError("T_values must be whole numbers under the discrete design")
-        for v in self.vol_models:
-            if v not in VOL_MODELS:
-                raise SchemaError(f"unknown volatility model {v!r}")
-        # construct one config per combination to surface bad parameters early
-        for beta in self.beta_values:
-            for kappa in self.kappa_values:
-                for T in self.T_values:
-                    for vol in self.vol_models:
-                        self.dgp_config(beta, kappa, T, vol)
+        # the DGP configs own the model rules: build the config of every combination
+        axes = (self.beta_values, self.kappa_values, self.T_values, self.vol_models)
+        for combination in itertools.product(*axes):
+            try:
+                self.dgp_config(*combination)
+            except DomainError as exc:
+                raise SchemaError(str(exc)) from exc
 
     def dgp_config(self, beta, kappa, T, vol):
         """The model of one combination: its coordinates plus the design's knobs."""

@@ -50,11 +50,10 @@ from .estimators import (
     Parity,
     RegressionSample,
     SampleBatch,
+    _mean_square,
+    _sign,
     _sign_fit,
-    check_parity,
     ols_fit,
-    omega_hat_sq,
-    sign_conv,
 )
 
 SIDES = ("two", "right", "left")
@@ -304,7 +303,6 @@ def hybrid_test_intercept(
     subsample, and omega_hat the full-sample demeaned-OLS residual standard
     deviation.
     """
-    check_parity(parity)
     return hybrid_outcomes(SampleBatch.of(sample), parity, alpha, sided).single()
 
 
@@ -322,7 +320,6 @@ def grouped_hybrid_test(
     :func:`t_q_test`.  Dividing every block by a common positive variance
     estimate would leave the statistic unchanged, so none is estimated.
     """
-    check_parity(parity)
     return group_t_outcomes(SampleBatch.of(sample), q, parity, alpha, sided).single()
 
 
@@ -376,12 +373,12 @@ def wald_joint(sample: RegressionSample, alpha: float) -> JointTestOutcome:
     _check_alpha(alpha)
     X = sample.x_matrix()
     k = X.shape[1]
-    z = sign_conv(X).reshape(sample.n_obs, k)
+    z = _sign(X)
     S = z.T @ z
     if np.linalg.matrix_rank(S) < k:
         raise SignDegeneracyError(_diagnose_sign_collinearity(z))
     _, residuals = ols_fit(sample, intercept=False)
-    w2 = omega_hat_sq(residuals)
+    w2 = float(_mean_square(residuals))
     if w2 == 0.0:
         raise DegenerateVarianceError(DEGENERACIES[_VARIANCE - 1][1])
     b = z.T @ sample.y

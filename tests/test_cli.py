@@ -92,6 +92,23 @@ class TestTestCommand:
         assert code != 0
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["y", "x"])
+    def test_huge_values_fail_cleanly(self, tmp_path, capsys, column):
+        # past the magnitude bound a sum of squares would overflow and the
+        # test would print a wrong result instead of failing
+        csv = write_dataset(tmp_path, n=240, seed=6)
+        rows = [line.split(",") for line in csv.read_text().splitlines()]
+        col = rows[0].index(column)
+        for row in rows[1:]:
+            row[col] = repr(1e160 * float(row[col]))
+        csv.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+        for method in ("hybrid", "tq"):
+            flags = ["--method", method] + (["--q", "8"] if method == "tq" else [])
+            assert main(["test", str(csv), *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "too large" in captured.err
+
     def test_missing_q(self, tmp_path, capsys):
         csv = write_dataset(tmp_path)
         assert main(["test", str(csv), "--method", "tq"]) != 0

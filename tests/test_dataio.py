@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from cauchypred import (
     CsvFormatError,
-    DomainError,
     InsufficientDataError,
     SchemaError,
 )
@@ -61,6 +60,15 @@ class TestParseCsv:
         rows[3] = f"2003,0.1,{cell}"
         with pytest.raises(CsvFormatError, match=f"row 5: column 'x': '{cell}'"):
             parse_csv(write_csv(tmp_path, rows))
+
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a BOM
+        plain = write_csv(tmp_path, make_rows(12))
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        ds, ref = parse_csv(marked), parse_csv(plain)
+        assert ds.dates == ref.dates
+        assert np.array_equal(ds.y, ref.y) and np.array_equal(ds.x, ref.x)
 
     def test_too_few_rows(self, tmp_path):
         with pytest.raises(InsufficientDataError):
@@ -163,8 +171,18 @@ class TestExperimentFiles:
     @pytest.mark.parametrize("knobs", [{"jump_intensity": -1.0}, {"jump_sd": -3.0}])
     def test_negative_jump_knobs(self, knobs):
         config = base_config(dgp_kind="continuous", methods=["tau"], T_values=[20], **knobs)
-        with pytest.raises(DomainError, match="jump"):
+        with pytest.raises(SchemaError, match="jump"):
             config_to_grid(config)
+
+    def test_model_rules_come_from_the_dgp_config(self):
+        # the DGP configs own the volatility-model rules; a file breaking
+        # one is still a schema error, with the config's message
+        with pytest.raises(SchemaError, match="unknown volatility model 'XX'"):
+            config_to_grid(base_config(vol_models=["CNST", "XX"]))
+        with pytest.raises(SchemaError, match="GBM volatility model is not part"):
+            config_to_grid(base_config(vol_models=["GBM"]))
+        continuous = base_config(dgp_kind="continuous", methods=["tau"], T_values=[20])
+        assert config_to_grid({**continuous, "vol_models": ["GBM"]}).vol_models == ("GBM",)
 
     def test_type_errors(self):
         with pytest.raises(SchemaError):

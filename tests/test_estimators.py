@@ -12,6 +12,7 @@ from cauchypred import (
     DomainError,
     PartitionError,
     RegressionSample,
+    SampleBatch,
     SingularDesignError,
     cauchy_estimate,
     diff_cauchy,
@@ -21,6 +22,8 @@ from cauchypred import (
     recursive_demean,
     sign_conv,
 )
+from cauchypred.estimators import MAGNITUDE_BOUND
+from cauchypred.inference import group_t_outcomes, hybrid_outcomes
 
 
 def sample(y, x, lev=None):
@@ -52,6 +55,26 @@ class TestRegressionSample:
     def test_multivariate_shape(self):
         s = RegressionSample(y=np.ones(4), x_lag=np.ones((4, 3)))
         assert s.n_predictors == 3
+
+    def test_magnitude_bound(self):
+        # past max|v| * sqrt(n) = MAGNITUDE_BOUND a sum of squares could
+        # overflow and silently turn a statistic into 0
+        gen = np.random.default_rng(3)
+        y, x = gen.standard_normal(240), gen.standard_normal(240)
+        with pytest.raises(DomainError, match="y is too large"):
+            sample(1e160 * y, x)
+        big = np.full(100_000, 1e150)
+        with pytest.raises(DomainError, match="x_lag is too large"):
+            sample(np.ones(100_000), big)
+        # n is the number of observations: the rows of a T x K x_lag
+        limit = MAGNITUDE_BOUND / np.sqrt(16)
+        assert RegressionSample(y=np.full(16, limit), x_lag=np.full((16, 400), -limit)).n_obs == 16
+        with pytest.raises(DomainError, match="x_lag is too large"):
+            RegressionSample(y=np.ones(16), x_lag=np.full((16, 400), 1.01 * limit))
+        # and the columns of a batch's (R, T) arrays
+        SampleBatch(np.full((400, 16), limit), np.full((400, 16), -limit))
+        with pytest.raises(DomainError, match="y is too large"):
+            SampleBatch(np.full((400, 16), 1.01 * limit), np.ones((400, 16)))
 
 
 class TestSignConv:
@@ -261,6 +284,18 @@ class TestDiffCauchy:
     def test_requires_levels(self):
         with pytest.raises(DomainError):
             diff_cauchy(sample([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]), "even")
+
+    def test_bad_parity_reported_first(self):
+        # the parity is checked before the levels, by the term builder every
+        # differenced statistic and batch kernel shares
+        s = sample([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+        for run in (
+            lambda: diff_cauchy(s, "up"),
+            lambda: hybrid_outcomes(SampleBatch.of(s), "up", 0.05),
+            lambda: group_t_outcomes(SampleBatch.of(s), 2, "up", 0.05),
+        ):
+            with pytest.raises(DomainError, match="parity must be 'even' or 'odd', got 'up'"):
+                run()
 
     def test_degenerate_denominator(self):
         lev = np.ones(9)

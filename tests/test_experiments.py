@@ -8,21 +8,31 @@ import numpy as np
 import pytest
 
 from cauchypred import (
+    CauchyPredError,
     DgpDiscreteConfig,
     DomainError,
     ExperimentGrid,
+    RegressionSample,
     RngStream,
     SchemaError,
     d2_study,
     default_d2_threshold,
     experiments,
+    group_gammas,
+    grouped_hybrid_test,
+    hybrid_test,
+    hybrid_test_intercept,
     parse_method,
     run_cell,
     run_grid,
     simulate_discrete,
+    simulate_discrete_batch,
+    t_q_test,
 )
 from cauchypred.dataio import bundled_config_names, load_experiment_file, resolve_config_path
 from cauchypred.experiments import evaluate_method
+from cauchypred.inference import SIDES
+from cauchypred.inference import TestOutcome as Outcome  # not collected as a test class
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,16 +70,20 @@ class TestMethodParsing:
         spec = parse_method(label)
         assert (spec.q, spec.parity) == (q, parity)
         assert spec.label == label
-        # each (q, parity) cell dispatches to its own public test
-        test = {
-            "t_q": "t_q_test",
-            "hybrid": "hybrid_test",
-            "hybrid_diff": "hybrid_test_intercept",
-            "grouped_hybrid": "grouped_hybrid_test",
-        }[kind]
-        monkeypatch.setattr(experiments, test, lambda *args: kind)
-        sample = simulate_discrete(DgpDiscreteConfig(n_obs=60), RngStream(1))
-        assert evaluate_method(spec, sample, 0.05, "two") == kind
+        # the family picks the kernel, which gets the (q, parity) the label names
+        calls = []
+        monkeypatch.setattr(
+            experiments, "group_t_outcomes",
+            lambda batch, q, parity, *args: calls.append(("group_t", q, parity)),
+        )
+        monkeypatch.setattr(
+            experiments, "hybrid_outcomes",
+            lambda batch, parity, *args: calls.append(("hybrid", None, parity)),
+        )
+        batch = simulate_discrete_batch([DgpDiscreteConfig(n_obs=60)], [RngStream(1)])
+        experiments.evaluate_batch(spec, batch, 0.05, "two")
+        kernel = "group_t" if kind in ("t_q", "grouped_hybrid") else "hybrid"
+        assert calls == [(kernel, q, parity)]
 
     @pytest.mark.parametrize(
         "label", ["t", "tau_x", "q8", "t8tau", "", "t8_tau", "t0", "t1", "t1_tau_o"]
@@ -77,6 +91,49 @@ class TestMethodParsing:
     def test_bad_labels(self, label):
         with pytest.raises(SchemaError):
             parse_method(label)
+
+
+def public_test(spec, sample, alpha, sided):
+    """The public single-sample test a method names, called directly."""
+    if spec.q is None:
+        if spec.parity is None:
+            return hybrid_test(sample, alpha, sided)
+        return hybrid_test_intercept(sample, spec.parity, alpha, sided)
+    if spec.parity is None:
+        return t_q_test(group_gammas(sample, spec.q), alpha, sided)
+    return grouped_hybrid_test(sample, spec.parity, spec.q, alpha, sided)
+
+
+def outcome_or_error(run, *args):
+    try:
+        return run(*args)
+    except CauchyPredError as exc:
+        return type(exc), str(exc)
+
+
+class TestSingleSampleDispatch:
+    @pytest.mark.parametrize("label", ["t8", "tau", "tau_e", "tau_o", "t8_tau_e", "t8_tau_o"])
+    @pytest.mark.parametrize("sided", SIDES)
+    def test_matches_public_tests(self, label, sided):
+        # evaluate_method runs the batch kernel on a batch of one; every
+        # outcome field, and every error, is the public test's
+        spec = parse_method(label)
+        samples = [
+            simulate_discrete(DgpDiscreteConfig(n_obs=n, kappa_bar=50.0), RngStream(7, n))
+            for n in (17, 60, 240)
+        ]
+        lev = samples[1].x_level
+        zero = RegressionSample(y=np.zeros(60), x_lag=lev[:-1], x_level=lev)
+        short = RegressionSample(y=np.array([0.3, -1.2]), x_lag=lev[:2], x_level=lev[:3])
+        for sample in samples + [zero, short]:
+            for alpha in (0.05, 0.1):
+                got = outcome_or_error(evaluate_method, spec, sample, alpha, sided)
+                assert got == outcome_or_error(public_test, spec, sample, alpha, sided)
+        # a zero response leaves no spread; two observations are too few
+        # for every test but the levels hybrid
+        assert not isinstance(outcome_or_error(evaluate_method, spec, zero, 0.05, sided), Outcome)
+        short_ok = isinstance(outcome_or_error(evaluate_method, spec, short, 0.05, sided), Outcome)
+        assert short_ok == (label == "tau")
 
 
 class TestGridValidation:

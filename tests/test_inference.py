@@ -417,3 +417,13 @@ class TestMetamorphic:
         assert statistic(y=c * s.y) == pytest.approx(stat, rel=1e-9, abs=0)
         if spec.parity is not None:  # differencing removes any intercept
             assert statistic(y=s.y + a) == pytest.approx(stat, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("label", ["t8", "tau", "tau_o", "t8_tau_o"])
+    def test_large_response_inside_the_magnitude_bound(self, label):
+        # y * 1e140 at T = 240 is accepted, and no sum of squares overflows
+        s = simulate_discrete(DgpDiscreteConfig(n_obs=240, kappa_bar=50.0), RngStream(5))
+        spec = parse_method(label)
+        scaled = RegressionSample(y=1e140 * s.y, x_lag=s.x_lag, x_level=s.x_level)
+        stat = evaluate_method(spec, s, 0.05, "two").statistic
+        got = evaluate_method(spec, scaled, 0.05, "two").statistic
+        assert got == pytest.approx(stat, rel=1.5e-15, abs=0)
