@@ -15,8 +15,6 @@ from .dgp import (
     BrownianAbsFunctionals,
     DgpContinuousConfig,
     DgpDiscreteConfig,
-    VolParams,
-    VolatilityPath,
     gen_brownian_abs_functionals,
     gen_volatility,
     d_statistic,

@@ -236,7 +236,8 @@ def load_experiment_file(path: str | Path) -> tuple[str, ExperimentGrid]:
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        # utf-8-sig drops a leading byte-order mark, as parse_csv does
+        payload = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     if isinstance(payload, dict) and "config" in payload and "tool" in payload:

@@ -13,9 +13,12 @@ they differ in how the slope is scaled and which test family they feed.
   MA(2) or MA(4) predictor innovations and a slope that is localized by the
   sample size (beta / T) by default.
 
-Both share the volatility models in :func:`gen_volatility`: constant (CNST),
-a late structural break (SB), a two-state regime-switching chain (RS), and a
-lognormal stochastic-volatility path (GBM, continuous design only).
+Both share the volatility models, whose sigma_t path :func:`gen_volatility`
+returns: constant (CNST), a late structural break (SB), a two-state
+regime-switching chain (RS), and a lognormal stochastic-volatility path
+(GBM, continuous design only).  Each runs at the paper's values, the module
+constants SIGMA0, SIGMA1, BREAK_FRACTION, LAMBDA_BAR, RS_HIGH_PROB and
+OMEGA_BAR.
 
 Determinism contract: a config fixes the model and carries no randomness;
 every generator takes its random stream as an argument and consumes it in a
@@ -36,7 +39,7 @@ its config and stream bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,38 +58,16 @@ TRADING_DAYS_PER_YEAR = 252
 # faster (a step costs about as much as 20 rows of one element each).
 AR_ROWS_PER_VECTOR_STEP = 24
 
-
-@dataclass(frozen=True)
-class VolParams:
-    """Parameters of the volatility models (only the relevant ones apply)."""
-
-    sigma0: float = 1.0
-    sigma1: float = 4.0          # SB / RS high state
-    break_fraction: float = 0.8  # SB switch point as a fraction of the sample
-    lambda_bar: float = 60.0     # RS transition speed
-    omega_bar: float = 9.0       # GBM volatility-of-volatility
-    rs_high_prob: float = 0.2    # RS long-run weight of the high state
-
-    def __post_init__(self) -> None:
-        if self.sigma0 <= 0 or self.sigma1 <= 0:
-            raise DomainError("volatility levels must be positive")
-        if not 0.0 < self.break_fraction <= 1.0:
-            raise DomainError("break_fraction must be in (0, 1]")
-        if self.lambda_bar < 0 or self.omega_bar <= 0:
-            raise DomainError("lambda_bar must be >= 0 and omega_bar > 0")
-        if not 0.0 <= self.rs_high_prob <= 1.0:
-            raise DomainError("rs_high_prob must be a probability")
+# The volatility models' values, fixed as in the paper's simulations.
+SIGMA0 = 1.0          # CNST level; SB / RS low state; GBM start
+SIGMA1 = 4.0          # SB / RS high state
+BREAK_FRACTION = 0.8  # SB switch point as a fraction of the sample
+LAMBDA_BAR = 60.0     # RS transition speed
+RS_HIGH_PROB = 0.2    # RS long-run weight of the high state
+OMEGA_BAR = 9.0       # GBM volatility-of-volatility
 
 
-@dataclass(frozen=True)
-class VolatilityPath:
-    """Realized sigma_t sequence plus the shocks that drove it (GBM only)."""
-
-    sigma: np.ndarray
-    z_increments: Optional[np.ndarray] = None
-
-
-def _rs_states(u: np.ndarray, params: VolParams) -> np.ndarray:
+def _rs_states(u: np.ndarray) -> np.ndarray:
     """Two-state chain with time-varying mixing, one path per row of ``u``.
 
     The transition matrix starts at the identity and relaxes toward rows
@@ -103,8 +84,8 @@ def _rs_states(u: np.ndarray, params: VolParams) -> np.ndarray:
     between keeps the state: the path is a forward fill of those steps.
     """
     n = u.shape[-1] - 1
-    p = params.rs_high_prob
-    decay = np.exp(-params.lambda_bar * np.arange(n) / n)  # step start as fraction of sample
+    p = RS_HIGH_PROB
+    decay = np.exp(-LAMBDA_BAR * np.arange(n) / n)  # step start as fraction of sample
     step = u[:, 1:]
     goes_high = step < p * (1.0 - decay)
     settled = goes_high | (step >= p + (1.0 - p) * decay)
@@ -126,45 +107,42 @@ def _volatility_draws(model: str, n_steps: int) -> Optional[tuple[str, int]]:
 
 
 def _volatility(
-    model: str, params: VolParams, n_steps: int, total_years: float, draws: Optional[np.ndarray]
+    model: str, n_steps: int, total_years: float, draws: Optional[np.ndarray]
 ) -> np.ndarray:
     """sigma_t of each path: (R, n_steps) from the (R, .) draws of RS and
     GBM, one (n_steps,) row shared by every path for CNST and SB."""
     if model == "CNST":
-        return np.full(n_steps, params.sigma0)
+        return np.full(n_steps, SIGMA0)
     if model == "SB":
         frac = np.arange(1, n_steps + 1) / n_steps
-        return np.where(frac >= params.break_fraction, params.sigma1, params.sigma0).astype(float)
+        return np.where(frac >= BREAK_FRACTION, SIGMA1, SIGMA0).astype(float)
     if model == "RS":
-        return np.where(_rs_states(draws, params), params.sigma1, params.sigma0).astype(float)
+        return np.where(_rs_states(draws), SIGMA1, SIGMA0).astype(float)
     # GBM: exact log-step; sigma used at each step is the value at its start,
     # so the path stays adapted to the shock history.
     n_daily = max(int(round(total_years * TRADING_DAYS_PER_YEAR)), n_steps)
-    om2 = params.omega_bar**2
+    om2 = OMEGA_BAR**2
     drift_total = 0.5 * (om2 - om2 * om2) / n_daily  # includes the Ito correction
     sd_total = om2 / np.sqrt(n_daily)
     log_inc = drift_total / n_steps + sd_total / np.sqrt(n_steps) * draws
-    start = np.full(draws.shape[:-1] + (1,), np.log(params.sigma0**2))
+    start = np.full(draws.shape[:-1] + (1,), np.log(SIGMA0**2))
     log_sig2 = np.concatenate([start, np.cumsum(log_inc, axis=-1)[..., :-1]], axis=-1)
     return np.exp(0.5 * log_sig2)
 
 
 def gen_volatility(
-    model: str,
-    params: VolParams,
-    n_steps: int,
-    total_years: float,
-    gen: np.random.Generator,
-) -> VolatilityPath:
-    """Volatility path over n_steps observations spanning total_years.
+    model: str, n_steps: int, total_years: float, gen: np.random.Generator
+) -> np.ndarray:
+    """sigma_t over n_steps observations spanning total_years, as an
+    (n_steps,) array.
 
-    CNST is flat at sigma0.  SB switches to sigma1 at the first observation
-    whose sample fraction t/n reaches ``break_fraction`` (weak inequality).
-    RS follows the two-state chain above.  GBM evolves log sigma^2 as an
-    exact lognormal random walk whose drift and diffusion are anchored to
-    the daily-step count of the horizon, so the path's law does not depend
-    on the observation frequency; its shocks are returned so the caller can
-    correlate the error channel with them.
+    CNST is flat at SIGMA0.  SB switches to SIGMA1 at the first observation
+    whose sample fraction t/n reaches BREAK_FRACTION (weak inequality).  RS
+    follows the two-state chain above.  GBM evolves log sigma^2 as an exact
+    lognormal random walk whose drift and diffusion are anchored to the
+    daily-step count of the horizon, so the path's law does not depend on
+    the observation frequency.  RS takes n_steps + 1 uniforms from ``gen``,
+    GBM n_steps normals, and CNST and SB none.
     """
     if model not in VOL_MODELS:
         raise DomainError(f"unknown volatility model {model!r}, expected one of {VOL_MODELS}")
@@ -172,10 +150,8 @@ def gen_volatility(
         raise DomainError("n_steps must be >= 1")
     spec = _volatility_draws(model, n_steps)
     draws = None if spec is None else getattr(gen, spec[0])(spec[1])[None]
-    sigma = _volatility(model, params, n_steps, total_years, draws)
-    if draws is None:
-        return VolatilityPath(sigma)
-    return VolatilityPath(sigma[0], z_increments=draws[0] if model == "GBM" else None)
+    sigma = _volatility(model, n_steps, total_years, draws)
+    return sigma if draws is None else sigma[0]
 
 
 @dataclass(frozen=True)
@@ -192,7 +168,6 @@ class DgpContinuousConfig:
     kappa_bar: float = 0.0
     beta: float = 0.0
     vol_model: str = "CNST"
-    vol_params: VolParams = field(default_factory=VolParams)
     jump_intensity: float = 0.0
     jump_sd: float = 0.0
     rho_vw: float = -0.98
@@ -228,7 +203,6 @@ class DgpDiscreteConfig:
     slope_scale: str = "per_sample"  # effective slope beta / n_obs; "raw" uses beta
     ma_order: int = 2
     vol_model: str = "CNST"
-    vol_params: VolParams = field(default_factory=VolParams)
     rho: float = -0.98
     endogeneity: str = "v"  # correlate the error with "v" shocks or with "eta"
 
@@ -348,7 +322,7 @@ def simulate_continuous_batch(
         if jumps:
             counts[r] = gen.poisson(config.jump_intensity * config.delta, n)
             gen.standard_normal(out=sizes[r])
-    sig = _volatility(config.vol_model, config.vol_params, n, config.years, vol_draws)
+    sig = _volatility(config.vol_model, n, config.years, vol_draws)
     if gbm:
         w = config.rho_wz * vol_draws + np.sqrt(1.0 - config.rho_wz**2) * e_w
         v_full[:, 2:] = config.rho_vw * w + np.sqrt(1.0 - config.rho_vw**2) * e_v
@@ -402,7 +376,7 @@ def simulate_discrete_batch(
             getattr(gen, vol[0])(out=vol_draws[r])
         gen.standard_normal(out=v_full[r])
         gen.standard_normal(out=e[r])
-    sig = _volatility(config.vol_model, config.vol_params, n, float(n), vol_draws)
+    sig = _volatility(config.vol_model, n, float(n), vol_draws)
     eta = _ma_filter(v_full, ma_weights(order), n)
     anchor = v_full[:, order:] if config.endogeneity == "v" else eta
     eps = config.rho * anchor + np.sqrt(1.0 - config.rho**2) * e

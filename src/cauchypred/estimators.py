@@ -134,7 +134,9 @@ class SampleBatch:
 
     def __init__(self, y, x_lag, x_level=None) -> None:
         y = _as_float_array(y, "y")
-        x = _as_float_array(x_lag, "x_lag")
+        # with levels, x_lag is checked by equality to the checked x_level:
+        # a nan or inf in it fails that
+        x = _as_float_array(x_lag, "x_lag") if x_level is None else np.asarray(x_lag, dtype=float)
         if y.ndim != 2 or x.shape != y.shape:
             raise DomainError("y and x_lag must be (R, T) arrays of one shape")
         if y.shape[1] < 2:

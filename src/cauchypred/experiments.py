@@ -170,6 +170,11 @@ class ExperimentGrid:
                 raise SchemaError(f"{name} lists a value more than once")
         if self.n_reps < 1:
             raise SchemaError("n_reps must be >= 1")
+        # the stream key owns the seed rule; check it before any block runs
+        try:
+            RngStream(self.master_seed)
+        except DomainError as exc:
+            raise SchemaError(str(exc)) from exc
         if not 0.0 < self.alpha < 1.0:
             raise SchemaError("alpha must be in (0, 1)")
         if self.sided not in SIDES:

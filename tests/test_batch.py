@@ -210,5 +210,13 @@ def test_batch_validation():
         SampleBatch(y=y, x_lag=lev)
     with pytest.raises(DomainError, match="first T columns"):
         SampleBatch(y=y, x_lag=lev[:, 1:], x_level=lev)
+    # x_lag is checked in full without levels, and by equality with them
+    for fault in (np.nan, np.inf):
+        x = lev[:, :-1].copy()
+        x[0, 3] = fault
+        with pytest.raises(DomainError, match="non-finite"):
+            SampleBatch(y=y, x_lag=x)
+        with pytest.raises(DomainError, match="first T columns"):
+            SampleBatch(y=y, x_lag=x, x_level=lev)
     with pytest.raises(DomainError, match="differenced"):
         evaluate_batch(parse_method("tau_o"), SampleBatch(y=y, x_lag=lev[:, :-1]), 0.05, "two")

@@ -165,6 +165,18 @@ class TestTableCommand:
         assert main(["table", "--config", str(manifest), "--out", str(out2)]) == 0
         assert (out2 / "cli_small_cells.csv").read_bytes() == cells.encode()
 
+    def test_byte_order_mark_config(self, tmp_path):
+        # editors that save "UTF-8 with BOM" start the file with U+FEFF
+        config = small_config(tmp_path)
+        marked = tmp_path / "marked" / "cli_small.json"
+        marked.parent.mkdir()
+        marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        assert main(["table", "--config", str(config), "--out", str(tmp_path / "plain")]) == 0
+        assert main(["table", "--config", str(marked), "--out", str(tmp_path / "bom")]) == 0
+        assert (tmp_path / "bom" / "cli_small_cells.csv").read_bytes() == (
+            tmp_path / "plain" / "cli_small_cells.csv"
+        ).read_bytes()
+
     def test_worker_flag_does_not_change_output(self, tmp_path):
         config = small_config(tmp_path)
         out1 = tmp_path / "w1"

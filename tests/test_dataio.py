@@ -1,5 +1,6 @@
 """CSV ingestion, lag alignment, round-trips, and experiment-file schema."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -204,6 +205,14 @@ class TestExperimentFiles:
                     config_to_grid(base_config(**{**continuous, key: bad}))
             with pytest.raises(SchemaError, match="rho"):
                 config_to_grid(base_config(rho=bad))
+
+    def test_master_seed_out_of_range(self):
+        # the stream key's rule, reported before any replication runs
+        with pytest.raises(SchemaError, match="master_seed"):
+            config_to_grid(base_config(master_seed=2**64))
+        grid = config_to_grid(base_config())
+        with pytest.raises(SchemaError, match="master_seed"):
+            dataclasses.replace(grid, master_seed=-1).validate()
 
     def test_load_file_and_manifest(self, tmp_path):
         config = base_config()

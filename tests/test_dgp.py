@@ -18,7 +18,6 @@ from cauchypred import (
     DomainError,
     PartitionError,
     RngStream,
-    VolParams,
     d_statistic,
     gen_brownian_abs_functionals,
     gen_volatility,
@@ -26,61 +25,77 @@ from cauchypred import (
     simulate_continuous,
     simulate_discrete,
 )
-from cauchypred.dgp import _ar_path, abs_integral_blocks
+from cauchypred.dgp import VOL_MODELS, _ar_path, abs_integral_blocks
 
 
 class TestVolatility:
     def test_cnst_flat(self):
-        path = gen_volatility("CNST", VolParams(), 50, 50.0, RngStream(1).generator())
-        assert_allclose(path.sigma, np.ones(50))
+        sigma = gen_volatility("CNST", 50, 50.0, RngStream(1).generator())
+        assert_allclose(sigma, np.ones(50))
 
     def test_sb_pattern(self):
         # 10 steps, switch at the first step whose sample fraction t/n
         # reaches 0.8: seven low entries then three high
-        path = gen_volatility("SB", VolParams(), 10, 10.0, RngStream(1).generator())
-        assert_allclose(path.sigma, [1.0] * 7 + [4.0] * 3)
+        sigma = gen_volatility("SB", 10, 10.0, RngStream(1).generator())
+        assert_allclose(sigma, [1.0] * 7 + [4.0] * 3)
 
     def test_rs_no_switch_at_time_zero(self):
         # the mixing matrix starts at the identity, so the first step keeps
         # the initial state regardless of the uniform draw
         for seed in range(40):
             stream = RngStream(seed)
-            path = gen_volatility("RS", VolParams(), 500, 500.0, stream.generator())
+            sigma = gen_volatility("RS", 500, 500.0, stream.generator())
             gen = stream.generator()
             u0 = gen.random(501)[0]
             initial = 4.0 if u0 < 0.2 else 1.0
-            assert path.sigma[0] == initial
+            assert sigma[0] == initial
 
     def test_rs_longrun_occupancy(self):
         # pooled high-state share approaches the invariant weight 0.2
         share = []
         for seed in range(60):
-            path = gen_volatility("RS", VolParams(), 2000, 2000.0, RngStream(77, seed).generator())
-            tail = path.sigma[1000:]
+            sigma = gen_volatility("RS", 2000, 2000.0, RngStream(77, seed).generator())
+            tail = sigma[1000:]
             share.append(np.mean(tail == 4.0))
         assert np.mean(share) == pytest.approx(0.2, abs=0.05)
 
     def test_gbm_positive_and_finite(self):
         for years in (5, 20, 50):
             gen = RngStream(5).generator()
-            path = gen_volatility("GBM", VolParams(), 12 * years, float(years), gen)
-            assert np.all(path.sigma > 0)
-            assert np.all(np.isfinite(path.sigma))
-            assert path.z_increments is not None
+            sigma = gen_volatility("GBM", 12 * years, float(years), gen)
+            assert np.all(sigma > 0)
+            assert np.all(np.isfinite(sigma))
+
+    @pytest.mark.parametrize("model", VOL_MODELS)
+    def test_float_path_of_n_steps(self, model):
+        sigma = gen_volatility(model, 37, 37.0, RngStream(4).generator())
+        assert sigma.dtype == np.float64
+        assert sigma.shape == (37,)
+
+    @pytest.mark.parametrize(
+        "model, method, count",
+        [("CNST", "random", 0), ("SB", "random", 0), ("RS", "random", 51), ("GBM", "standard_normal", 50)],
+    )
+    def test_draw_order(self, model, method, count):
+        # the simulators take these draws first from each stream, so the
+        # shocks that follow must start where a fresh stream advanced by
+        # exactly this many draws does
+        gen = RngStream(8, 3).generator()
+        gen_volatility(model, 50, 50.0, gen)
+        fresh = RngStream(8, 3).generator()
+        getattr(fresh, method)(count)
+        assert gen.standard_normal() == fresh.standard_normal()
 
     def test_gbm_starts_at_sigma0(self):
-        path = gen_volatility("GBM", VolParams(), 240, 20.0, RngStream(6).generator())
-        assert path.sigma[0] == pytest.approx(1.0)
+        sigma = gen_volatility("GBM", 240, 20.0, RngStream(6).generator())
+        assert sigma[0] == pytest.approx(1.0)
 
     def test_gbm_frequency_invariant_law(self):
         # total log-variance depends on the horizon, not on the step count
         ends = []
         for n in (240, 960):
             vals = [
-                np.log(
-                    gen_volatility("GBM", VolParams(), n, 20.0, RngStream(9, i).generator())
-                    .sigma[-1] ** 2
-                )
+                np.log(gen_volatility("GBM", n, 20.0, RngStream(9, i).generator())[-1] ** 2)
                 for i in range(400)
             ]
             ends.append(np.std(vals))
@@ -88,9 +103,10 @@ class TestVolatility:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            gen_volatility("OU", VolParams(), 10, 10.0, RngStream(1).generator())
-        with pytest.raises(DomainError):
-            gen_volatility("CNST", VolParams(sigma0=-1.0), 10, 10.0, RngStream(1).generator())
+            gen_volatility("OU", 10, 10.0, RngStream(1).generator())
+        for model in VOL_MODELS:
+            with pytest.raises(DomainError):
+                gen_volatility(model, 0, 10.0, RngStream(1).generator())
 
 
 class TestMaWeights:
