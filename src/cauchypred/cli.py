@@ -103,9 +103,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     name, grid = load_experiment_file(path)
     if args.seed is not None:
         grid = dataclasses.replace(grid, master_seed=args.seed)
-    table = run_grid(grid, workers=args.workers)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # fails before the grid runs
+    table = run_grid(grid, workers=args.workers)
     csv_path = out_dir / f"{name}_cells.csv"
     txt_path = out_dir / f"{name}_table.txt"
     manifest_path = out_dir / f"{name}_manifest.json"
@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CauchyPredError, FileNotFoundError) as exc:
+    except (CauchyPredError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

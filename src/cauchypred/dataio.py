@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
+import io
 import json
 import math
 import typing
@@ -31,6 +32,15 @@ from .estimators import RegressionSample
 from .experiments import ExperimentGrid
 
 _MIN_ROWS = 10
+
+
+def _read_text(path: Path, error: type) -> str:
+    """A file's text as UTF-8, without the byte-order mark spreadsheet
+    "CSV UTF-8" exports start with; other bytes raise ``error``."""
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _date_key(label: str):
@@ -104,39 +114,37 @@ def parse_csv(
     row number and column name; fewer than 10 data rows is an error.
     """
     path = Path(path)
-    # utf-8-sig drops the byte-order mark spreadsheet "CSV UTF-8" exports start with
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CsvFormatError(f"{path}: file is empty")
-        for col in (date_col, y_col, x_col):
-            if col not in reader.fieldnames:
+    reader = csv.DictReader(io.StringIO(_read_text(path, CsvFormatError), newline=""))
+    if reader.fieldnames is None:
+        raise CsvFormatError(f"{path}: file is empty")
+    for col in (date_col, y_col, x_col):
+        if col not in reader.fieldnames:
+            raise CsvFormatError(
+                f"{path}: column {col!r} not found in header {reader.fieldnames}"
+            )
+    dates: list[str] = []
+    ys: list[float] = []
+    xs: list[float] = []
+    for i, row in enumerate(reader, start=2):  # header is line 1
+        date = (row.get(date_col) or "").strip()
+        if not date:
+            raise CsvFormatError(f"{path}: row {i}: empty {date_col!r} cell")
+        values = {}
+        for col in (y_col, x_col):
+            cell = (row.get(col) or "").strip()
+            if not cell:
+                raise CsvFormatError(f"{path}: row {i}: missing value in column {col!r}")
+            try:
+                values[col] = float(cell)
+            except ValueError:
+                values[col] = math.nan
+            if not math.isfinite(values[col]):
                 raise CsvFormatError(
-                    f"{path}: column {col!r} not found in header {reader.fieldnames}"
+                    f"{path}: row {i}: column {col!r}: {cell!r} is not a finite number"
                 )
-        dates: list[str] = []
-        ys: list[float] = []
-        xs: list[float] = []
-        for i, row in enumerate(reader, start=2):  # header is line 1
-            date = (row.get(date_col) or "").strip()
-            if not date:
-                raise CsvFormatError(f"{path}: row {i}: empty {date_col!r} cell")
-            values = {}
-            for col in (y_col, x_col):
-                cell = (row.get(col) or "").strip()
-                if not cell:
-                    raise CsvFormatError(f"{path}: row {i}: missing value in column {col!r}")
-                try:
-                    values[col] = float(cell)
-                except ValueError:
-                    values[col] = math.nan
-                if not math.isfinite(values[col]):
-                    raise CsvFormatError(
-                        f"{path}: row {i}: column {col!r}: {cell!r} is not a finite number"
-                    )
-            dates.append(date)
-            ys.append(values[y_col])
-            xs.append(values[x_col])
+        dates.append(date)
+        ys.append(values[y_col])
+        xs.append(values[x_col])
     if len(dates) < _MIN_ROWS:
         raise InsufficientDataError(
             f"{path}: need at least {_MIN_ROWS} usable rows, got {len(dates)}"
@@ -236,8 +244,7 @@ def load_experiment_file(path: str | Path) -> tuple[str, ExperimentGrid]:
     """
     path = Path(path)
     try:
-        # utf-8-sig drops a leading byte-order mark, as parse_csv does
-        payload = json.loads(path.read_text(encoding="utf-8-sig"))
+        payload = json.loads(_read_text(path, SchemaError))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     if isinstance(payload, dict) and "config" in payload and "tool" in payload:

@@ -39,7 +39,8 @@ its config and stream bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,6 +155,14 @@ def gen_volatility(
     return sigma if draws is None else sigma[0]
 
 
+def _check_finite(config) -> None:
+    """Reject a config whose float field is nan or infinite, naming it."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DgpContinuousConfig:
     """No-intercept design observed at delta-spaced points over `years`.
@@ -174,6 +183,7 @@ class DgpContinuousConfig:
     rho_wz: float = -0.4
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.years <= 0 or self.delta <= 0:
             raise DomainError("years and delta must be positive")
         if self.n_obs < 4:
@@ -207,14 +217,14 @@ class DgpDiscreteConfig:
     endogeneity: str = "v"  # correlate the error with "v" shocks or with "eta"
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.n_obs < 8:
             raise DomainError("sample is too short")
         if self.kappa_bar < 0:
             raise DomainError("kappa_bar must be nonnegative")
         if self.slope_scale not in ("per_sample", "raw"):
             raise DomainError("slope_scale must be 'per_sample' or 'raw'")
-        if self.ma_order not in (2, 4):
-            raise DomainError("ma_order must be 2 or 4")
+        ma_weights(self.ma_order)  # raises on an order it has no weights for
         if self.vol_model == "GBM":
             raise DomainError("the GBM volatility model is not part of this design")
         if self.vol_model not in VOL_MODELS:

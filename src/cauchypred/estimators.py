@@ -41,13 +41,13 @@ PARITIES = ("even", "odd")
 MAGNITUDE_BOUND = 1e150
 
 
-def _as_float_array(x, name: str, axis: int = -1) -> np.ndarray:
+def _as_float_array(x, name: str) -> np.ndarray:
     """``x`` as a float array, nonempty, finite and within
-    :data:`MAGNITUDE_BOUND` for n = its length along ``axis``."""
+    :data:`MAGNITUDE_BOUND` for n = its length along the last axis."""
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DomainError(f"{name} must be nonempty")
-    n = arr.shape[axis] if arr.ndim else 1
+    n = arr.shape[-1] if arr.ndim else 1
     limit = MAGNITUDE_BOUND / math.sqrt(n)
     # max and min catch both faults: nan fails either comparison, inf exceeds the limit
     if not (-limit <= arr.min() and arr.max() <= limit):
@@ -75,8 +75,9 @@ class RegressionSample:
     x_level: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        y = _as_float_array(self.y, "y")
-        x = _as_float_array(self.x_lag, "x_lag", axis=0)
+        y = np.asarray(self.y, dtype=float)
+        x = np.asarray(self.x_lag, dtype=float)
+        lev = None if self.x_level is None else np.asarray(self.x_level, dtype=float)
         if y.ndim != 1:
             raise DomainError("y must be one-dimensional")
         if x.ndim not in (1, 2):
@@ -85,21 +86,14 @@ class RegressionSample:
             raise DomainError(
                 f"y and x_lag lengths differ: {y.shape[0]} vs {x.shape[0]}"
             )
-        if y.shape[0] < 2:
-            raise DomainError("need at least 2 observations")
+        if lev is not None and (lev.ndim != 1 or x.ndim != 1):
+            raise DomainError("x_level is only supported for univariate samples")
+        # the batch owns the data rules: its rows are the K predictor columns (views)
+        rows = x.T if x.ndim == 2 else x[None]
+        SampleBatch(np.broadcast_to(y, rows.shape), rows, None if lev is None else lev[None])
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x_lag", x)
-        if self.x_level is not None:
-            lev = _as_float_array(self.x_level, "x_level")
-            if lev.ndim != 1 or x.ndim != 1:
-                raise DomainError("x_level is only supported for univariate samples")
-            if lev.shape[0] != y.shape[0] + 1:
-                raise DomainError(
-                    f"x_level must have length T+1 = {y.shape[0] + 1}, got {lev.shape[0]}"
-                )
-            if not np.array_equal(lev[:-1], x):
-                raise DomainError("x_lag must equal the first T entries of x_level")
-            object.__setattr__(self, "x_level", lev)
+        object.__setattr__(self, "x_level", lev)
 
     @property
     def n_obs(self) -> int:
@@ -144,22 +138,17 @@ class SampleBatch:
         if x_level is not None:
             x_level = _as_float_array(x_level, "x_level")
             if x_level.shape != (y.shape[0], y.shape[1] + 1):
-                raise DomainError("x_level must be an (R, T + 1) array")
+                raise DomainError(f"x_level must be an (R, T + 1) array, got {x_level.shape}")
             if not np.array_equal(x_level[:, :-1], x):
                 raise DomainError("x_lag must equal the first T columns of x_level")
-        self._set(y, x, x_level)
-
-    def _set(self, y, x_lag, x_level) -> None:
-        self.y, self.x_lag, self.x_level = y, x_lag, x_level
+        self.y, self.x_lag, self.x_level = y, x, x_level
         self._cache: dict = {}
 
     @classmethod
     def of(cls, sample: RegressionSample) -> "SampleBatch":
-        """A univariate sample, already validated, as a batch of one."""
-        batch = cls.__new__(cls)
+        """A univariate sample as a batch of one."""
         lev = sample.x_level
-        batch._set(sample.y[None], sample.x1()[None], None if lev is None else lev[None])
-        return batch
+        return cls(sample.y[None], sample.x1()[None], None if lev is None else lev[None])
 
     def terms(self, parity: Optional[Parity] = None) -> tuple[np.ndarray, np.ndarray]:
         """Numerator and denominator terms of the sign-instrument estimator:
@@ -270,6 +259,14 @@ class GroupStatistics:
         return cls(q=q, gammas=gammas, block_size=blocks.shape[-1], dropped=dropped)
 
 
+def group_block_size(n_terms: int, q: int) -> int:
+    """floor(n_terms / q), the block size of q consecutive groups; q must
+    be at least 2 and at most n_terms."""
+    if not 2 <= q <= n_terms:
+        raise PartitionError(f"cannot split {n_terms} terms into q={q} groups: need 2 <= q <= {n_terms}")
+    return n_terms // q
+
+
 def partition_consecutive(values: np.ndarray, q: int) -> tuple[np.ndarray, int]:
     """Split a series (the last axis) into q consecutive equal blocks,
     dropping the tail.
@@ -278,11 +275,7 @@ def partition_consecutive(values: np.ndarray, q: int) -> tuple[np.ndarray, int]:
     observations excluded.  Block size is floor(len/q).
     """
     n = values.shape[-1]
-    if q < 2:
-        raise PartitionError(f"need at least 2 groups, got q={q}")
-    block = n // q
-    if block < 1:
-        raise PartitionError(f"cannot split {n} observations into q={q} groups")
+    block = group_block_size(n, q)
     dropped = n - q * block
     return values[..., : q * block].reshape(values.shape[:-1] + (q, block)), dropped
 
@@ -348,21 +341,30 @@ def omega_hat_sq(residuals) -> float:
     return float(_mean_square(_as_float_array(residuals, "residuals")))
 
 
+def term_count(n_obs: int, parity: Optional[Parity]) -> int:
+    """Sign-instrument terms of a sample of n_obs observations: n_obs in the
+    levels form (``parity=None``), else its differenced pairs of that parity (at least 2)."""
+    if parity is None:
+        return n_obs
+    if parity not in PARITIES:
+        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
+    # 0-based pair starts i: 0, 2, 4, ... (even) or 1, 3, 5, ... (odd), i < n_obs - 1
+    pairs = len(range(PARITIES.index(parity), n_obs - 1, 2))
+    if pairs < 2:
+        raise DomainError("need at least 2 usable differenced terms")
+    return pairs
+
+
 def _sign_terms(y, x_lag, x_level, parity: Optional[Parity]) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator terms on the last axis: sign(x_{t-1}) y_t
     and |x_{t-1}| for ``parity=None``, else the differenced pairs."""
     if parity is None:
         return _sign(x_lag) * y, np.abs(x_lag)
-    if parity not in PARITIES:
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
+    pairs = term_count(y.shape[-1], parity)
     if x_level is None:
         raise DomainError("differenced estimators require x_level on the sample")
-    n = y.shape[-1]
-    # 0-based pair starts i: 0, 2, 4, ... (even) or 1, 3, 5, ... (odd), i < n - 1
-    start = 0 if parity == "even" else 1
-    if len(range(start, n - 1, 2)) < 2:
-        raise DomainError("need at least 2 usable differenced terms")
-    first, second = slice(start, n - 1, 2), slice(start + 1, n, 2)
+    start = PARITIES.index(parity)
+    first, second = slice(start, start + 2 * pairs, 2), slice(start + 1, start + 2 * pairs, 2)
     inst = _sign(x_level[..., first])
     return (
         inst * (y[..., second] - y[..., first]),

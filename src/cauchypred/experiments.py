@@ -57,9 +57,9 @@ from .dgp import (
     simulate_continuous_batch,
     simulate_discrete_batch,
 )
-from .errors import DomainError, SchemaError
-from .estimators import PARITIES, RegressionSample, SampleBatch
-from .inference import SIDES, BatchOutcomes, TestOutcome, group_t_outcomes, hybrid_outcomes
+from .errors import DomainError, PartitionError, SchemaError
+from .estimators import PARITIES, RegressionSample, SampleBatch, group_block_size, term_count
+from .inference import BatchOutcomes, TestOutcome, check_level, group_t_outcomes, hybrid_outcomes
 from .rng import RngStream, substream_index
 
 _METHOD_RE = re.compile(r"^t(?P<q>\d+)$|^(?:t(?P<gq>\d+)_(?=tau_))?tau(?:_(?P<parity>[eo]))?$")
@@ -170,15 +170,6 @@ class ExperimentGrid:
                 raise SchemaError(f"{name} lists a value more than once")
         if self.n_reps < 1:
             raise SchemaError("n_reps must be >= 1")
-        # the stream key owns the seed rule; check it before any block runs
-        try:
-            RngStream(self.master_seed)
-        except DomainError as exc:
-            raise SchemaError(str(exc)) from exc
-        if not 0.0 < self.alpha < 1.0:
-            raise SchemaError("alpha must be in (0, 1)")
-        if self.sided not in SIDES:
-            raise SchemaError(f"sided must be one of {SIDES}")
         specs = [parse_method(m) for m in self.methods]
         for s in specs:
             if specs.count(s) > 1:
@@ -190,13 +181,21 @@ class ExperimentGrid:
                 )
         if self.dgp_kind == "discrete" and not all(float(T).is_integer() for T in self.T_values):
             raise SchemaError("T_values must be whole numbers under the discrete design")
-        # the DGP configs own the model rules: build the config of every combination
+        # ask the owners of the seed, level, model and size rules before any block runs
         axes = (self.beta_values, self.kappa_values, self.T_values, self.vol_models)
-        for combination in itertools.product(*axes):
+        try:
+            RngStream(self.master_seed)
+            check_level(self.alpha, self.sided)
+            n_obs = {self.dgp_config(*combination).n_obs for combination in itertools.product(*axes)}
+        except DomainError as exc:
+            raise SchemaError(str(exc)) from exc
+        for n, s in itertools.product(sorted(n_obs), specs):
             try:
-                self.dgp_config(*combination)
-            except DomainError as exc:
-                raise SchemaError(str(exc)) from exc
+                terms = term_count(n, s.parity)
+                if s.q is not None:
+                    group_block_size(terms, s.q)
+            except (DomainError, PartitionError) as exc:
+                raise SchemaError(f"method {s.label!r} cannot run at n_obs = {n}: {exc}") from exc
 
     def dgp_config(self, beta, kappa, T, vol):
         """The model of one combination: its coordinates plus the design's knobs."""

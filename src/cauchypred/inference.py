@@ -146,15 +146,17 @@ class JointTestOutcome:
     wald_stat: Optional[float] = None
 
 
-def _check_alpha(alpha: float) -> None:
+def check_level(alpha: float, sided: str) -> None:
+    """The level and side every test takes: alpha in (0, 1), sided one of
+    :data:`SIDES`."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    if sided not in SIDES:
+        raise DomainError(f"sided must be one of {SIDES}, got {sided!r}")
 
 
 def _p_value(statistic, ref: ReferenceDistribution, sided: str):
     """p-value of a statistic, elementwise over an array of them."""
-    if sided not in SIDES:
-        raise DomainError(f"sided must be one of {SIDES}, got {sided!r}")
     if ref.family == "chi_square":
         if sided != "right":
             raise DomainError("chi-square tests are right-tailed only")
@@ -177,7 +179,7 @@ def _outcomes(
     warning: Optional[str] = None,
 ) -> BatchOutcomes:
     """p-values and decisions of the samples whose statistic is defined."""
-    _check_alpha(alpha)
+    check_level(alpha, sided)
     if cause is None:
         cause = np.zeros(statistic.shape, dtype=np.int8)
     if cause.any():
@@ -339,7 +341,6 @@ def bonferroni_joint(
     for s in samples[1:]:
         if not np.array_equal(s.y, y0):
             raise DomainError("all samples must share the same response series")
-    _check_alpha(alpha)
     outcomes = tuple(hybrid_test(s, alpha, sided) for s in samples)
     k = len(outcomes)
     joint = min(o.p_value for o in outcomes) <= alpha / k
@@ -370,7 +371,6 @@ def wald_joint(sample: RegressionSample, alpha: float) -> JointTestOutcome:
     the K-variate no-intercept OLS residual variance.  At K = 1 the
     statistic equals the squared hybrid statistic.
     """
-    _check_alpha(alpha)
     X = sample.x_matrix()
     k = X.shape[1]
     z = _sign(X)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cauchypred import cli
+from cauchypred import cli, experiments
 from cauchypred.cli import main
 from cauchypred.dataio import bundled_config_names, parse_csv
 from cauchypred.experiments import McTable, evaluate_method, parse_method
@@ -220,7 +220,68 @@ class TestTableCommand:
         assert "bundled" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+    @pytest.mark.parametrize(
+        "kind,T,method",
+        [("continuous", 5, "t100"), ("discrete", 60, "t40_tau_o"), ("continuous", 0.5, "t8")],
+    )
+    def test_too_few_terms_fail_at_load(self, tmp_path, capsys, monkeypatch, workers, kind, T, method):
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(experiments, "_run_combination", no_block)
+        payload = json.loads(small_config(tmp_path).read_text())
+        payload.update(dgp_kind=kind, T_values=[T, 240], methods=[method], sided="two")
+        config = tmp_path / "few.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["table", "--config", str(config), "--out", str(tmp_path / "o"), *workers]) == 2
+        assert capsys.readouterr().err.startswith(f"error: method '{method}' cannot run at n_obs = ")
+
+
+def _unreadable(tmp_path, case):
+    """The arguments of a command whose file cannot be read, or whose
+    output directory cannot be made."""
+    binary = tmp_path / "latin1.dat"
+    binary.write_bytes("date,y,x\n1,0.5,\xe9t\xe9\n".encode("latin-1"))
+    existing = write_dataset(tmp_path)
+    config = small_config(tmp_path)
+    return {
+        "test directory": ["test", str(tmp_path)],
+        "test non-UTF-8": ["test", str(binary)],
+        "table config directory": ["table", "--config", str(tmp_path), "--out", str(tmp_path / "o")],
+        "table config non-UTF-8": ["table", "--config", str(binary), "--out", str(tmp_path / "o")],
+        "test out is a file": ["test", str(existing), "--out", str(existing)],
+        "table out is a file": ["table", "--config", str(config), "--out", str(existing)],
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "test directory", "test non-UTF-8", "table config directory", "table config non-UTF-8",
+    "test out is a file", "table out is a file",
+])
+def test_unreadable_paths_fail_cleanly(tmp_path, capsys, monkeypatch, case):
+    # the output directory is made before the grid runs
+    monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
+    assert main(_unreadable(tmp_path, case)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("flags,field", [
+        (["--years", "nan"], "years"),
+        (["--years", "inf"], "years"),
+        (["--kappa", "nan"], "kappa_bar"),
+        (["--beta", "inf"], "beta"),
+        (["--dgp", "discrete", "--kappa", "nan"], "kappa_bar"),
+        (["--dgp", "discrete", "--beta=-inf"], "beta"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_non_finite_fails_cleanly(self, capsys, flags, field):
+        assert main(["simulate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be finite")
+
     def test_discrete_dump(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = main(

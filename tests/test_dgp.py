@@ -1,6 +1,7 @@
 """Generator contracts: volatility paths, determinism, moving-average
 weights, correlation audits, and the Brownian block functionals."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -217,6 +218,24 @@ class TestSimulateContinuous:
         for knobs in ({"jump_intensity": -1.0}, {"jump_sd": -3.0}):
             with pytest.raises(DomainError, match="jump"):
                 DgpContinuousConfig(years=5, **knobs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "config,horizon,names",
+    [
+        (DgpContinuousConfig, {"years": 20.0},
+         ("years", "delta", "kappa_bar", "beta", "jump_intensity", "jump_sd", "rho_vw", "rho_wz")),
+        (DgpDiscreteConfig, {"n_obs": 240}, ("kappa_bar", "beta", "rho")),
+    ],
+    ids=["continuous", "discrete"],
+)
+def test_non_finite_field_named(config, horizon, names, value):
+    # every float field; nan passes a sign or range check, inf overflows n_obs
+    assert set(names) == {f.name for f in dataclasses.fields(config) if f.type == "float"}
+    for name in names:
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            config(**{**horizon, name: value})
 
 
 class TestSimulateDiscrete:

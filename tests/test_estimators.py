@@ -22,7 +22,7 @@ from cauchypred import (
     recursive_demean,
     sign_conv,
 )
-from cauchypred.estimators import MAGNITUDE_BOUND
+from cauchypred.estimators import MAGNITUDE_BOUND, PARITIES, term_count
 from cauchypred.inference import group_t_outcomes, hybrid_outcomes
 
 
@@ -75,6 +75,79 @@ class TestRegressionSample:
         SampleBatch(np.full((400, 16), limit), np.full((400, 16), -limit))
         with pytest.raises(DomainError, match="y is too large"):
             SampleBatch(np.full((400, 16), 1.01 * limit), np.ones((400, 16)))
+
+
+def _malformed(fault):
+    """A 12-observation sample (y, x_lag, x_level) with one fault."""
+    gen = np.random.default_rng(8)
+    y, lev = gen.standard_normal(12), np.cumsum(gen.standard_normal(13))
+    x = lev[:-1].copy()
+    name, _, kind = fault.partition(" ")
+    # the bound at n = 12 observations, and so also past it for 13 levels
+    values = {"nan": np.nan, "inf": -np.inf, "too large": 1.01 * MAGNITUDE_BOUND / np.sqrt(12)}
+    if kind in values:
+        # the last entry: a fault in the last level leaves x_lag intact
+        {"y": y, "x_lag": x, "x_level": lev}[name][-1] = values[kind]
+    elif fault == "T = 1":
+        y, x, lev = y[:1], x[:1], lev[:2]
+    elif fault == "x_level length":
+        lev = np.append(lev, 0.0)
+    elif fault == "x_level differs":
+        lev = lev + 1.0
+    return y, x, lev
+
+
+class TestOneDataValidator:
+    # RegressionSample checks its data by building a SampleBatch, so every
+    # data fault fails both, with and without levels where that applies
+    @pytest.mark.parametrize("fault", [
+        "y nan", "y inf", "y too large", "x_lag nan", "x_lag inf", "x_lag too large",
+        "x_level nan", "x_level inf", "x_level too large", "T = 1", "x_level length",
+        "x_level differs",
+    ])
+    def test_rejected_by_sample_and_batch(self, fault):
+        y, x, lev = _malformed(fault)
+        with pytest.raises(DomainError):
+            RegressionSample(y=y, x_lag=x, x_level=lev)
+        with pytest.raises(DomainError):
+            SampleBatch(y[None], x[None], lev[None])
+        if not fault.startswith("x_level"):
+            with pytest.raises(DomainError):
+                RegressionSample(y=y, x_lag=x)
+            with pytest.raises(DomainError):
+                SampleBatch(y[None], x[None])
+        # the same sample without its fault is accepted by both
+        y, x, lev = _malformed("none")
+        RegressionSample(y=y, x_lag=x, x_level=lev)
+        SampleBatch(y[None], x[None], lev[None])
+
+    def test_multivariate_columns_checked_with_the_response(self):
+        gen = np.random.default_rng(9)
+        y, x = gen.standard_normal(20), gen.standard_normal((20, 3))
+        x[4, 2] = np.nan
+        with pytest.raises(DomainError, match="x_lag contains non-finite"):
+            RegressionSample(y=y, x_lag=x)
+        with pytest.raises(DomainError, match="univariate"):
+            RegressionSample(y=y, x_lag=gen.standard_normal((20, 2)), x_level=np.zeros(21))
+
+
+class TestTermCount:
+    @pytest.mark.parametrize("parity", (None,) + PARITIES)
+    def test_matches_the_kernel(self, parity):
+        # the size rule validate checks is the one the kernel applies
+        gen = np.random.default_rng(10)
+        for n in range(2, 41):
+            lev = np.cumsum(gen.standard_normal(n + 1))
+            batch = SampleBatch(gen.standard_normal((1, n)), lev[None, :-1], lev[None])
+            try:
+                expected = batch.terms(parity)[0].shape[-1]
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=str(exc)):
+                    term_count(n, parity)
+                # fewer than 2 pairs: (y_1, y_2) alone even, (y_2, y_3) alone odd
+                assert n < {"even": 4, "odd": 5}[parity]
+                continue
+            assert term_count(n, parity) == expected
 
 
 class TestSignConv:

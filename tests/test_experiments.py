@@ -175,6 +175,63 @@ class TestGridValidation:
             small_discrete_grid(methods=methods).validate()
 
 
+def size_grid(kind, T_values, method, **overrides):
+    """A one-method grid whose first T is the one under test."""
+    kw = dict(beta_values=(0.0,), kappa_values=(0.0,), vol_models=("CNST",), n_reps=3, master_seed=5)
+    kw.update(overrides)
+    return ExperimentGrid(dgp_kind=kind, T_values=T_values, methods=(method,), **kw)
+
+
+# q above the terms a T provides: 60 observations at 5 years, 29 odd pairs
+# at T = 60, 6 observations at half a year
+TOO_FEW_TERMS = [
+    ("continuous", (5.0, 10.0), "t100", 60),
+    ("discrete", (60.0, 240.0), "t40_tau_o", 60),
+    ("continuous", (0.5, 10.0), "t8", 6),
+]
+
+
+class TestSizeRules:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind,T_values,method,n_obs", TOO_FEW_TERMS)
+    def test_rejected_before_any_block(self, monkeypatch, workers, kind, T_values, method, n_obs):
+        # two T values make two blocks, so workers=2 would start a pool
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(experiments, "_run_combination", no_block)
+        grid = size_grid(kind, T_values, method)
+        with pytest.raises(SchemaError, match=f"method '{method}' cannot run at n_obs = {n_obs}:"):
+            run_grid(grid, workers=workers)
+
+    @pytest.mark.parametrize(
+        "kind,T,method", [("continuous", 5.0, "t60"), ("discrete", 60.0, "t29_tau_o")]
+    )
+    def test_boundary_accepted_and_runs(self, kind, T, method):
+        # q equal to the terms: one term per block
+        grid = size_grid(kind, (T,), method)
+        grid.validate()
+        assert run_grid(grid).n_reps == 3
+
+    def test_differenced_pairs(self):
+        # at least 2 pairs: T = 8 gives 3 odd pairs; the hybrid has no q
+        size_grid("discrete", (8.0,), "tau_o").validate()
+        with pytest.raises(SchemaError, match="'t4_tau_o' cannot run at n_obs = 8"):
+            size_grid("discrete", (8.0,), "t4_tau_o").validate()
+
+    def test_each_n_obs_checked_once(self, monkeypatch):
+        # run_grid re-validates on every call: the size rule runs per
+        # distinct (n_obs, method), not per combination
+        calls = []
+        real = experiments.term_count
+        monkeypatch.setattr(experiments, "term_count", lambda n, parity: calls.append(n) or real(n, parity))
+        size_grid(
+            "discrete", (60.0, 240.0), "tau_o",
+            beta_values=(0.0, 1.0, 2.0), kappa_values=(0.0, 5.0), vol_models=("CNST", "SB"),
+        ).validate()
+        assert sorted(calls) == [60, 240]
+
+
 class TestRunGrid:
     def test_frequencies_are_exact_counts(self):
         table = run_grid(small_discrete_grid())
