@@ -35,24 +35,42 @@ average, volatility chain, autoregression (one coefficient per row) and
 demeaning run over the whole (R, T) arrays.  The single-sample functions
 are their batch-of-one wrappers, so a row of a batch equals the sample of
 its config and stream bit for bit.
+
+Given a :class:`~cauchypred.estimators.Workspace`, the batch simulators and
+:func:`brownian_paths` write every (R, T) array into it with ``out=``: the
+draws, sigma_t, the shocks, eta, the levels, ``y`` and ``x_lag``, the RS
+chain's work arrays and the AR recursion's time-major steps.  The arithmetic
+is the same, so the values are too, bit for bit.  Without one (every public
+call) each array is a new allocation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .estimators import RegressionSample, SampleBatch, _recursive_demean, partition_consecutive
+from .estimators import (
+    RegressionSample,
+    SampleBatch,
+    Workspace,
+    _recursive_demean,
+    _workspace,
+    partition_consecutive,
+)
 from .rng import RngStream, generators
 
 VOL_MODELS = ("CNST", "SB", "RS", "GBM")
 
 # per-step scaling of daily paths used by the stochastic-volatility model
 TRADING_DAYS_PER_YEAR = 252
+
+# Most observations a sample may have: far above the paper's designs (1200
+# at most), and small enough that one sample's arrays fit in memory.
+MAX_N_OBS = 1_000_000
 
 # With fewer rows than this the AR recursion runs row by row on Python
 # floats; from it on, one vector step per time point across the rows is
@@ -68,8 +86,9 @@ RS_HIGH_PROB = 0.2    # RS long-run weight of the high state
 OMEGA_BAR = 9.0       # GBM volatility-of-volatility
 
 
-def _rs_states(u: np.ndarray) -> np.ndarray:
-    """Two-state chain with time-varying mixing, one path per row of ``u``.
+def _rs_sigma(u: np.ndarray, ws: Workspace) -> np.ndarray:
+    """sigma_t of the two-state chain with time-varying mixing, one path per
+    row of ``u``, as ``ws`` scratch; ``u`` is overwritten.
 
     The transition matrix starts at the identity and relaxes toward rows
     equal to the invariant law (1 - p, p) at rate lambda_bar in sample
@@ -84,17 +103,28 @@ def _rs_states(u: np.ndarray) -> np.ndarray:
     state, one at or above the second moves low from either, and one in
     between keeps the state: the path is a forward fill of those steps.
     """
-    n = u.shape[-1] - 1
+    rows, n = u.shape[0], u.shape[-1] - 1
     p = RS_HIGH_PROB
     decay = np.exp(-LAMBDA_BAR * np.arange(n) / n)  # step start as fraction of sample
     step = u[:, 1:]
-    goes_high = step < p * (1.0 - decay)
-    settled = goes_high | (step >= p + (1.0 - p) * decay)
-    state = np.concatenate([u[:, :1] < p, goes_high], axis=1)
-    source = np.where(np.concatenate([np.ones_like(u[:, :1], dtype=bool), settled], axis=1),
-                      np.arange(n + 1), 0)
-    np.maximum.accumulate(source, axis=1, out=source)
-    return np.take_along_axis(state, source, axis=1)[:, 1:]
+    sig = ws.scratch(step.shape)
+    with ws.frame():
+        source = ws.scratch(step.shape, np.intp)
+        state = ws.scratch(u.shape, bool)  # the initial state, then "goes high"
+        np.less(u[:, :1], p, out=state[:, :1])
+        np.less(step, p * (1.0 - decay), out=state[:, 1:])
+        settled = np.greater_equal(step, p + (1.0 - p) * decay, out=ws.scratch(step.shape, bool))
+        settled |= state[:, 1:]
+        # the flat index into `state` of the last settled step at or before
+        # each step; the initial state (column 0) counts as settled
+        np.multiply(settled, np.arange(1, n + 1), out=source)
+        np.maximum.accumulate(source, axis=1, out=source)
+        source += np.arange(0, rows * (n + 1), n + 1)[:, None]
+        levels = u  # the uniforms are spent: their buffer holds each state's sigma
+        levels[...] = SIGMA0
+        np.copyto(levels, SIGMA1, where=state)
+        np.take(levels.reshape(-1), source, out=sig, mode="clip")
+    return sig
 
 
 def _volatility_draws(model: str, n_steps: int) -> Optional[tuple[str, int]]:
@@ -108,27 +138,31 @@ def _volatility_draws(model: str, n_steps: int) -> Optional[tuple[str, int]]:
 
 
 def _volatility(
-    model: str, n_steps: int, total_years: float, draws: Optional[np.ndarray]
+    model: str, n_steps: int, total_years: float, draws: Optional[np.ndarray], ws: Workspace
 ) -> np.ndarray:
     """sigma_t of each path: (R, n_steps) from the (R, .) draws of RS and
-    GBM, one (n_steps,) row shared by every path for CNST and SB."""
+    GBM, as ``ws`` scratch (RS overwrites its uniforms), and one (n_steps,)
+    row shared by every path for CNST and SB."""
     if model == "CNST":
         return np.full(n_steps, SIGMA0)
     if model == "SB":
         frac = np.arange(1, n_steps + 1) / n_steps
         return np.where(frac >= BREAK_FRACTION, SIGMA1, SIGMA0).astype(float)
     if model == "RS":
-        return np.where(_rs_states(draws), SIGMA1, SIGMA0).astype(float)
+        return _rs_sigma(draws, ws)
     # GBM: exact log-step; sigma used at each step is the value at its start,
     # so the path stays adapted to the shock history.
     n_daily = max(int(round(total_years * TRADING_DAYS_PER_YEAR)), n_steps)
     om2 = OMEGA_BAR**2
     drift_total = 0.5 * (om2 - om2 * om2) / n_daily  # includes the Ito correction
     sd_total = om2 / np.sqrt(n_daily)
-    log_inc = drift_total / n_steps + sd_total / np.sqrt(n_steps) * draws
-    start = np.full(draws.shape[:-1] + (1,), np.log(SIGMA0**2))
-    log_sig2 = np.concatenate([start, np.cumsum(log_inc, axis=-1)[..., :-1]], axis=-1)
-    return np.exp(0.5 * log_sig2)
+    log_sig2 = ws.scratch(draws.shape)
+    log_sig2[:, 0] = np.log(SIGMA0**2)
+    log_inc = np.multiply(sd_total / np.sqrt(n_steps), draws[:, :-1], out=log_sig2[:, 1:])
+    log_inc += drift_total / n_steps
+    np.cumsum(log_inc, axis=-1, out=log_inc)
+    log_sig2 *= 0.5
+    return np.exp(log_sig2, out=log_sig2)
 
 
 def gen_volatility(
@@ -151,7 +185,7 @@ def gen_volatility(
         raise DomainError("n_steps must be >= 1")
     spec = _volatility_draws(model, n_steps)
     draws = None if spec is None else getattr(gen, spec[0])(spec[1])[None]
-    sigma = _volatility(model, n_steps, total_years, draws)
+    sigma = _volatility(model, n_steps, total_years, draws, _workspace(None))
     return sigma if draws is None else sigma[0]
 
 
@@ -186,6 +220,12 @@ class DgpContinuousConfig:
         _check_finite(self)
         if self.years <= 0 or self.delta <= 0:
             raise DomainError("years and delta must be positive")
+        # the first test also keeps years / delta finite for n_obs to round it
+        if self.years / self.delta > MAX_N_OBS + 1 or self.n_obs > MAX_N_OBS:
+            raise DomainError(
+                f"years / delta must give at most MAX_N_OBS = {MAX_N_OBS} observations, "
+                f"got years={self.years!r} with delta={self.delta!r}"
+            )
         if self.n_obs < 4:
             raise DomainError("sample is too short")
         if self.kappa_bar < 0:
@@ -220,6 +260,8 @@ class DgpDiscreteConfig:
         _check_finite(self)
         if self.n_obs < 8:
             raise DomainError("sample is too short")
+        if self.n_obs > MAX_N_OBS:
+            raise DomainError(f"n_obs must be at most MAX_N_OBS = {MAX_N_OBS}, got {self.n_obs}")
         if self.kappa_bar < 0:
             raise DomainError("kappa_bar must be nonnegative")
         if self.slope_scale not in ("per_sample", "raw"):
@@ -244,13 +286,20 @@ def ma_weights(order: int) -> np.ndarray:
     raise DomainError("ma_order must be 2 or 4")
 
 
-def _ma_filter(v_full: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+def _ma_filter(
+    v_full: np.ndarray, weights: np.ndarray, n: int, workspace: Optional[Workspace] = None
+) -> np.ndarray:
     """eta_t = sum_j w_j v_{t-j} for t = 1..n along the last axis, with
-    len(weights) burn-in draws."""
+    len(weights) burn-in draws, as ``workspace`` scratch."""
+    ws = _workspace(workspace)
     order = weights.shape[0]
-    eta = np.zeros(v_full.shape[:-1] + (n,))
-    for j in range(1, order + 1):
-        eta += weights[j - 1] * v_full[..., order - j : order - j + n]
+    shape = v_full.shape[:-1] + (n,)
+    eta = ws.scratch(shape)
+    eta[...] = 0.0
+    with ws.frame():
+        term = ws.scratch(shape)
+        for j in range(1, order + 1):
+            eta += np.multiply(weights[j - 1], v_full[..., order - j : order - j + n], out=term)
     return eta
 
 
@@ -263,26 +312,44 @@ def _ar_row(innovations: list, coefficient: float) -> list:
     return path
 
 
-def _ar_path(innovations: np.ndarray, coefficients) -> np.ndarray:
+def _ar_path(
+    innovations: np.ndarray,
+    coefficients,
+    out: Optional[np.ndarray] = None,
+    workspace: Optional[Workspace] = None,
+) -> np.ndarray:
     """x_t = c * x_{t-1} + innovations_t with x_0 = 0, along the last axis,
     where c is the path's entry of ``coefficients`` (broadcast over the
     leading axes: one number for every path, or one per path).
 
-    Every step rounds the product, then the sum, as the IIR filter this
-    replaced did, so both loop orders give the same paths bit for bit.
+    The paths are written into ``out`` (a new array if None; an (R, T)
+    array may be a strided view).  Every step rounds the product, then the
+    sum, as the IIR filter this replaced did, so both loop orders give the
+    same paths bit for bit.  The vector step runs over ``workspace``
+    scratch that holds the innovations time-major, so each step is
+    contiguous.
     """
-    rows = innovations.reshape(-1, innovations.shape[-1])
+    n = innovations.shape[-1]
+    rows = innovations.reshape(-1, n)
     coef = np.broadcast_to(np.asarray(coefficients, dtype=float), innovations.shape[:-1]).reshape(-1)
+    if out is None:
+        out = np.empty(innovations.shape)
+    paths = out.reshape(-1, n)
     if rows.shape[0] < AR_ROWS_PER_VECTOR_STEP:
-        paths = np.array([_ar_row(row, c) for row, c in zip(rows.tolist(), coef.tolist())])
-    else:
-        steps = rows.T.copy()  # time on the first axis, so each step is contiguous
-        prev = np.zeros(steps.shape[1])
-        for t in range(steps.shape[0]):
-            steps[t] += coef * prev
-            prev = steps[t]
-        paths = np.ascontiguousarray(steps.T)
-    return paths.reshape(innovations.shape)
+        paths[...] = [_ar_row(row, c) for row, c in zip(rows.tolist(), coef.tolist())]
+        return out
+    ws = _workspace(workspace)
+    with ws.frame():
+        steps = ws.scratch((n, rows.shape[0]))
+        np.copyto(steps, rows.T)
+        carried = ws.scratch(coef.shape)
+        prev = 0.0
+        multiply, add = np.multiply, np.add
+        for cur in steps:
+            add(cur, multiply(coef, prev, carried), cur)  # positional out: less call overhead
+            prev = cur
+        np.copyto(paths, steps.T)
+    return out
 
 
 def _per_row(configs: Sequence, streams: Sequence[RngStream]):
@@ -293,61 +360,85 @@ def _per_row(configs: Sequence, streams: Sequence[RngStream]):
         raise DomainError("a batch needs one config per stream, and at least one")
     distinct = list({id(c): c for c in configs}.values())
     model = distinct[0]
+    shared = [f.name for f in fields(model) if f.name not in ("beta", "kappa_bar")]
     for config in distinct[1:]:
-        if replace(config, beta=model.beta, kappa_bar=model.kappa_bar) != model:
+        if type(config) is not type(model) or any(getattr(config, f) != getattr(model, f) for f in shared):
             raise DomainError("the configs of a batch may differ only in beta and kappa_bar")
     beta = np.array([c.beta for c in configs])
     kappa = np.array([c.kappa_bar for c in configs])
     return model, beta, kappa
 
 
+def _correlate(
+    rho: float, anchor: np.ndarray, fresh: np.ndarray, out: np.ndarray, ws: Workspace
+) -> np.ndarray:
+    """rho * anchor + sqrt(1 - rho^2) * fresh, written into ``out`` (which
+    may be ``fresh``)."""
+    np.multiply(fresh, np.sqrt(1.0 - rho**2), out=out)
+    with ws.frame():
+        out += np.multiply(rho, anchor, out=ws.scratch(out.shape))
+    return out
+
+
 def simulate_continuous_batch(
-    configs: Sequence[DgpContinuousConfig], streams: Sequence[RngStream]
+    configs: Sequence[DgpContinuousConfig],
+    streams: Sequence[RngStream],
+    workspace: Optional[Workspace] = None,
 ) -> SampleBatch:
     """One replication of the no-intercept design per (config, stream)
     pair, as the rows of a batch; row r is
-    ``simulate_continuous(configs[r], streams[r])``."""
+    ``simulate_continuous(configs[r], streams[r])``.  With a ``workspace``
+    every (R, T) array, the batch's included, is one of its arrays."""
     config, beta, kappa = _per_row(configs, streams)
+    ws = _workspace(workspace)
     n, reps = config.n_obs, len(streams)
+    x_lag, y = ws.array("x", (reps, n)), ws.array("y", (reps, n))
     gbm = config.vol_model == "GBM"
     jumps = config.jump_intensity > 0
     vol = _volatility_draws(config.vol_model, n)
-    vol_draws = None if vol is None else np.empty((reps, vol[1]))
-    v_full = np.empty((reps, n + 2))
-    e_w = np.empty((reps, n))
-    e_v = np.empty((reps, n)) if gbm else None
-    counts = np.empty((reps, n)) if jumps else None
-    sizes = np.empty((reps, n)) if jumps else None
-    for r, gen in enumerate(generators(streams)):
-        if vol is not None:
-            getattr(gen, vol[0])(out=vol_draws[r])
+    with ws.frame():
+        vol_draws = None if vol is None else ws.scratch((reps, vol[1]))
+        v_full = ws.scratch((reps, n + 2))
+        e_w = ws.scratch((reps, n))
+        e_v = ws.scratch((reps, n)) if gbm else None
+        counts = ws.scratch((reps, n)) if jumps else None
+        sizes = ws.scratch((reps, n)) if jumps else None
+        for r, gen in enumerate(generators(streams)):
+            if vol is not None:
+                getattr(gen, vol[0])(out=vol_draws[r])
+            if gbm:
+                # order: error channel from the vol shocks, then the v channel
+                gen.standard_normal(out=e_w[r])
+                gen.standard_normal(out=e_v[r])
+                gen.standard_normal(out=v_full[r, :2])
+            else:
+                gen.standard_normal(out=v_full[r])
+                gen.standard_normal(out=e_w[r])
+            if jumps:
+                counts[r] = gen.poisson(config.jump_intensity * config.delta, n)
+                gen.standard_normal(out=sizes[r])
+        sig = _volatility(config.vol_model, n, config.years, vol_draws, ws)
+        # each shock channel is built in place of the draws it comes from
         if gbm:
-            # order: error channel from the vol shocks, then the v channel
-            gen.standard_normal(out=e_w[r])
-            gen.standard_normal(out=e_v[r])
-            gen.standard_normal(out=v_full[r, :2])
+            w = _correlate(config.rho_wz, vol_draws, e_w, e_w, ws)
+            _correlate(config.rho_vw, w, e_v, v_full[:, 2:], ws)
         else:
-            gen.standard_normal(out=v_full[r])
-            gen.standard_normal(out=e_w[r])
+            w = _correlate(config.rho_vw, v_full[:, 2:], e_w, e_w, ws)
         if jumps:
-            counts[r] = gen.poisson(config.jump_intensity * config.delta, n)
-            gen.standard_normal(out=sizes[r])
-    sig = _volatility(config.vol_model, n, config.years, vol_draws)
-    if gbm:
-        w = config.rho_wz * vol_draws + np.sqrt(1.0 - config.rho_wz**2) * e_w
-        v_full[:, 2:] = config.rho_vw * w + np.sqrt(1.0 - config.rho_vw**2) * e_v
-    else:
-        w = config.rho_vw * v_full[:, 2:] + np.sqrt(1.0 - config.rho_vw**2) * e_w
-    shocks = w
-    if jumps:
-        shocks = w + config.jump_sd * np.sqrt(counts) * sizes
-    eta = _ma_filter(v_full, ma_weights(2), n)
-    ar = 1.0 - kappa / config.years * config.delta
-    x_path = _ar_path(sig * eta, ar)
-    x_lag_raw = np.concatenate([np.zeros((reps, 1)), x_path[:, :-1]], axis=1)  # x_0 .. x_{n-1}
-    x_lag = _recursive_demean(x_lag_raw)
-    y = beta[:, None] * x_lag + sig * shocks
-    return SampleBatch(y=y, x_lag=x_lag)
+            jump = np.sqrt(counts, out=counts)
+            jump *= config.jump_sd
+            jump *= sizes
+            w += jump
+        eta = _ma_filter(v_full, ma_weights(2), n, ws)
+        eta *= sig
+        x_raw = ws.scratch((reps, n))  # x_0 .. x_{n-1}
+        x_raw[:, 0] = 0.0
+        _ar_path(eta[:, :-1], 1.0 - kappa / config.years * config.delta, out=x_raw[:, 1:], workspace=ws)
+        _recursive_demean(x_raw, out=x_lag)
+        np.multiply(beta[:, None], x_lag, out=y)
+        w *= sig
+        y += w
+    return SampleBatch(y=y, x_lag=x_lag, workspace=workspace)
 
 
 def simulate_continuous(config: DgpContinuousConfig, stream: RngStream) -> RegressionSample:
@@ -370,32 +461,40 @@ def simulate_continuous(config: DgpContinuousConfig, stream: RngStream) -> Regre
 
 
 def simulate_discrete_batch(
-    configs: Sequence[DgpDiscreteConfig], streams: Sequence[RngStream]
+    configs: Sequence[DgpDiscreteConfig],
+    streams: Sequence[RngStream],
+    workspace: Optional[Workspace] = None,
 ) -> SampleBatch:
     """One replication of the intercept-experiment design per (config,
     stream) pair, as the rows of a batch; row r is
-    ``simulate_discrete(configs[r], streams[r])``."""
+    ``simulate_discrete(configs[r], streams[r])``.  With a ``workspace``
+    every (R, T) array, the batch's included, is one of its arrays."""
     config, beta, kappa = _per_row(configs, streams)
+    ws = _workspace(workspace)
     n, reps, order = config.n_obs, len(streams), config.ma_order
+    x_level, y = ws.array("x", (reps, n + 1)), ws.array("y", (reps, n))  # x_0 .. x_n
     vol = _volatility_draws(config.vol_model, n)
-    vol_draws = None if vol is None else np.empty((reps, vol[1]))
-    v_full = np.empty((reps, n + order))
-    e = np.empty((reps, n))
-    for r, gen in enumerate(generators(streams)):
-        if vol is not None:
-            getattr(gen, vol[0])(out=vol_draws[r])
-        gen.standard_normal(out=v_full[r])
-        gen.standard_normal(out=e[r])
-    sig = _volatility(config.vol_model, n, float(n), vol_draws)
-    eta = _ma_filter(v_full, ma_weights(order), n)
-    anchor = v_full[:, order:] if config.endogeneity == "v" else eta
-    eps = config.rho * anchor + np.sqrt(1.0 - config.rho**2) * e
-    ar = 1.0 - kappa / n
-    x_path = _ar_path(sig * eta, ar)
-    x_level = np.concatenate([np.zeros((reps, 1)), x_path], axis=1)  # x_0 .. x_n
-    slope = beta / n if config.slope_scale == "per_sample" else beta
-    y = slope[:, None] * x_level[:, :-1] + sig * eps
-    return SampleBatch(y=y, x_lag=x_level[:, :-1], x_level=x_level)
+    with ws.frame():
+        vol_draws = None if vol is None else ws.scratch((reps, vol[1]))
+        v_full = ws.scratch((reps, n + order))
+        e = ws.scratch((reps, n))
+        for r, gen in enumerate(generators(streams)):
+            if vol is not None:
+                getattr(gen, vol[0])(out=vol_draws[r])
+            gen.standard_normal(out=v_full[r])
+            gen.standard_normal(out=e[r])
+        sig = _volatility(config.vol_model, n, float(n), vol_draws, ws)
+        eta = _ma_filter(v_full, ma_weights(order), n, ws)
+        anchor = v_full[:, order:] if config.endogeneity == "v" else eta
+        eps = _correlate(config.rho, anchor, e, e, ws)
+        eta *= sig
+        x_level[:, 0] = 0.0
+        _ar_path(eta, 1.0 - kappa / n, out=x_level[:, 1:], workspace=ws)
+        slope = beta / n if config.slope_scale == "per_sample" else beta
+        np.multiply(slope[:, None], x_level[:, :-1], out=y)
+        eps *= sig
+        y += eps
+    return SampleBatch(y=y, x_lag=x_level[:, :-1], x_level=x_level, workspace=workspace)
 
 
 def simulate_discrete(config: DgpDiscreteConfig, stream: RngStream) -> RegressionSample:
@@ -434,19 +533,30 @@ def abs_integral_blocks(path: np.ndarray, q: int) -> BrownianAbsFunctionals:
     )
 
 
-def brownian_paths(gen: np.random.Generator, count: int, n_steps: int, demean: bool = False) -> np.ndarray:
+def brownian_paths(
+    gen: np.random.Generator,
+    count: int,
+    n_steps: int,
+    demean: bool = False,
+    workspace: Optional[Workspace] = None,
+) -> np.ndarray:
     """``count`` paths of left-endpoint values of a standard Brownian motion
     on [0, 1], one per row, drawn from ``gen`` path after path.
 
     With ``demean=True`` the running mean of each path is subtracted, the
-    same recursive recentering applied to predictors.
+    same recursive recentering applied to predictors.  With a ``workspace``
+    the normals, the path and its running mean are its arrays.
     """
     if n_steps < 100:
         raise DomainError("need at least 100 steps")
-    z = gen.standard_normal((count, n_steps))
-    w = np.cumsum(z, axis=-1) / np.sqrt(n_steps)
-    path = np.concatenate([np.zeros((count, 1)), w[:, :-1]], axis=1)
-    return _recursive_demean(path) if demean else path
+    ws = _workspace(workspace)
+    z = gen.standard_normal(out=ws.array("brownian.normals", (count, n_steps)))
+    path = ws.array("brownian.path", (count, n_steps))
+    path[:, 0] = 0.0
+    w = np.cumsum(z[:, :-1], axis=-1, out=path[:, 1:])
+    w /= np.sqrt(n_steps)
+    # the normals are spent: their buffer takes the demeaned path
+    return _recursive_demean(path, out=z) if demean else path
 
 
 def brownian_path(gen: np.random.Generator, n_steps: int, demean: bool = False) -> np.ndarray:

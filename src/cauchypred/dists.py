@@ -82,8 +82,10 @@ def _t_lower_tail(x: np.ndarray, df: int) -> np.ndarray:
     bound = max(split, max((a + b) / (b + 1.0), 1.0) * (1.0 - split))
     n_terms = math.ceil(math.log(_SERIES_TOL * (1.0 - bound)) / math.log(bound))
     i = np.arange(n_terms)
-    ratios = np.where(direct[:, None], (a + b + i) / (a + 1.0 + i), (a + b + i) / (b + 1.0 + i))
-    series = 1.0 + np.cumprod(ratios * arg[:, None], axis=1).sum(axis=1)
+    # one (x, terms) work array: the ratios, then the terms, then their running products
+    terms = np.where(direct[:, None], (a + b + i) / (a + 1.0 + i), (a + b + i) / (b + 1.0 + i))
+    terms *= arg[:, None]
+    series = 1.0 + np.cumprod(terms, axis=1, out=terms).sum(axis=1)
     ix = arg**p * rest**q / (p * math.exp(_log_beta(a, b))) * series  # B(a, b) = B(b, a)
     return 0.5 * np.where(direct, ix, 1.0 - ix).reshape(x.shape)
 

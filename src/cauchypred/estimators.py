@@ -14,11 +14,18 @@ arrays, so the same code serves one :class:`RegressionSample` and a
 engine's unit of work).  Data is validated where it enters, when a sample
 or a batch is built, not again by each statistic.  The estimators are pure
 functions and safe for unrestricted concurrent use.
+
+A batch built with a :class:`Workspace` writes its (R, T) intermediates
+into that workspace's buffers instead of allocating them, which the Monte
+Carlo engine uses to run block after block without returning memory to the
+system and faulting it in again.  A workspace belongs to one thread; every
+public function and a batch built without one allocate fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +46,81 @@ PARITIES = ("even", "odd")
 # every sum of squares or cross products the tests form below 1e300, so none
 # overflows to inf and turns a statistic into 0 or nan.
 MAGNITUDE_BOUND = 1e150
+
+
+class Workspace:
+    """Reusable buffers that the arrays of a Monte Carlo block are written into.
+
+    Each buffer is float64 and grows to the largest request it has served;
+    it never shrinks, and an array of another dtype views its bytes.  Two
+    kinds of array are handed out, uninitialised:
+
+    * :meth:`array` backs an array that outlives the function taking it (a
+      batch's data, its cached sign terms) with the buffer of that name; it
+      stays valid until the name is requested again, by the next block.
+    * :meth:`scratch` backs an intermediate with the next free scratch
+      buffer; it stays valid until the :meth:`frame` it was taken in exits,
+      and the next frame reuses the buffer.  So the simulation's draws and
+      the tests' centred data share memory, and a workspace holds about as
+      many arrays as a block has alive at once.
+
+    A workspace is not thread-safe: each thread owns its own.
+    """
+
+    __slots__ = ("_buffers", "_depth")
+
+    def __init__(self) -> None:
+        self._buffers: dict = {}
+        self._depth = 0
+
+    def _take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        words = -(-count * dtype.itemsize // 8)
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.size < words:
+            buffer = self._buffers[key] = np.empty(words)
+        return buffer.view(dtype)[:count].reshape(shape)
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        return self._take(name, shape, dtype)
+
+    def scratch(self, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        self._depth += 1
+        return self._take(self._depth, shape, dtype)  # scratch buffers are keyed by depth
+
+    @contextmanager
+    def frame(self):
+        depth = self._depth
+        try:
+            yield
+        finally:
+            self._depth = depth
+
+
+class _FreshArrays:
+    """Stands in for a workspace where a caller passed none: every array it
+    hands out is a new allocation, and its frames do nothing."""
+
+    __slots__ = ()
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+    def scratch(self, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+    def frame(self):
+        return _NO_FRAME
+
+
+_FRESH = _FreshArrays()
+_NO_FRAME = nullcontext()
+
+
+def _workspace(workspace: Optional[Workspace]):
+    """``workspace``, or fresh arrays where it is None."""
+    return _FRESH if workspace is None else workspace
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -121,12 +203,14 @@ class SampleBatch:
     :class:`RegressionSample`.  The data is validated once, on
     construction.  The intermediates a test needs (:meth:`terms`,
     :meth:`residual_variance`) are cached on the batch, so every method
-    evaluated on it shares them.
+    evaluated on it shares them.  With a ``workspace`` they are written into
+    its buffers, and the batch is valid only until the workspace serves the
+    next block.
     """
 
-    __slots__ = ("y", "x_lag", "x_level", "_cache")
+    __slots__ = ("y", "x_lag", "x_level", "_cache", "_workspace")
 
-    def __init__(self, y, x_lag, x_level=None) -> None:
+    def __init__(self, y, x_lag, x_level=None, workspace: Optional[Workspace] = None) -> None:
         y = _as_float_array(y, "y")
         # with levels, x_lag is checked by equality to the checked x_level:
         # a nan or inf in it fails that
@@ -143,6 +227,7 @@ class SampleBatch:
                 raise DomainError("x_lag must equal the first T columns of x_level")
         self.y, self.x_lag, self.x_level = y, x, x_level
         self._cache: dict = {}
+        self._workspace = workspace
 
     @classmethod
     def of(cls, sample: RegressionSample) -> "SampleBatch":
@@ -156,7 +241,7 @@ class SampleBatch:
         that parity (see :func:`diff_terms`)."""
         key = ("terms", parity)
         if key not in self._cache:
-            self._cache[key] = _sign_terms(self.y, self.x_lag, self.x_level, parity)
+            self._cache[key] = _sign_terms(self.y, self.x_lag, self.x_level, parity, self._workspace)
         return self._cache[key]
 
     def residual_variance(self, intercept: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +249,11 @@ class SampleBatch:
         whether the row's design is singular."""
         key = ("omega", intercept)
         if key not in self._cache:
-            _, residuals, singular = _ols(self.y, self.x_lag[..., None], intercept)
-            self._cache[key] = (_mean_square(residuals), singular)
+            ws = _workspace(self._workspace)
+            with ws.frame():
+                _, residuals, singular = _ols(self.y, self.x_lag[..., None], intercept, ws)
+                # the residuals are scratch: square them in place
+                self._cache[key] = (np.mean(np.square(residuals, out=residuals), axis=-1), singular)
         return self._cache[key]
 
 
@@ -290,17 +378,19 @@ def group_gammas(sample: RegressionSample, q: int) -> GroupStatistics:
     return GroupStatistics.from_terms(_sign_terms(sample.y, sample.x1(), None, None)[0], q)
 
 
-def _ols(y: np.ndarray, X: np.ndarray, intercept: bool):
+def _ols(y: np.ndarray, X: np.ndarray, intercept: bool, workspace: Optional[Workspace] = None):
     """Least squares of y (..., T) on X (..., T, K), per leading index.
 
     Returns the slopes (..., K), the residuals (..., T) and whether each
     design is singular.  The slopes and residuals of a singular design mean
     nothing; they are computed only so the other samples of a batch are
-    unaffected.
+    unaffected.  The centred data and the residuals are ``workspace``
+    scratch, taken in the caller's frame.
     """
+    ws = _workspace(workspace)
     if intercept:
-        y = y - y.mean(axis=-1, keepdims=True)
-        X = X - X.mean(axis=-2, keepdims=True)
+        y = np.subtract(y, y.mean(axis=-1, keepdims=True), out=ws.scratch(y.shape))
+        X = np.subtract(X, X.mean(axis=-2, keepdims=True), out=ws.scratch(X.shape))
     Xt = np.swapaxes(X, -1, -2)
     xtx = Xt @ X
     xty = Xt @ y[..., None]
@@ -313,8 +403,8 @@ def _ols(y: np.ndarray, X: np.ndarray, intercept: bool):
     else:
         singular = np.asarray(np.linalg.matrix_rank(xtx) < k)
         beta = np.linalg.solve(np.where(singular[..., None, None], np.eye(k), xtx), xty)
-    residuals = y - (X @ beta)[..., 0]
-    return beta[..., 0], residuals, singular
+    fitted = np.matmul(X, beta, out=ws.scratch(X.shape[:-1] + (1,)))[..., 0]
+    return beta[..., 0], np.subtract(y, fitted, out=fitted), singular
 
 
 def ols_fit(
@@ -355,21 +445,40 @@ def term_count(n_obs: int, parity: Optional[Parity]) -> int:
     return pairs
 
 
-def _sign_terms(y, x_lag, x_level, parity: Optional[Parity]) -> tuple[np.ndarray, np.ndarray]:
+def _sign_into(x: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
+    """:func:`_sign` of ``x``, written into ``out``."""
+    with ws.frame():
+        positive = np.greater_equal(x, 0.0, out=ws.scratch(x.shape, bool))
+        np.multiply(positive, 2.0, out=out)
+    out -= 1.0
+    return out
+
+
+def _sign_terms(
+    y, x_lag, x_level, parity: Optional[Parity], workspace: Optional[Workspace] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator terms on the last axis: sign(x_{t-1}) y_t
-    and |x_{t-1}| for ``parity=None``, else the differenced pairs."""
+    and |x_{t-1}| for ``parity=None``, else the differenced pairs; both are
+    ``workspace`` arrays of their own per parity."""
+    ws = _workspace(workspace)
+    numer, denom = f"numer.{parity}", f"denom.{parity}"
     if parity is None:
-        return _sign(x_lag) * y, np.abs(x_lag)
+        terms = _sign_into(x_lag, ws.array(numer, x_lag.shape), ws)
+        terms *= y
+        return terms, np.abs(x_lag, out=ws.array(denom, x_lag.shape))
     pairs = term_count(y.shape[-1], parity)
     if x_level is None:
         raise DomainError("differenced estimators require x_level on the sample")
     start = PARITIES.index(parity)
     first, second = slice(start, start + 2 * pairs, 2), slice(start + 1, start + 2 * pairs, 2)
-    inst = _sign(x_level[..., first])
-    return (
-        inst * (y[..., second] - y[..., first]),
-        inst * (x_level[..., second] - x_level[..., first]),
-    )
+    shape = y.shape[:-1] + (pairs,)
+    dy = np.subtract(y[..., second], y[..., first], out=ws.array(numer, shape))
+    dx = np.subtract(x_level[..., second], x_level[..., first], out=ws.array(denom, shape))
+    with ws.frame():
+        inst = _sign_into(x_level[..., first], ws.scratch(shape), ws)
+        dy *= inst
+        dx *= inst
+    return dy, dx
 
 
 def diff_terms(sample: RegressionSample, parity: Parity) -> tuple[np.ndarray, np.ndarray]:
@@ -394,9 +503,10 @@ def diff_cauchy(sample: RegressionSample, parity: Parity) -> CauchyFit:
     return _checked_fit(*diff_terms(sample, parity))
 
 
-def _recursive_demean(lev: np.ndarray) -> np.ndarray:
-    running_mean = np.cumsum(lev, axis=-1) / np.arange(1, lev.shape[-1] + 1)
-    return lev - running_mean
+def _recursive_demean(lev: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    running_mean = np.cumsum(lev, axis=-1, out=out)
+    running_mean /= np.arange(1, lev.shape[-1] + 1)
+    return np.subtract(lev, running_mean, out=running_mean)
 
 
 def recursive_demean(x_level) -> np.ndarray:

@@ -23,6 +23,12 @@ replications per combination, and the intermediates the methods share
 depends on its own sample only, so the counts do not depend on the block
 size.  :class:`McTable` keeps the counts as one dense array.
 
+Each thread (so each worker process of a pool) writes the arrays of every
+block it runs, and of every :func:`d2_study` chunk, into one
+:class:`~cauchypred.estimators.Workspace` whose buffers grow to the largest
+block and are never freed.  Blocks therefore neither allocate nor fault
+their memory in again; no array of a block outlives it.
+
 A method label names one of the paper's two tests (test family) on one
 sample form, a :class:`MethodSpec` ``(q, parity)``.  :func:`evaluate_batch`
 is the only label -> test dispatcher; :func:`evaluate_method` runs it on a
@@ -39,8 +45,8 @@ hybrid                      ``tau``     ``tau_e`` / ``tau_o``
 from __future__ import annotations
 
 import itertools
-import math
 import re
+import threading
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -58,7 +64,7 @@ from .dgp import (
     simulate_discrete_batch,
 )
 from .errors import DomainError, PartitionError, SchemaError
-from .estimators import PARITIES, RegressionSample, SampleBatch, group_block_size, term_count
+from .estimators import PARITIES, RegressionSample, SampleBatch, Workspace, group_block_size, term_count
 from .inference import BatchOutcomes, TestOutcome, check_level, group_t_outcomes, hybrid_outcomes
 from .rng import RngStream, substream_index
 
@@ -115,6 +121,8 @@ def evaluate_batch(
 
 
 _DGP_CONFIGS = {"continuous": DgpContinuousConfig, "discrete": DgpDiscreteConfig}
+# the grid's coordinates, in the order of a combination's (beta, kappa, T, vol)
+_AXES = ("beta_values", "kappa_values", "T_values", "vol_models")
 
 
 def _only(design: str, name: str):
@@ -154,14 +162,9 @@ class ExperimentGrid:
     endogeneity: str = _only("discrete", "endogeneity")
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            values = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise SchemaError(f"{f.name} must be finite, got {value!r}")
         if self.dgp_kind not in ("continuous", "discrete"):
             raise SchemaError(f"dgp_kind must be 'continuous' or 'discrete', got {self.dgp_kind!r}")
-        for name in ("beta_values", "kappa_values", "T_values", "vol_models", "methods"):
+        for name in (*_AXES, "methods"):
             values = getattr(self, name)
             if len(values) == 0:
                 raise SchemaError(f"{name} must be nonempty")
@@ -181,14 +184,21 @@ class ExperimentGrid:
                 )
         if self.dgp_kind == "discrete" and not all(float(T).is_integer() for T in self.T_values):
             raise SchemaError("T_values must be whole numbers under the discrete design")
-        # ask the owners of the seed, level, model and size rules before any block runs
-        axes = (self.beta_values, self.kappa_values, self.T_values, self.vol_models)
+        # ask the owners of the seed, level, model and size rules before any
+        # block runs; the DGP configs own the finite and range rules of every
+        # coordinate and knob
         try:
             RngStream(self.master_seed)
             check_level(self.alpha, self.sided)
-            n_obs = {self.dgp_config(*combination).n_obs for combination in itertools.product(*axes)}
         except DomainError as exc:
             raise SchemaError(str(exc)) from exc
+        n_obs = set()
+        for combination in itertools.product(*(getattr(self, axis) for axis in _AXES)):
+            try:
+                n_obs.add(self.dgp_config(*combination).n_obs)
+            except DomainError as exc:
+                at = ", ".join(f"{axis} entry {value!r}" for axis, value in zip(_AXES, combination))
+                raise SchemaError(f"{exc}; at {at}") from exc
         for n, s in itertools.product(sorted(n_obs), specs):
             try:
                 terms = term_count(n, s.parity)
@@ -344,15 +354,26 @@ class McTable:
 # T = 1200 that is 40 rows, 384 KB.
 BLOCK_ELEMENTS = 48_000
 
+_THREAD = threading.local()
 
-def _run_combination(grid: ExperimentGrid, T, vol, rows: range) -> np.ndarray:
+
+def _block_workspace() -> Workspace:
+    """The calling thread's workspace, which every block and d2 chunk it
+    runs reuses (one per worker process in a pool)."""
+    if not hasattr(_THREAD, "workspace"):
+        _THREAD.workspace = Workspace()
+    return _THREAD.workspace
+
+
+def _run_combination(grid: ExperimentGrid, T, vol, rows: range, models: tuple) -> np.ndarray:
     """The unit of work of :func:`run_grid`: one block of rows of the
     (T, vol) group, simulated and tested together.
 
     Row ``i`` of the group is replication ``i % n_reps`` of the group's
     ``i // n_reps``-th (beta, kappa) pair in grid order, drawn from the
-    stream of that replication.  Returns the rejection and degenerate
-    counts the block adds, as a (pairs, methods, 2) array.
+    stream of that replication; ``models`` holds the DGP config of each
+    pair.  Returns the rejection and degenerate counts the block adds, as a
+    (pairs, methods, 2) array.
     """
     specs = [parse_method(m) for m in grid.methods]
     pairs = list(itertools.product(grid.beta_values, grid.kappa_values))
@@ -365,9 +386,9 @@ def _run_combination(grid: ExperimentGrid, T, vol, rows: range) -> np.ndarray:
         reps = range(max(rows.start - j * n, 0), min(rows.stop - j * n, n))
         starts.append(len(streams))
         streams += [RngStream(grid.master_seed, substream_index(signature, rep)) for rep in reps]
-        configs += [grid.dgp_config(beta, kappa, T, vol)] * len(reps)
+        configs += [models[j]] * len(reps)
     simulate = simulate_continuous_batch if grid.dgp_kind == "continuous" else simulate_discrete_batch
-    batch = simulate(configs, streams)
+    batch = simulate(configs, streams, _block_workspace())
     counts = np.zeros((len(pairs), len(specs), 2), dtype=np.int64)
     span = slice(first, first + len(starts))
     for k, spec in enumerate(specs):
@@ -399,19 +420,23 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     grid.validate()
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    pairs = len(grid.beta_values) * len(grid.kappa_values)
-    rows = pairs * grid.n_reps  # in each (T, vol) group
+    pairs = list(itertools.product(grid.beta_values, grid.kappa_values))
+    rows = len(pairs) * grid.n_reps  # in each (T, vol) group
     blocks = []  # (elements, T index, vol index, rows of the group)
-    first_pair = (grid.beta_values[0], grid.kappa_values[0])
+    models = {}  # (T index, vol index) -> the config of each (beta, kappa) pair
     for t, v in np.ndindex(len(grid.T_values), len(grid.vol_models)):
-        n_obs = grid.dgp_config(*first_pair, grid.T_values[t], grid.vol_models[v]).n_obs
+        T, vol = grid.T_values[t], grid.vol_models[v]
+        models[t, v] = tuple(grid.dgp_config(beta, kappa, T, vol) for beta, kappa in pairs)
+        n_obs = models[t, v][0].n_obs
         step = max(1, BLOCK_ELEMENTS // n_obs)
         blocks += [
             (min(step, rows - start) * n_obs, t, v, range(start, min(start + step, rows)))
             for start in range(0, rows, step)
         ]
     blocks.sort(key=lambda b: b[0], reverse=True)
-    tasks = [(grid, grid.T_values[t], grid.vol_models[v], block) for _, t, v, block in blocks]
+    tasks = [
+        (grid, grid.T_values[t], grid.vol_models[v], block, models[t, v]) for _, t, v, block in blocks
+    ]
     if workers == 1 or len(tasks) == 1:
         results = [_run_combination(*task) for task in tasks]
     else:
@@ -421,7 +446,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
             futures = [pool.submit(_run_combination, *task) for task in tasks]
             results = [f.result() for f in futures]
     counts = np.zeros(
-        (pairs, len(grid.T_values), len(grid.vol_models), len(grid.methods), 2), dtype=np.int64
+        (len(pairs), len(grid.T_values), len(grid.vol_models), len(grid.methods), 2), dtype=np.int64
     )
     for (_, t, v, _), result in zip(blocks, results):
         counts[:, t, v] += result
@@ -482,6 +507,7 @@ def d2_study(
     if not np.isfinite(threshold):
         raise DomainError(f"threshold must be finite, got {threshold}")
     values = np.empty(n_draws)
+    workspace = _block_workspace()
     pos = 0
     chunk_id = 0
     while pos < n_draws:
@@ -491,7 +517,7 @@ def d2_study(
         gen = stream.generator()
         for i in range(0, take, _D2_BLOCK):
             count = min(_D2_BLOCK, take - i)
-            paths = brownian_paths(gen, count, n_steps, demean=True)
+            paths = brownian_paths(gen, count, n_steps, demean=True, workspace=workspace)
             values[pos + i : pos + i + count] = d_statistic(abs_integral_blocks(paths, 2))
         pos += take
         chunk_id += 1

@@ -43,9 +43,9 @@ def generators(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
     """The generator of each stream in turn, each starting in the state of a
     fresh ``stream.generator()``, so it yields the same variates.
 
-    One Philox generator is re-keyed for every stream, which costs about a
-    quarter of building a new one.  A generator yielded is valid only until
-    the next one is requested.
+    One Philox generator is re-keyed for every stream, from Python ints
+    rather than new arrays, which costs far less than building a new one.
+    A generator yielded is valid only until the next one is requested.
     """
     bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bit_generator)
@@ -53,10 +53,10 @@ def generators(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
         bit_generator.state = {
             "bit_generator": "Philox",
             "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([stream.master_seed, stream.stream_index], dtype=np.uint64),
+                "counter": (0, 0, 0, 0),
+                "key": (stream.master_seed, stream.stream_index),
             },
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,

@@ -9,6 +9,7 @@ import pytest
 from cauchypred import cli, experiments
 from cauchypred.cli import main
 from cauchypred.dataio import bundled_config_names, parse_csv
+from cauchypred.dgp import MAX_N_OBS
 from cauchypred.experiments import McTable, evaluate_method, parse_method
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -281,6 +282,17 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {field} must be finite")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--years", "1e300"], "years / delta must give at most MAX_N_OBS"),
+        (["--dgp", "discrete", "--n-obs", str(MAX_N_OBS + 1)], "n_obs must be at most MAX_N_OBS"),
+    ], ids=["years", "n_obs"])
+    def test_horizon_bound_fails_cleanly(self, capsys, flags, message):
+        # a horizon beyond MAX_N_OBS observations fails before any array is made
+        assert main(["simulate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_discrete_dump(self, tmp_path):
         out = tmp_path / "sim.csv"

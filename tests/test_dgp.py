@@ -26,7 +26,8 @@ from cauchypred import (
     simulate_continuous,
     simulate_discrete,
 )
-from cauchypred.dgp import VOL_MODELS, _ar_path, abs_integral_blocks
+from cauchypred.dgp import MAX_N_OBS, VOL_MODELS, _ar_path, abs_integral_blocks
+from cauchypred.estimators import Workspace
 
 
 class TestVolatility:
@@ -164,14 +165,27 @@ class TestSimulateContinuous:
         innovations = RngStream(21, n).generator().standard_normal(n)
         expected = signal.lfilter([1.0], [1.0, -coefficient], innovations)
         assert np.array_equal(_ar_path(innovations, coefficient), expected)
-        # one coefficient per row, at 3 rows (row loop) and 30 (vector step)
+        # one coefficient per row, on both sides of AR_ROWS_PER_VECTOR_STEP
+        # (24): the row loop below it, the vector step from it on
         others = [1.0, 0.99, 0.5]
-        for rows in (3, 30):
+        for rows in (3, 23, 24, 25, 30):
             coefficients = np.array(([coefficient] + others) * rows)[:rows]
             block = RngStream(21, n).generator().standard_normal((rows, n))
             paths = _ar_path(block, coefficients)
             for row, c, path in zip(block, coefficients, paths):
                 assert np.array_equal(path, signal.lfilter([1.0], [1.0, -c], row))
+        # strided (rows, n) views in and out, as the simulators pass them,
+        # with a workspace reused across calls
+        workspace = Workspace()
+        for rows in (3, 30):
+            coefficients = np.array(([coefficient] + others) * rows)[:rows]
+            wide = RngStream(22, n).generator().standard_normal((2 * n, rows)).T[:, ::2]
+            out = np.full((rows, n + 1), np.nan)
+            for _ in range(2):
+                _ar_path(wide, coefficients, out=out[:, 1:], workspace=workspace)
+                for row, c, path in zip(wide, coefficients, out[:, 1:]):
+                    assert np.array_equal(path, signal.lfilter([1.0], [1.0, -c], row))
+            assert np.isnan(out[:, 0]).all()
 
     def test_import_leaves_out_scipy_signal(self):
         # scipy is a test dependency only: no scipy module, not even the
@@ -218,6 +232,19 @@ class TestSimulateContinuous:
         for knobs in ({"jump_intensity": -1.0}, {"jump_sd": -3.0}):
             with pytest.raises(DomainError, match="jump"):
                 DgpContinuousConfig(years=5, **knobs)
+
+
+def test_n_obs_bound():
+    # up to MAX_N_OBS observations, in either design; beyond it, or a
+    # horizon whose years / delta overflows, is named before anything is drawn
+    assert DgpDiscreteConfig(n_obs=MAX_N_OBS).n_obs == MAX_N_OBS
+    assert DgpContinuousConfig(years=MAX_N_OBS / 12).n_obs == MAX_N_OBS
+    assert DgpContinuousConfig(years=1.0, delta=1.0 / MAX_N_OBS).n_obs == MAX_N_OBS
+    with pytest.raises(DomainError, match="^n_obs must be at most"):
+        DgpDiscreteConfig(n_obs=MAX_N_OBS + 1)
+    for horizon in ({"years": (MAX_N_OBS + 1) / 12}, {"years": 1e300}, {"years": 1e300, "delta": 1e-300}):
+        with pytest.raises(DomainError, match="^years / delta must give at most"):
+            DgpContinuousConfig(**horizon)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

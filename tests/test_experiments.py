@@ -2,6 +2,9 @@
 agreement, worker-count invariance, and the exceedance study."""
 
 import dataclasses
+import sys
+import threading
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from cauchypred import (
     CauchyPredError,
+    DgpContinuousConfig,
     DgpDiscreteConfig,
     DomainError,
     ExperimentGrid,
@@ -25,6 +29,7 @@ from cauchypred import (
     parse_method,
     run_cell,
     run_grid,
+    simulate_continuous_batch,
     simulate_discrete,
     simulate_discrete_batch,
     t_q_test,
@@ -167,6 +172,25 @@ class TestGridValidation:
         # T counts observations; 240.5 would simulate 240 but label the cell 240.5
         with pytest.raises(SchemaError, match="whole numbers"):
             small_discrete_grid(T_values=(60.0, 240.5)).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", ["continuous", "discrete"])
+    def test_non_finite_field_named(self, kind, value):
+        # the DGP configs and check_level own the finite rule; the grid's
+        # message still names the field, or the coordinate entry, at fault
+        base = size_grid(kind, (20.0, 60.0), "tau", beta_values=(0.0, 1.0), kappa_values=(0.0, 5.0))
+        hints = typing.get_type_hints(ExperimentGrid)
+        names = [
+            f.name for f in dataclasses.fields(ExperimentGrid)
+            if hints[f.name] in (float, tuple[float, ...]) and f.metadata.get("design", kind) == kind
+        ]
+        assert {"beta_values", "kappa_values", "T_values", "alpha"} < set(names)
+        for name in names:
+            bad = (getattr(base, name)[0], value) if name.endswith("_values") else value
+            with pytest.raises(SchemaError) as info:
+                dataclasses.replace(base, **{name: bad}).validate()
+            message = str(info.value)
+            assert message.startswith(name) or f"{name} entry {value!r}" in message, message
 
     @pytest.mark.parametrize("methods", [("tau_o", "tau_o"), ("t8", "t08")])
     def test_duplicate_methods(self, methods):
@@ -377,6 +401,111 @@ class TestRunGrid:
         grid = small_discrete_grid(rho=-0.5, endogeneity="eta")
         config = grid.dgp_config(0.0, 50.0, 60.0, "CNST")
         assert config == DgpDiscreteConfig(n_obs=60, kappa_bar=50.0, rho=-0.5, endogeneity="eta")
+
+
+def in_new_thread(work):
+    """``work()`` run in a new thread, which owns a new, empty block workspace."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(work()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def continuous_grid(**overrides):
+    kw = dict(
+        dgp_kind="continuous", beta_values=(0.0, 0.02), kappa_values=(0.0, 5.0), T_values=(5.0,),
+        vol_models=("RS", "GBM"), methods=("t8", "tau"), n_reps=7, master_seed=3,
+    )
+    kw.update(overrides)
+    return ExperimentGrid(**kw)
+
+
+class TestBlockWorkspace:
+    """run_grid and d2_study write each block's arrays into one workspace per
+    thread, which later blocks of any shape overwrite."""
+
+    def test_public_batches_are_not_overwritten(self):
+        configs = [DgpDiscreteConfig(n_obs=60, kappa_bar=5.0, vol_model="RS")] * 30
+        discrete = simulate_discrete_batch(configs, [RngStream(4, i) for i in range(30)])
+        continuous = simulate_continuous_batch(
+            [DgpContinuousConfig(years=5.0, vol_model="GBM")] * 30, [RngStream(4, i) for i in range(30)]
+        )
+
+        def arrays():
+            out = [discrete.y, discrete.x_lag, discrete.x_level, continuous.y, continuous.x_lag]
+            out += [t for parity in (None, "even", "odd") for t in discrete.terms(parity)]
+            out += list(continuous.terms(None))
+            out += [v for batch in (discrete, continuous) for v in batch.residual_variance(True)]
+            return out
+
+        before = [a.copy() for a in arrays()]
+        # larger blocks of both designs, in this thread's workspace
+        run_grid(small_discrete_grid(T_values=(60.0, 240.0), vol_models=("RS", "SB"), n_reps=90))
+        run_grid(continuous_grid(T_values=(5.0, 20.0), n_reps=30))
+        d2_study(1000, 200)
+        for a, b in zip(arrays(), before):
+            assert np.array_equal(a, b)
+
+    def test_block_shapes_in_either_order(self):
+        # grids of different (T, rows) shapes in both designs, run smaller
+        # first, larger first and mixed, each against fresh runs: a new
+        # thread's workspace and a pool
+        grids = [
+            small_discrete_grid(n_reps=11),
+            small_discrete_grid(T_values=(240.0, 120.0), vol_models=("RS", "SB"), n_reps=150),
+            continuous_grid(),
+            continuous_grid(T_values=(20.0, 10.0), vol_models=("RS", "GBM", "CNST"), n_reps=25),
+        ]
+        fresh = [in_new_thread(lambda: run_grid(grid).to_csv_text()) for grid in grids]
+        for grid, text in zip(grids, fresh):
+            assert run_grid(grid, workers=2).to_csv_text() == text
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2]):
+            for i in order:
+                assert run_grid(grids[i]).to_csv_text() == fresh[i]
+
+    def test_threads_own_their_workspace(self):
+        # more threads than cores, switching often: each thread's blocks go
+        # to its own workspace, so concurrent grids of different shapes
+        # still give their serial cells
+        grids = [small_discrete_grid(n_reps=n, vol_models=("RS",)) for n in (13, 40)]
+        grids += [continuous_grid(n_reps=n) for n in (9, 31)]
+        expected = [run_grid(grid).to_csv_text() for grid in grids]
+        results = [[] for _ in grids]
+        threads = [
+            threading.Thread(target=lambda g=grid, r=out: r.extend(run_grid(g).to_csv_text() for _ in range(3)))
+            for grid, out in zip(grids, results)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[text] * 3 for text in expected]
+
+    def test_repeated_run_grows_nothing(self):
+        grid = small_discrete_grid(T_values=(60.0, 600.0), vol_models=("RS",), n_reps=50)
+
+        def buffers():
+            workspace = experiments._block_workspace()
+            return {name: buffer.ctypes.data for name, buffer in workspace._buffers.items()}
+
+        def twice():
+            run_grid(grid)
+            d2_study(1000, 200)
+            first = buffers()
+            run_grid(grid)
+            d2_study(1000, 200)
+            return first, buffers()
+
+        first, second = in_new_thread(twice)
+        assert first and second == first
 
 
 class TestD2Study:

@@ -37,7 +37,14 @@ def test_streams_do_not_require_sequential_construction():
 def test_rekeyed_generators_match_fresh_streams():
     # every variate kind the generators draw, in an order that leaves a
     # partly used Philox buffer behind before the next stream is keyed
-    streams = [RngStream(2**64 - 1, 0), RngStream(5, 17), RngStream(5, 2**63 + 9), RngStream(5, 17)]
+    streams = [
+        RngStream(2**64 - 1, 0),
+        RngStream(5, 17),
+        RngStream(5, 2**63 + 9),
+        RngStream(5, 17),
+        RngStream(5, 2**64 - 1),
+        RngStream(np.uint64(9), np.uint64(2**64 - 1)),
+    ]
     for stream, gen in zip(streams, generators(streams)):
         fresh = stream.generator()
         for draw in (
