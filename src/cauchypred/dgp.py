@@ -36,12 +36,12 @@ demeaning run over the whole (R, T) arrays.  The single-sample functions
 are their batch-of-one wrappers, so a row of a batch equals the sample of
 its config and stream bit for bit.
 
-Given a :class:`~cauchypred.estimators.Workspace`, the batch simulators and
-:func:`brownian_paths` write every (R, T) array into it with ``out=``: the
-draws, sigma_t, the shocks, eta, the levels, ``y`` and ``x_lag``, the RS
-chain's work arrays and the AR recursion's time-major steps.  The arithmetic
-is the same, so the values are too, bit for bit.  Without one (every public
-call) each array is a new allocation.
+The batch simulators and :func:`brownian_paths` write every (R, T) array
+into a :class:`~cauchypred.estimators.Workspace` with ``out=``: the draws,
+sigma_t, the shocks, eta, the levels, ``y`` and ``x_lag``, the RS chain's
+work arrays and the AR recursion's time-major steps.  The Monte Carlo
+engine passes its own; a call given none makes one, so its result shares
+memory with no other call's.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .estimators import (
     SampleBatch,
     Workspace,
     _recursive_demean,
-    _workspace,
     partition_consecutive,
 )
 from .rng import RngStream, generators
@@ -108,7 +107,7 @@ def _rs_sigma(u: np.ndarray, ws: Workspace) -> np.ndarray:
     decay = np.exp(-LAMBDA_BAR * np.arange(n) / n)  # step start as fraction of sample
     step = u[:, 1:]
     sig = ws.scratch(step.shape)
-    with ws.frame():
+    with ws:
         source = ws.scratch(step.shape, np.intp)
         state = ws.scratch(u.shape, bool)  # the initial state, then "goes high"
         np.less(u[:, :1], p, out=state[:, :1])
@@ -185,7 +184,7 @@ def gen_volatility(
         raise DomainError("n_steps must be >= 1")
     spec = _volatility_draws(model, n_steps)
     draws = None if spec is None else getattr(gen, spec[0])(spec[1])[None]
-    sigma = _volatility(model, n_steps, total_years, draws, _workspace(None))
+    sigma = _volatility(model, n_steps, total_years, draws, Workspace())
     return sigma if draws is None else sigma[0]
 
 
@@ -286,17 +285,14 @@ def ma_weights(order: int) -> np.ndarray:
     raise DomainError("ma_order must be 2 or 4")
 
 
-def _ma_filter(
-    v_full: np.ndarray, weights: np.ndarray, n: int, workspace: Optional[Workspace] = None
-) -> np.ndarray:
+def _ma_filter(v_full: np.ndarray, weights: np.ndarray, n: int, ws: Workspace) -> np.ndarray:
     """eta_t = sum_j w_j v_{t-j} for t = 1..n along the last axis, with
-    len(weights) burn-in draws, as ``workspace`` scratch."""
-    ws = _workspace(workspace)
+    len(weights) burn-in draws, as ``ws`` scratch."""
     order = weights.shape[0]
     shape = v_full.shape[:-1] + (n,)
     eta = ws.scratch(shape)
     eta[...] = 0.0
-    with ws.frame():
+    with ws:
         term = ws.scratch(shape)
         for j in range(1, order + 1):
             eta += np.multiply(weights[j - 1], v_full[..., order - j : order - j + n], out=term)
@@ -312,34 +308,25 @@ def _ar_row(innovations: list, coefficient: float) -> list:
     return path
 
 
-def _ar_path(
-    innovations: np.ndarray,
-    coefficients,
-    out: Optional[np.ndarray] = None,
-    workspace: Optional[Workspace] = None,
-) -> np.ndarray:
+def _ar_path(innovations: np.ndarray, coefficients, out: np.ndarray, ws: Workspace) -> np.ndarray:
     """x_t = c * x_{t-1} + innovations_t with x_0 = 0, along the last axis,
     where c is the path's entry of ``coefficients`` (broadcast over the
     leading axes: one number for every path, or one per path).
 
-    The paths are written into ``out`` (a new array if None; an (R, T)
-    array may be a strided view).  Every step rounds the product, then the
-    sum, as the IIR filter this replaced did, so both loop orders give the
-    same paths bit for bit.  The vector step runs over ``workspace``
-    scratch that holds the innovations time-major, so each step is
-    contiguous.
+    The paths are written into ``out`` (an (R, T) array may be a strided
+    view).  Every step rounds the product, then the sum, as the IIR filter
+    this replaced did, so both loop orders give the same paths bit for bit.
+    The vector step runs over ``ws`` scratch that holds the innovations
+    time-major, so each step is contiguous.
     """
     n = innovations.shape[-1]
     rows = innovations.reshape(-1, n)
     coef = np.broadcast_to(np.asarray(coefficients, dtype=float), innovations.shape[:-1]).reshape(-1)
-    if out is None:
-        out = np.empty(innovations.shape)
     paths = out.reshape(-1, n)
     if rows.shape[0] < AR_ROWS_PER_VECTOR_STEP:
         paths[...] = [_ar_row(row, c) for row, c in zip(rows.tolist(), coef.tolist())]
         return out
-    ws = _workspace(workspace)
-    with ws.frame():
+    with ws:
         steps = ws.scratch((n, rows.shape[0]))
         np.copyto(steps, rows.T)
         carried = ws.scratch(coef.shape)
@@ -375,7 +362,7 @@ def _correlate(
     """rho * anchor + sqrt(1 - rho^2) * fresh, written into ``out`` (which
     may be ``fresh``)."""
     np.multiply(fresh, np.sqrt(1.0 - rho**2), out=out)
-    with ws.frame():
+    with ws:
         out += np.multiply(rho, anchor, out=ws.scratch(out.shape))
     return out
 
@@ -387,16 +374,16 @@ def simulate_continuous_batch(
 ) -> SampleBatch:
     """One replication of the no-intercept design per (config, stream)
     pair, as the rows of a batch; row r is
-    ``simulate_continuous(configs[r], streams[r])``.  With a ``workspace``
-    every (R, T) array, the batch's included, is one of its arrays."""
+    ``simulate_continuous(configs[r], streams[r])``.  Every (R, T) array,
+    the batch's included, is one of ``workspace``'s arrays."""
     config, beta, kappa = _per_row(configs, streams)
-    ws = _workspace(workspace)
+    ws = Workspace() if workspace is None else workspace
     n, reps = config.n_obs, len(streams)
     x_lag, y = ws.array("x", (reps, n)), ws.array("y", (reps, n))
     gbm = config.vol_model == "GBM"
     jumps = config.jump_intensity > 0
     vol = _volatility_draws(config.vol_model, n)
-    with ws.frame():
+    with ws:
         vol_draws = None if vol is None else ws.scratch((reps, vol[1]))
         v_full = ws.scratch((reps, n + 2))
         e_w = ws.scratch((reps, n))
@@ -433,12 +420,12 @@ def simulate_continuous_batch(
         eta *= sig
         x_raw = ws.scratch((reps, n))  # x_0 .. x_{n-1}
         x_raw[:, 0] = 0.0
-        _ar_path(eta[:, :-1], 1.0 - kappa / config.years * config.delta, out=x_raw[:, 1:], workspace=ws)
+        _ar_path(eta[:, :-1], 1.0 - kappa / config.years * config.delta, x_raw[:, 1:], ws)
         _recursive_demean(x_raw, out=x_lag)
         np.multiply(beta[:, None], x_lag, out=y)
         w *= sig
         y += w
-    return SampleBatch(y=y, x_lag=x_lag, workspace=workspace)
+    return SampleBatch(y=y, x_lag=x_lag, workspace=ws)
 
 
 def simulate_continuous(config: DgpContinuousConfig, stream: RngStream) -> RegressionSample:
@@ -467,14 +454,14 @@ def simulate_discrete_batch(
 ) -> SampleBatch:
     """One replication of the intercept-experiment design per (config,
     stream) pair, as the rows of a batch; row r is
-    ``simulate_discrete(configs[r], streams[r])``.  With a ``workspace``
-    every (R, T) array, the batch's included, is one of its arrays."""
+    ``simulate_discrete(configs[r], streams[r])``.  Every (R, T) array,
+    the batch's included, is one of ``workspace``'s arrays."""
     config, beta, kappa = _per_row(configs, streams)
-    ws = _workspace(workspace)
+    ws = Workspace() if workspace is None else workspace
     n, reps, order = config.n_obs, len(streams), config.ma_order
     x_level, y = ws.array("x", (reps, n + 1)), ws.array("y", (reps, n))  # x_0 .. x_n
     vol = _volatility_draws(config.vol_model, n)
-    with ws.frame():
+    with ws:
         vol_draws = None if vol is None else ws.scratch((reps, vol[1]))
         v_full = ws.scratch((reps, n + order))
         e = ws.scratch((reps, n))
@@ -489,12 +476,12 @@ def simulate_discrete_batch(
         eps = _correlate(config.rho, anchor, e, e, ws)
         eta *= sig
         x_level[:, 0] = 0.0
-        _ar_path(eta, 1.0 - kappa / n, out=x_level[:, 1:], workspace=ws)
+        _ar_path(eta, 1.0 - kappa / n, x_level[:, 1:], ws)
         slope = beta / n if config.slope_scale == "per_sample" else beta
         np.multiply(slope[:, None], x_level[:, :-1], out=y)
         eps *= sig
         y += eps
-    return SampleBatch(y=y, x_lag=x_level[:, :-1], x_level=x_level, workspace=workspace)
+    return SampleBatch(y=y, x_lag=x_level[:, :-1], x_level=x_level, workspace=ws)
 
 
 def simulate_discrete(config: DgpDiscreteConfig, stream: RngStream) -> RegressionSample:
@@ -544,12 +531,12 @@ def brownian_paths(
     on [0, 1], one per row, drawn from ``gen`` path after path.
 
     With ``demean=True`` the running mean of each path is subtracted, the
-    same recursive recentering applied to predictors.  With a ``workspace``
-    the normals, the path and its running mean are its arrays.
+    same recursive recentering applied to predictors.  The normals, the
+    path and its running mean are ``workspace`` arrays.
     """
     if n_steps < 100:
         raise DomainError("need at least 100 steps")
-    ws = _workspace(workspace)
+    ws = Workspace() if workspace is None else workspace
     z = gen.standard_normal(out=ws.array("brownian.normals", (count, n_steps)))
     path = ws.array("brownian.path", (count, n_steps))
     path[:, 0] = 0.0

@@ -9,10 +9,12 @@
   above it I is not small and is taken as 1 - I_{1-z}(1/2, df/2), so the
   tail is never formed as 1 - cdf.  Vectorized over x, so one call serves a
   whole batch of statistics.
-* Student-t two-sided critical value: Newton's method on the log tail.
+* Student-t two-sided critical value (:func:`student_t_two_sided_cv`):
+  Newton's method on the log tail.
 * Chi-square survival function at integer k: the finite Poisson sums.
 
-Each function accepts a scalar or an array; a scalar comes back as a float.
+The distribution functions accept a scalar or an array; a scalar comes
+back as a float.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_T_MODES = ("cdf", "two_sided_cv")
 _SQRT2 = math.sqrt(2.0)
 # the incomplete beta series stops once its remainder is below this share of the sum
 _SERIES_TOL = 1e-17
@@ -94,8 +95,17 @@ def _t_pdf(x: float, df: int) -> float:
     return math.exp(-(df + 1) / 2.0 * math.log1p(x * x / df) - _log_beta(df / 2.0, 0.5)) / math.sqrt(df)
 
 
-def _t_two_sided_cv(alpha: float, df: int) -> float:
-    """The c > 0 with P(T_df <= -c) = alpha / 2.
+def student_t(x, df: int):
+    """Student-t cdf at integer df."""
+    _check_df(df)
+    x = np.asarray(x, dtype=float)
+    tail = _t_lower_tail(x, df)
+    return _returned(np.where(x <= 0.0, tail, 1.0 - tail))
+
+
+def student_t_two_sided_cv(alpha: float, df: int) -> float:
+    """The two-sided critical value at level alpha: the c > 0 with
+    P(|T_df| > c) = alpha, so P(T_df <= -c) = alpha / 2.
 
     Newton's method in u = log c on log P(T <= -c), which is concave and
     decreasing in u, so every step from the start, the df = 1 quantile
@@ -103,6 +113,9 @@ def _t_two_sided_cv(alpha: float, df: int) -> float:
     root and the iterates decrease to it.  Convergence is quadratic, so
     after a step below 1e-10 the error left is below rounding.
     """
+    _check_df(df)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"level must be in (0, 1), got {alpha}")
     target = math.log(alpha / 2.0)
     c = math.tan(math.pi * (1.0 - alpha) / 2.0)
     for _ in range(200):
@@ -116,24 +129,6 @@ def _t_two_sided_cv(alpha: float, df: int) -> float:
         if abs(step) <= 1e-10:
             return c
     raise ArithmeticError("t critical value iteration did not converge")
-
-
-def student_t(x, df: int, mode: str = "cdf"):
-    """Student-t cdf or two-sided critical value at integer df.
-
-    ``two_sided_cv`` interprets ``x`` as the level alpha and returns the c
-    with P(|T_df| > c) = alpha.
-    """
-    _check_df(df)
-    if mode == "cdf":
-        x = np.asarray(x, dtype=float)
-        tail = _t_lower_tail(x, df)
-        return _returned(np.where(x <= 0.0, tail, 1.0 - tail))
-    if mode == "two_sided_cv":
-        if not 0.0 < x < 1.0:
-            raise DomainError(f"level must be in (0, 1), got {x}")
-        return _t_two_sided_cv(float(x), df)
-    raise DomainError(f"unknown mode {mode!r}, expected one of {_T_MODES}")
 
 
 def chi_square_sf(x, k: int):

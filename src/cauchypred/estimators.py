@@ -15,17 +15,17 @@ engine's unit of work).  Data is validated where it enters, when a sample
 or a batch is built, not again by each statistic.  The estimators are pure
 functions and safe for unrestricted concurrent use.
 
-A batch built with a :class:`Workspace` writes its (R, T) intermediates
-into that workspace's buffers instead of allocating them, which the Monte
-Carlo engine uses to run block after block without returning memory to the
-system and faulting it in again.  A workspace belongs to one thread; every
-public function and a batch built without one allocate fresh arrays.
+Every array a kernel makes comes from a :class:`Workspace`.  The Monte
+Carlo engine hands one workspace to block after block, so it runs without
+returning memory to the system and faulting it in again.  A public function
+or a batch given no workspace makes its own at the call, so nothing it
+returns shares memory with another call's result.  A workspace belongs to
+one thread.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,76 +51,47 @@ MAGNITUDE_BOUND = 1e150
 class Workspace:
     """Reusable buffers that the arrays of a Monte Carlo block are written into.
 
-    Each buffer is float64 and grows to the largest request it has served;
-    it never shrinks, and an array of another dtype views its bytes.  Two
-    kinds of array are handed out, uninitialised:
+    Each buffer grows to the largest request it has served and never
+    shrinks; an array of any shape and dtype views its bytes.  Two kinds of
+    array are handed out, uninitialised:
 
     * :meth:`array` backs an array that outlives the function taking it (a
       batch's data, its cached sign terms) with the buffer of that name; it
       stays valid until the name is requested again, by the next block.
     * :meth:`scratch` backs an intermediate with the next free scratch
-      buffer; it stays valid until the :meth:`frame` it was taken in exits,
-      and the next frame reuses the buffer.  So the simulation's draws and
-      the tests' centred data share memory, and a workspace holds about as
-      many arrays as a block has alive at once.
+      buffer; it stays valid until the frame it was taken in exits, and the
+      next frame reuses the buffer.  So the simulation's draws and the
+      tests' centred data share memory, and a workspace holds about as many
+      arrays as a block has alive at once.
 
-    A workspace is not thread-safe: each thread owns its own.
+    ``with workspace:`` opens a frame; frames nest.  A workspace is not
+    thread-safe: each thread owns its own.
     """
 
-    __slots__ = ("_buffers", "_depth")
+    __slots__ = ("_buffers", "_depth", "_frames")
 
     def __init__(self) -> None:
         self._buffers: dict = {}
         self._depth = 0
+        self._frames: list = []  # the depth at which each open frame started
 
-    def _take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        count = math.prod(shape)
-        words = -(-count * dtype.itemsize // 8)
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.size < words:
-            buffer = self._buffers[key] = np.empty(words)
-        return buffer.view(dtype)[:count].reshape(shape)
-
-    def array(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        return self._take(name, shape, dtype)
+    def array(self, name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        buffer = self._buffers.get(name)
+        if buffer is not None and buffer.nbytes >= math.prod(shape) * np.dtype(dtype).itemsize:
+            return np.ndarray(shape, dtype, buffer)
+        self._buffers[name] = array = np.empty(shape, dtype)
+        return array
 
     def scratch(self, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         self._depth += 1
-        return self._take(self._depth, shape, dtype)  # scratch buffers are keyed by depth
+        return self.array(self._depth, shape, dtype)  # scratch buffers are named by depth
 
-    @contextmanager
-    def frame(self):
-        depth = self._depth
-        try:
-            yield
-        finally:
-            self._depth = depth
+    def __enter__(self) -> "Workspace":
+        self._frames.append(self._depth)
+        return self
 
-
-class _FreshArrays:
-    """Stands in for a workspace where a caller passed none: every array it
-    hands out is a new allocation, and its frames do nothing."""
-
-    __slots__ = ()
-
-    def array(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        return np.empty(shape, dtype)
-
-    def scratch(self, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        return np.empty(shape, dtype)
-
-    def frame(self):
-        return _NO_FRAME
-
-
-_FRESH = _FreshArrays()
-_NO_FRAME = nullcontext()
-
-
-def _workspace(workspace: Optional[Workspace]):
-    """``workspace``, or fresh arrays where it is None."""
-    return _FRESH if workspace is None else workspace
+    def __exit__(self, *exc) -> None:
+        self._depth = self._frames.pop()
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -203,9 +174,9 @@ class SampleBatch:
     :class:`RegressionSample`.  The data is validated once, on
     construction.  The intermediates a test needs (:meth:`terms`,
     :meth:`residual_variance`) are cached on the batch, so every method
-    evaluated on it shares them.  With a ``workspace`` they are written into
-    its buffers, and the batch is valid only until the workspace serves the
-    next block.
+    evaluated on it shares them, and written into the buffers of its
+    ``workspace``.  A batch given a workspace is valid only until the
+    workspace serves the next block; one given none makes its own.
     """
 
     __slots__ = ("y", "x_lag", "x_level", "_cache", "_workspace")
@@ -227,7 +198,7 @@ class SampleBatch:
                 raise DomainError("x_lag must equal the first T columns of x_level")
         self.y, self.x_lag, self.x_level = y, x, x_level
         self._cache: dict = {}
-        self._workspace = workspace
+        self._workspace = Workspace() if workspace is None else workspace
 
     @classmethod
     def of(cls, sample: RegressionSample) -> "SampleBatch":
@@ -236,12 +207,33 @@ class SampleBatch:
         return cls(sample.y[None], sample.x1()[None], None if lev is None else lev[None])
 
     def terms(self, parity: Optional[Parity] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Numerator and denominator terms of the sign-instrument estimator:
-        the levels form for ``parity=None``, else the differenced pairs of
-        that parity (see :func:`diff_terms`)."""
+        """Numerator and denominator terms of the sign-instrument estimator
+        on the last axis, workspace arrays of their own per parity:
+        sign(x_{t-1}) y_t and |x_{t-1}| for ``parity=None``, else the
+        differenced pairs of that parity (see :func:`diff_terms`)."""
         key = ("terms", parity)
-        if key not in self._cache:
-            self._cache[key] = _sign_terms(self.y, self.x_lag, self.x_level, parity, self._workspace)
+        if key in self._cache:
+            return self._cache[key]
+        ws, y = self._workspace, self.y
+        numer, denom = f"numer.{parity}", f"denom.{parity}"
+        if parity is None:
+            terms = _sign(self.x_lag, ws.array(numer, y.shape))
+            terms *= y
+            self._cache[key] = terms, np.abs(self.x_lag, out=ws.array(denom, y.shape))
+            return self._cache[key]
+        pairs = term_count(y.shape[-1], parity)
+        if self.x_level is None:
+            raise DomainError("differenced estimators require x_level on the sample")
+        start = PARITIES.index(parity)
+        first, second = slice(start, start + 2 * pairs, 2), slice(start + 1, start + 2 * pairs, 2)
+        shape = y.shape[:-1] + (pairs,)
+        dy = np.subtract(y[..., second], y[..., first], out=ws.array(numer, shape))
+        dx = np.subtract(self.x_level[..., second], self.x_level[..., first], out=ws.array(denom, shape))
+        with ws:
+            inst = _sign(self.x_level[..., first], ws.scratch(shape))
+            dy *= inst
+            dx *= inst
+        self._cache[key] = dy, dx
         return self._cache[key]
 
     def residual_variance(self, intercept: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -249,16 +241,19 @@ class SampleBatch:
         whether the row's design is singular."""
         key = ("omega", intercept)
         if key not in self._cache:
-            ws = _workspace(self._workspace)
-            with ws.frame():
+            with self._workspace as ws:
                 _, residuals, singular = _ols(self.y, self.x_lag[..., None], intercept, ws)
                 # the residuals are scratch: square them in place
                 self._cache[key] = (np.mean(np.square(residuals, out=residuals), axis=-1), singular)
         return self._cache[key]
 
 
-def _sign(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, 1.0, -1.0)
+def _sign(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sign(x) as +1.0 / -1.0 with sign(0) = +1, written into the float ``out``."""
+    np.greater_equal(x, 0.0, out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def sign_conv(x):
@@ -269,7 +264,7 @@ def sign_conv(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("sign_conv requires finite input")
-    out = _sign(arr)
+    out = _sign(arr, np.empty(arr.shape))
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
@@ -305,8 +300,8 @@ def _sign_fit(numer_terms: np.ndarray, denom_terms: np.ndarray) -> CauchyFit:
 
 
 def _checked_fit(numer_terms: np.ndarray, denom_terms: np.ndarray) -> CauchyFit:
-    """The fit of one sample's terms; a zero denominator is an error."""
-    fit = _sign_fit(numer_terms, denom_terms)
+    """The fit of the terms of a batch of one; a zero denominator is an error."""
+    fit = _sign_fit(numer_terms[0], denom_terms[0])
     if fit.denom == 0.0:
         raise DegenerateDenominatorError("sign-instrument denominator is zero")
     return CauchyFit(float(fit.beta), float(fit.gamma), float(fit.denom), fit.n_used)
@@ -318,7 +313,7 @@ def cauchy_estimate(sample: RegressionSample) -> CauchyFit:
     beta = sum(sign(x_{t-1}) y_t) / sum(|x_{t-1}|), and gamma is the same
     numerator divided by sqrt(T).
     """
-    return _checked_fit(*_sign_terms(sample.y, sample.x1(), None, None))
+    return _checked_fit(*SampleBatch.of(sample).terms(None))
 
 
 @dataclass(frozen=True)
@@ -375,19 +370,19 @@ def group_gammas(sample: RegressionSample, q: int) -> GroupStatistics:
     observations and scales by sqrt(q/T) with T the full sample size.
     Trailing observations beyond q * floor(T/q) are excluded.
     """
-    return GroupStatistics.from_terms(_sign_terms(sample.y, sample.x1(), None, None)[0], q)
+    numer, _ = SampleBatch.of(sample).terms(None)
+    return GroupStatistics.from_terms(numer[0], q)
 
 
-def _ols(y: np.ndarray, X: np.ndarray, intercept: bool, workspace: Optional[Workspace] = None):
+def _ols(y: np.ndarray, X: np.ndarray, intercept: bool, ws: Workspace):
     """Least squares of y (..., T) on X (..., T, K), per leading index.
 
     Returns the slopes (..., K), the residuals (..., T) and whether each
     design is singular.  The slopes and residuals of a singular design mean
     nothing; they are computed only so the other samples of a batch are
-    unaffected.  The centred data and the residuals are ``workspace``
-    scratch, taken in the caller's frame.
+    unaffected.  The centred data and the residuals are ``ws`` scratch,
+    taken in the caller's frame.
     """
-    ws = _workspace(workspace)
     if intercept:
         y = np.subtract(y, y.mean(axis=-1, keepdims=True), out=ws.scratch(y.shape))
         X = np.subtract(X, X.mean(axis=-2, keepdims=True), out=ws.scratch(X.shape))
@@ -416,7 +411,7 @@ def ols_fit(
     before the slope fit, and the returned residuals are those of the
     demeaned regression.  Residuals always have length T.
     """
-    beta, residuals, singular = _ols(sample.y, sample.x_matrix(), intercept)
+    beta, residuals, singular = _ols(sample.y, sample.x_matrix(), intercept, Workspace())
     if singular:
         raise SingularDesignError("design matrix is rank deficient")
     return beta, residuals
@@ -445,42 +440,6 @@ def term_count(n_obs: int, parity: Optional[Parity]) -> int:
     return pairs
 
 
-def _sign_into(x: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
-    """:func:`_sign` of ``x``, written into ``out``."""
-    with ws.frame():
-        positive = np.greater_equal(x, 0.0, out=ws.scratch(x.shape, bool))
-        np.multiply(positive, 2.0, out=out)
-    out -= 1.0
-    return out
-
-
-def _sign_terms(
-    y, x_lag, x_level, parity: Optional[Parity], workspace: Optional[Workspace] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator terms on the last axis: sign(x_{t-1}) y_t
-    and |x_{t-1}| for ``parity=None``, else the differenced pairs; both are
-    ``workspace`` arrays of their own per parity."""
-    ws = _workspace(workspace)
-    numer, denom = f"numer.{parity}", f"denom.{parity}"
-    if parity is None:
-        terms = _sign_into(x_lag, ws.array(numer, x_lag.shape), ws)
-        terms *= y
-        return terms, np.abs(x_lag, out=ws.array(denom, x_lag.shape))
-    pairs = term_count(y.shape[-1], parity)
-    if x_level is None:
-        raise DomainError("differenced estimators require x_level on the sample")
-    start = PARITIES.index(parity)
-    first, second = slice(start, start + 2 * pairs, 2), slice(start + 1, start + 2 * pairs, 2)
-    shape = y.shape[:-1] + (pairs,)
-    dy = np.subtract(y[..., second], y[..., first], out=ws.array(numer, shape))
-    dx = np.subtract(x_level[..., second], x_level[..., first], out=ws.array(denom, shape))
-    with ws.frame():
-        inst = _sign_into(x_level[..., first], ws.scratch(shape), ws)
-        dy *= inst
-        dx *= inst
-    return dy, dx
-
-
 def diff_terms(sample: RegressionSample, parity: Parity) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair numerator and denominator terms of the differenced estimator.
 
@@ -489,7 +448,8 @@ def diff_terms(sample: RegressionSample, parity: Parity) -> tuple[np.ndarray, np
     sign(x_{2t-1}).  Summation starts at the smallest t for which every
     index exists, so the two parities use disjoint response differences.
     """
-    return _sign_terms(sample.y, sample.x_lag, sample.x_level, parity)
+    numer, denom = SampleBatch.of(sample).terms(parity)
+    return numer[0], denom[0]
 
 
 def diff_cauchy(sample: RegressionSample, parity: Parity) -> CauchyFit:
@@ -500,7 +460,7 @@ def diff_cauchy(sample: RegressionSample, parity: Parity) -> CauchyFit:
     ``gamma`` is the numerator over sqrt(n_used), where n_used counts the
     differenced pairs (about T/2).
     """
-    return _checked_fit(*diff_terms(sample, parity))
+    return _checked_fit(*SampleBatch.of(sample).terms(parity))
 
 
 def _recursive_demean(lev: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -27,7 +27,9 @@ Each thread (so each worker process of a pool) writes the arrays of every
 block it runs, and of every :func:`d2_study` chunk, into one
 :class:`~cauchypred.estimators.Workspace` whose buffers grow to the largest
 block and are never freed.  Blocks therefore neither allocate nor fault
-their memory in again; no array of a block outlives it.
+their memory in again; no array of a block outlives it.  A public call
+outside the engine makes a workspace of its own, so it never sees a block's
+memory.
 
 A method label names one of the paper's two tests (test family) on one
 sample form, a :class:`MethodSpec` ``(q, parity)``.  :func:`evaluate_batch`
@@ -161,7 +163,9 @@ class ExperimentGrid:
     rho: float = _only("discrete", "rho")
     endogeneity: str = _only("discrete", "endogeneity")
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
+        """Check every rule a run would hit; return each (T, vol) group's
+        list of the DGP configs of its (beta, kappa) pairs, in grid order."""
         if self.dgp_kind not in ("continuous", "discrete"):
             raise SchemaError(f"dgp_kind must be 'continuous' or 'discrete', got {self.dgp_kind!r}")
         for name in (*_AXES, "methods"):
@@ -192,13 +196,15 @@ class ExperimentGrid:
             check_level(self.alpha, self.sided)
         except DomainError as exc:
             raise SchemaError(str(exc)) from exc
-        n_obs = set()
+        models = {}
         for combination in itertools.product(*(getattr(self, axis) for axis in _AXES)):
             try:
-                n_obs.add(self.dgp_config(*combination).n_obs)
+                config = self.dgp_config(*combination)
             except DomainError as exc:
                 at = ", ".join(f"{axis} entry {value!r}" for axis, value in zip(_AXES, combination))
                 raise SchemaError(f"{exc}; at {at}") from exc
+            models.setdefault(combination[2:], []).append(config)
+        n_obs = {group[0].n_obs for group in models.values()}
         for n, s in itertools.product(sorted(n_obs), specs):
             try:
                 terms = term_count(n, s.parity)
@@ -206,6 +212,7 @@ class ExperimentGrid:
                     group_block_size(terms, s.q)
             except (DomainError, PartitionError) as exc:
                 raise SchemaError(f"method {s.label!r} cannot run at n_obs = {n}: {exc}") from exc
+        return models
 
     def dgp_config(self, beta, kappa, T, vol):
         """The model of one combination: its coordinates plus the design's knobs."""
@@ -417,26 +424,24 @@ def run_cell(
 def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     """Evaluate the whole grid, optionally fanning its blocks out to worker
     processes, largest first.  Output is independent of the worker count."""
-    grid.validate()
+    models = grid.validate()
     if workers < 1:
         raise DomainError("workers must be >= 1")
     pairs = list(itertools.product(grid.beta_values, grid.kappa_values))
     rows = len(pairs) * grid.n_reps  # in each (T, vol) group
     blocks = []  # (elements, T index, vol index, rows of the group)
-    models = {}  # (T index, vol index) -> the config of each (beta, kappa) pair
     for t, v in np.ndindex(len(grid.T_values), len(grid.vol_models)):
-        T, vol = grid.T_values[t], grid.vol_models[v]
-        models[t, v] = tuple(grid.dgp_config(beta, kappa, T, vol) for beta, kappa in pairs)
-        n_obs = models[t, v][0].n_obs
+        n_obs = models[grid.T_values[t], grid.vol_models[v]][0].n_obs
         step = max(1, BLOCK_ELEMENTS // n_obs)
         blocks += [
             (min(step, rows - start) * n_obs, t, v, range(start, min(start + step, rows)))
             for start in range(0, rows, step)
         ]
     blocks.sort(key=lambda b: b[0], reverse=True)
-    tasks = [
-        (grid, grid.T_values[t], grid.vol_models[v], block, models[t, v]) for _, t, v, block in blocks
-    ]
+    tasks = []
+    for _, t, v, block in blocks:
+        T, vol = grid.T_values[t], grid.vol_models[v]
+        tasks.append((grid, T, vol, block, models[T, vol]))
     if workers == 1 or len(tasks) == 1:
         results = [_run_combination(*task) for task in tasks]
     else:
@@ -480,7 +485,7 @@ _D2_BIN_EDGES = np.linspace(1.0, 26.0, 126)  # 125 bins of width 0.2
 
 def default_d2_threshold() -> float:
     """Two-sided t critical value at the 5% level for a two-group split."""
-    return dists.student_t(0.05, 1, "two_sided_cv")
+    return dists.student_t_two_sided_cv(0.05, 1)
 
 
 def d2_study(

@@ -83,7 +83,7 @@ class ReferenceDistribution:
         """CDF of the symmetric families, elementwise; chi-square p-values
         use its survival function."""
         if self.family == "student_t":
-            return dists.student_t(x, self.df, "cdf")
+            return dists.student_t(x, self.df)
         if self.family == "std_normal":
             return dists.std_normal(x)
         raise DomainError(f"no cdf for reference distribution {self.family!r}")
@@ -175,20 +175,17 @@ def _outcomes(
     ref: ReferenceDistribution,
     sided: str,
     alpha: float,
-    cause: Optional[np.ndarray] = None,
+    cause: np.ndarray,
     warning: Optional[str] = None,
 ) -> BatchOutcomes:
-    """p-values and decisions of the samples whose statistic is defined."""
+    """p-values and decisions of the samples whose statistic is defined
+    (``cause`` 0); the others get nan.  Each p-value depends on its own
+    statistic only, so it does not depend on which others are defined."""
     check_level(alpha, sided)
-    if cause is None:
-        cause = np.zeros(statistic.shape, dtype=np.int8)
-    if cause.any():
-        defined = cause == 0
-        statistic = np.where(defined, statistic, np.nan)
-        p = np.full(statistic.shape, np.nan)
-        p[defined] = _p_value(statistic[defined], ref, sided)
-    else:
-        p = _p_value(statistic, ref, sided)
+    defined = cause == 0
+    statistic = np.where(defined, statistic, np.nan)
+    p = np.full(statistic.shape, np.nan)
+    p[defined] = _p_value(statistic[defined], ref, sided)
     return BatchOutcomes(
         statistic=statistic,
         p_value=p,
@@ -373,7 +370,7 @@ def wald_joint(sample: RegressionSample, alpha: float) -> JointTestOutcome:
     """
     X = sample.x_matrix()
     k = X.shape[1]
-    z = _sign(X)
+    z = _sign(X, np.empty(X.shape))
     S = z.T @ z
     if np.linalg.matrix_rank(S) < k:
         raise SignDegeneracyError(_diagnose_sign_collinearity(z))
@@ -384,7 +381,7 @@ def wald_joint(sample: RegressionSample, alpha: float) -> JointTestOutcome:
     b = z.T @ sample.y
     stat = float(b @ np.linalg.solve(S, b) / w2)
     ref = ReferenceDistribution("chi_square", df=k)
-    marginal = _outcomes(np.array([stat]), ref, "right", alpha).single()
+    marginal = _outcomes(np.array([stat]), ref, "right", alpha, np.zeros(1, dtype=np.int8)).single()
     return JointTestOutcome(
         per_predictor=(marginal,),
         method="wald",

@@ -33,7 +33,7 @@ from cauchypred import (
     run_grid,
     sign_conv,
     simulate_discrete,
-    student_t,
+    student_t_two_sided_cv,
     t_q_test,
     wald_joint,
 )
@@ -343,7 +343,7 @@ def test_criterion_8_exact_identities():
     zero_fit = cauchy_estimate(RegressionSample(y=np.array([5.0, 1.0]), x_lag=np.array([0.0, 1.0])))
     assert zero_fit.beta == pytest.approx(6.0, abs=1e-12)
     # two-sided t critical value at level 0.05 with 2 degrees of freedom
-    cv = student_t(0.05, 2, "two_sided_cv")
+    cv = student_t_two_sided_cv(0.05, 2)
     assert abs(cv - 4.3027) <= 5e-4
     elapsed = time.time() - t0
     report(
@@ -382,5 +382,5 @@ def test_summary_threshold_note():
     # the exceedance study's default threshold is the two-group two-sided
     # critical value at the 5% level
     assert default_d2_threshold() == pytest.approx(
-        student_t(0.05, 1, "two_sided_cv"), abs=1e-12
+        student_t_two_sided_cv(0.05, 1), abs=1e-12
     )

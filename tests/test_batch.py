@@ -11,6 +11,7 @@ degenerate-statistic error) is what the single-sample test gives on it.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -25,14 +26,19 @@ from cauchypred import (
     DomainError,
     RegressionSample,
     RngStream,
+    GroupStatistics,
     SampleBatch,
+    cauchy_estimate,
+    diff_cauchy,
     evaluate_batch,
+    group_gammas,
     parse_method,
     simulate_continuous,
     simulate_continuous_batch,
     simulate_discrete,
     simulate_discrete_batch,
 )
+from cauchypred.estimators import _sign_fit, diff_terms
 from cauchypred.experiments import evaluate_method
 from cauchypred.inference import DEGENERACIES
 
@@ -182,6 +188,41 @@ def test_batch_outcomes_match_single_samples(sided):
         seen.update(errors)
     # the forced rows exercise every degenerate case a simulated sample can hit
     assert {DegenerateDenominatorError, DegenerateGroupsError, DegenerateVarianceError} <= seen
+
+
+def test_estimators_match_batch_rows():
+    # the single-sample estimators are a batch of one: each equals its row
+    # of the batch's terms and fits bit for bit, or raises where the row's
+    # denominator is zero
+    rows = simulated_rows(20) + list(forced_rows().values())
+    batch = SampleBatch(
+        y=np.stack([y for y, _ in rows]),
+        x_lag=np.stack([lev[:-1] for _, lev in rows]),
+        x_level=np.stack([lev for _, lev in rows]),
+    )
+    zero = 0
+    for parity in (None, "even", "odd"):
+        numer, denom = batch.terms(parity)
+        fit = _sign_fit(numer, denom)
+        gammas = GroupStatistics.from_terms(numer, 8).gammas
+        for r, (y, lev) in enumerate(rows):
+            sample = RegressionSample(y=y, x_lag=lev[:-1], x_level=lev)
+            if parity is None:
+                assert np.array_equal(group_gammas(sample, 8).gammas, gammas[r])
+                single_fit = cauchy_estimate
+            else:
+                single = diff_terms(sample, parity)
+                assert np.array_equal(single[0], numer[r]) and np.array_equal(single[1], denom[r])
+                single_fit = functools.partial(diff_cauchy, parity=parity)
+            if fit.denom[r] == 0.0:
+                zero += 1
+                with pytest.raises(DegenerateDenominatorError):
+                    single_fit(sample)
+                continue
+            got = single_fit(sample)
+            assert (got.beta, got.gamma, got.denom) == (fit.beta[r], fit.gamma[r], fit.denom[r])
+            assert got.n_used == fit.n_used
+    assert zero > 0
 
 
 def test_level_methods_on_a_continuous_batch():

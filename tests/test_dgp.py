@@ -26,8 +26,13 @@ from cauchypred import (
     simulate_continuous,
     simulate_discrete,
 )
-from cauchypred.dgp import MAX_N_OBS, VOL_MODELS, _ar_path, abs_integral_blocks
+from cauchypred.dgp import MAX_N_OBS, VOL_MODELS, _ar_path, _ma_filter, abs_integral_blocks
 from cauchypred.estimators import Workspace
+
+
+def ar_path(innovations, coefficients):
+    """The AR paths of ``innovations`` as a new array."""
+    return _ar_path(innovations, coefficients, np.empty(innovations.shape), Workspace())
 
 
 class TestVolatility:
@@ -147,14 +152,12 @@ class TestSimulateContinuous:
     def test_unit_root_when_kappa_zero(self):
         # with kappa 0 the AR coefficient is exactly 1: the pre-demeaning
         # path is a pure cumulative sum of its innovations
-        from cauchypred.dgp import _ar_path
-
         gen = RngStream(8, 0).generator()
         innovations = gen.standard_normal(500)
-        path = _ar_path(innovations, 1.0)
+        path = ar_path(innovations, 1.0)
         assert_allclose(path, np.cumsum(innovations), atol=1e-12)
         # and the mean-reverting path differs
-        assert not np.allclose(_ar_path(innovations, 0.98), path)
+        assert not np.allclose(ar_path(innovations, 0.98), path)
 
     @pytest.mark.parametrize("coefficient", [1.0, 0.99, 1.0 - 50.0 / 600.0, 0.5])
     @pytest.mark.parametrize("n", [1, 60, 600])
@@ -164,14 +167,14 @@ class TestSimulateContinuous:
 
         innovations = RngStream(21, n).generator().standard_normal(n)
         expected = signal.lfilter([1.0], [1.0, -coefficient], innovations)
-        assert np.array_equal(_ar_path(innovations, coefficient), expected)
+        assert np.array_equal(ar_path(innovations, coefficient), expected)
         # one coefficient per row, on both sides of AR_ROWS_PER_VECTOR_STEP
         # (24): the row loop below it, the vector step from it on
         others = [1.0, 0.99, 0.5]
         for rows in (3, 23, 24, 25, 30):
             coefficients = np.array(([coefficient] + others) * rows)[:rows]
             block = RngStream(21, n).generator().standard_normal((rows, n))
-            paths = _ar_path(block, coefficients)
+            paths = ar_path(block, coefficients)
             for row, c, path in zip(block, coefficients, paths):
                 assert np.array_equal(path, signal.lfilter([1.0], [1.0, -c], row))
         # strided (rows, n) views in and out, as the simulators pass them,
@@ -182,7 +185,7 @@ class TestSimulateContinuous:
             wide = RngStream(22, n).generator().standard_normal((2 * n, rows)).T[:, ::2]
             out = np.full((rows, n + 1), np.nan)
             for _ in range(2):
-                _ar_path(wide, coefficients, out=out[:, 1:], workspace=workspace)
+                _ar_path(wide, coefficients, out[:, 1:], workspace)
                 for row, c, path in zip(wide, coefficients, out[:, 1:]):
                     assert np.array_equal(path, signal.lfilter([1.0], [1.0, -c], row))
             assert np.isnan(out[:, 0]).all()
@@ -281,16 +284,14 @@ class TestSimulateDiscrete:
     def test_random_walk_variance_growth(self):
         # kappa 0 and a single unit MA weight make x a Gaussian random walk:
         # var(x_t) grows linearly in t (checked at a 10% tolerance)
-        from cauchypred.dgp import _ar_path, _ma_filter
-
         n = 400
         weights = np.array([1.0])
         ends = {t: [] for t in (100, 200, 400)}
         for rep in range(400):
             gen = RngStream(13, rep).generator()
             v_full = gen.standard_normal(n + 1)
-            eta = _ma_filter(v_full, weights, n)
-            x = _ar_path(eta, 1.0)
+            eta = _ma_filter(v_full, weights, n, Workspace())
+            x = ar_path(eta, 1.0)
             for t in ends:
                 ends[t].append(x[t - 1])
         v100, v200, v400 = (np.var(ends[t]) for t in (100, 200, 400))

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cauchypred import DomainError, chi_square_sf, std_normal, student_t
+from cauchypred import DomainError, chi_square_sf, std_normal, student_t, student_t_two_sided_cv
 
 mpmath.mp.dps = 30
 
@@ -63,19 +63,19 @@ class TestStudentT:
     def test_cv_df2(self):
         # oracle: 4.30265272...; the frozen working value is 4.3027
         assert oracle_t_two_sided_cv(0.05, 2) == pytest.approx(4.3027, abs=5e-4)
-        assert student_t(0.05, 2, "two_sided_cv") == pytest.approx(4.3027, abs=5e-4)
+        assert student_t_two_sided_cv(0.05, 2) == pytest.approx(4.3027, abs=5e-4)
 
     def test_cv_df7(self):
         # published t-table value 2.3646, cross-checked by the beta oracle
         assert oracle_t_two_sided_cv(0.05, 7) == pytest.approx(2.3646, abs=5e-5)
-        assert student_t(0.05, 7, "two_sided_cv") == pytest.approx(2.3646, abs=5e-5)
+        assert student_t_two_sided_cv(0.05, 7) == pytest.approx(2.3646, abs=5e-5)
 
     def test_cdf_symmetry_at_zero(self):
-        assert student_t(0.0, 5, "cdf") == pytest.approx(0.5, abs=1e-15)
+        assert student_t(0.0, 5) == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("x,df", [(-2.3, 3), (0.5, 1), (1.9, 11), (4.0, 2)])
     def test_cdf_matches_oracle(self, x, df):
-        assert student_t(x, df, "cdf") == pytest.approx(oracle_t_cdf(x, df), abs=1e-12)
+        assert student_t(x, df) == pytest.approx(oracle_t_cdf(x, df), abs=1e-12)
 
     @pytest.mark.parametrize("df", [7, 11, 15])
     def test_tail_relative_accuracy(self, df):
@@ -83,23 +83,25 @@ class TestStudentT:
         # every p-value uses, holds its relative accuracy out to |x| = 1e4,
         # where it is about 1e-28 (df 7) to 1e-60 (df 15)
         xs = np.concatenate([np.linspace(0.0, 6.0, 61), np.logspace(0.8, 4.0, 40)])
-        got = student_t(-xs, df, "cdf")
+        got = student_t(-xs, df)
         for x, value in zip(xs, got):
             assert value == pytest.approx(oracle_t_lower_tail(x, df), rel=1e-12, abs=0)
 
     def test_cv_definition(self):
         # P(|T| > cv) = alpha, i.e. 2 (1 - F(cv)) = alpha
         for df in (1, 2, 7, 15):
-            cv = student_t(0.05, df, "two_sided_cv")
-            assert 2 * (1 - student_t(cv, df, "cdf")) == pytest.approx(0.05, abs=1e-10)
+            cv = student_t_two_sided_cv(0.05, df)
+            assert 2 * (1 - student_t(cv, df)) == pytest.approx(0.05, abs=1e-10)
 
     def test_df_domain(self):
         with pytest.raises(DomainError):
-            student_t(0.0, 0, "cdf")
+            student_t(0.0, 0)
         with pytest.raises(DomainError):
-            student_t(0.5, 2.5, "cdf")
-        with pytest.raises(DomainError):  # modes are cdf and two_sided_cv only
-            student_t(0.5, 2, "quantile")
+            student_t(0.5, 2.5)
+        with pytest.raises(DomainError):
+            student_t_two_sided_cv(0.05, 0)
+        with pytest.raises(DomainError):  # the level lies in (0, 1)
+            student_t_two_sided_cv(1.5, 2)
 
 
 class TestChiSquare:

@@ -9,9 +9,12 @@ from numpy.testing import assert_allclose
 
 from cauchypred import (
     DegenerateDenominatorError,
+    DgpContinuousConfig,
+    DgpDiscreteConfig,
     DomainError,
     PartitionError,
     RegressionSample,
+    RngStream,
     SampleBatch,
     SingularDesignError,
     cauchy_estimate,
@@ -21,8 +24,10 @@ from cauchypred import (
     omega_hat_sq,
     recursive_demean,
     sign_conv,
+    simulate_continuous_batch,
+    simulate_discrete_batch,
 )
-from cauchypred.estimators import MAGNITUDE_BOUND, PARITIES, term_count
+from cauchypred.estimators import MAGNITUDE_BOUND, PARITIES, Workspace, diff_terms, term_count
 from cauchypred.inference import group_t_outcomes, hybrid_outcomes
 
 
@@ -397,3 +402,89 @@ class TestRecursiveDemean:
         x2 = x.copy()
         x2[20:] += 100.0
         assert_allclose(recursive_demean(x2)[:20], base[:20], atol=1e-12)
+
+
+class TestWorkspace:
+    def test_frames_nest(self):
+        ws = Workspace()
+        with ws:
+            outer = ws.scratch((3,))
+            with ws:
+                inner = ws.scratch((4,))
+                inner_2 = ws.scratch((2, 2), bool)
+            # the inner frame has exited: the next scratch reuses its buffer
+            after = ws.scratch((4,))
+            assert np.shares_memory(after, inner)
+            assert not np.shares_memory(after, outer) and not np.shares_memory(inner_2, inner)
+            named = ws.array("kept", (4,))
+            assert not any(np.shares_memory(named, a) for a in (outer, inner, inner_2))
+        with ws:  # a larger request grows the buffer; a smaller one views it
+            grown = ws.scratch((50,))
+        with ws:
+            assert np.shares_memory(ws.scratch((2, 3), np.intp), grown)
+        assert np.shares_memory(ws.array("kept", (2,)), named)
+
+    def test_exception_restores_the_depth(self):
+        ws = Workspace()
+        with ws:
+            first = ws.scratch((5,))
+        with pytest.raises(ZeroDivisionError):
+            with ws:
+                ws.scratch((5,))
+                with ws:
+                    ws.scratch((5,))
+                    raise ZeroDivisionError
+        # both frames exited: the next scratch is again the first buffer
+        with ws:
+            assert np.shares_memory(ws.scratch((5,)), first)
+
+
+class TestOneAllocator:
+    """A public call given no workspace makes its own: two calls' results
+    never share memory, and a later call leaves an earlier result as it was."""
+
+    @staticmethod
+    def assert_independent(call):
+        first = call(0)
+        kept = [a.copy() for a in first]
+        second = call(1)
+        for a, b, k in zip(first, second, kept):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, k)
+            assert not np.array_equal(a, b)
+
+    def test_simulated_batches(self):
+        discrete = DgpDiscreteConfig(n_obs=60, kappa_bar=5.0, vol_model="RS")
+        continuous = DgpContinuousConfig(years=5.0, vol_model="GBM")
+        for config, simulate in ((discrete, simulate_discrete_batch), (continuous, simulate_continuous_batch)):
+            for rows in (3, 30):  # the row-by-row and the vector-step AR
+
+                def call(seed):
+                    batch = simulate([config] * rows, [RngStream(seed, i) for i in range(rows)])
+                    return [batch.y, batch.x_lag, *batch.terms(None), *batch.residual_variance(True)[:1]]
+
+                self.assert_independent(call)
+
+    def test_batch_terms(self):
+        gen = np.random.default_rng(8)
+        data = [(gen.standard_normal((4, 40)), gen.standard_normal((4, 41))) for _ in range(2)]
+
+        def call(i):
+            y, lev = data[i]
+            batch = SampleBatch(y, lev[:, :-1], lev)
+            return [t for parity in (None, "even", "odd") for t in batch.terms(parity)]
+
+        self.assert_independent(call)
+
+    def test_single_sample_estimators(self):
+        gen = np.random.default_rng(9)
+        samples = [sample(gen.standard_normal(40), lev[:-1], lev) for lev in gen.standard_normal((2, 41))]
+
+        def call(i):
+            s = samples[i]
+            out = [group_gammas(s, 4).gammas, *ols_fit(s, intercept=True)]
+            return out + [t for parity in PARITIES for t in diff_terms(s, parity)]
+
+        self.assert_independent(call)
+        fits = [cauchy_estimate(s) for s in samples]
+        assert fits[0] == cauchy_estimate(samples[0]) and fits[0] != fits[1]

@@ -402,6 +402,24 @@ class TestRunGrid:
         config = grid.dgp_config(0.0, 50.0, 60.0, "CNST")
         assert config == DgpDiscreteConfig(n_obs=60, kappa_bar=50.0, rho=-0.5, endogeneity="eta")
 
+    def test_run_grid_builds_each_config_once(self, monkeypatch):
+        # validation builds every combination's config and the run reuses it
+        grid = small_discrete_grid(
+            beta_values=(0.0, 1.0, 2.0), T_values=(60.0, 120.0), vol_models=("CNST", "SB"), n_reps=3
+        )
+        built = []
+        dgp_config = ExperimentGrid.dgp_config
+
+        def counted(self, *combination):
+            built.append(combination)
+            return dgp_config(self, *combination)
+
+        monkeypatch.setattr(ExperimentGrid, "dgp_config", counted)
+        table = run_grid(grid)
+        assert len(built) == len(set(built)) == 3 * 2 * 2 * 2
+        monkeypatch.undo()
+        assert table.to_csv_text() == run_grid(grid).to_csv_text()
+
 
 def in_new_thread(work):
     """``work()`` run in a new thread, which owns a new, empty block workspace."""
