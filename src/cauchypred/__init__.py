@@ -25,7 +25,7 @@ from .dgp import (
     simulate_discrete_batch,
 )
 from .dataio import EmpiricalDataset, load_experiment_file, parse_csv
-from .dists import chi_square_sf, std_normal, student_t, student_t_two_sided_cv
+from .dists import chi_square_sf, std_normal, std_normal_two_sided_cv, student_t, student_t_two_sided_cv
 from .errors import (
     CauchyPredError,
     CsvFormatError,

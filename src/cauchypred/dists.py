@@ -9,8 +9,9 @@
   above it I is not small and is taken as 1 - I_{1-z}(1/2, df/2), so the
   tail is never formed as 1 - cdf.  Vectorized over x, so one call serves a
   whole batch of statistics.
-* Student-t two-sided critical value (:func:`student_t_two_sided_cv`):
-  Newton's method on the log tail.
+* Two-sided critical values of the Student-t (:func:`student_t_two_sided_cv`)
+  and the normal (:func:`std_normal_two_sided_cv`): Newton's method on the
+  log tail.
 * Chi-square survival function at integer k: the finite Poisson sums.
 
 The distribution functions accept a scalar or an array; a scalar comes
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the incomplete beta series stops once its remainder is below this share of the sum
 _SERIES_TOL = 1e-17
 # |t| is capped here, far beyond where every tail is 0
@@ -103,32 +105,44 @@ def student_t(x, df: int):
     return _returned(np.where(x <= 0.0, tail, 1.0 - tail))
 
 
-def student_t_two_sided_cv(alpha: float, df: int) -> float:
-    """The two-sided critical value at level alpha: the c > 0 with
-    P(|T_df| > c) = alpha, so P(T_df <= -c) = alpha / 2.
+def _two_sided_cv(alpha: float, lower_tail, pdf) -> float:
+    """The c > 0 with lower_tail(c) = P(X <= -c) = alpha / 2, for X symmetric.
 
-    Newton's method in u = log c on log P(T <= -c), which is concave and
-    decreasing in u, so every step from the start, the df = 1 quantile
-    tan(pi (1 - alpha) / 2) (no t quantile is larger), lands at or above the
-    root and the iterates decrease to it.  Convergence is quadratic, so
-    after a step below 1e-10 the error left is below rounding.
+    Newton's method in u = log c on log P(X <= -c), which for the t and the
+    normal is concave and decreasing in u, so every step from the start,
+    the df = 1 t quantile tan(pi (1 - alpha) / 2) (no t or normal quantile
+    is larger), lands at or above the root and the iterates decrease to it.
+    Convergence is quadratic, so after a step below 1e-10 the error left is
+    below rounding.
     """
-    _check_df(df)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"level must be in (0, 1), got {alpha}")
     target = math.log(alpha / 2.0)
     c = math.tan(math.pi * (1.0 - alpha) / 2.0)
     for _ in range(200):
-        tail = float(_t_lower_tail(np.array(c), df))
+        tail = lower_tail(c)
         if tail == 0.0:  # underflow far out: step back toward the root
             c /= 2.0
             continue
-        slope = -_t_pdf(c, df) * c / tail  # d log(tail) / d log(c)
+        slope = -pdf(c) * c / tail  # d log(tail) / d log(c)
         step = (math.log(tail) - target) / slope
         c *= math.exp(-step)
         if abs(step) <= 1e-10:
             return c
-    raise ArithmeticError("t critical value iteration did not converge")
+    raise ArithmeticError("critical value iteration did not converge")
+
+
+def student_t_two_sided_cv(alpha: float, df: int) -> float:
+    """The two-sided critical value at level alpha: the c > 0 with
+    P(|T_df| > c) = alpha, so P(T_df <= -c) = alpha / 2."""
+    _check_df(df)
+    return _two_sided_cv(alpha, lambda c: float(_t_lower_tail(np.array(c), df)), lambda c: _t_pdf(c, df))
+
+
+def std_normal_two_sided_cv(alpha: float) -> float:
+    """The two-sided normal critical value at level alpha: the c > 0 with
+    P(|Z| > c) = alpha, so P(Z <= -c) = alpha / 2."""
+    return _two_sided_cv(alpha, lambda c: std_normal(-c), lambda c: math.exp(-0.5 * c * c) / _SQRT_2PI)
 
 
 def chi_square_sf(x, k: int):

@@ -194,7 +194,7 @@ class SampleBatch:
             x_level = _as_float_array(x_level, "x_level")
             if x_level.shape != (y.shape[0], y.shape[1] + 1):
                 raise DomainError(f"x_level must be an (R, T + 1) array, got {x_level.shape}")
-            if not np.array_equal(x_level[:, :-1], x):
+            if not _is_view(x, x_level[:, :-1]) and not np.array_equal(x_level[:, :-1], x):
                 raise DomainError("x_lag must equal the first T columns of x_level")
         self.y, self.x_lag, self.x_level = y, x, x_level
         self._cache: dict = {}
@@ -246,6 +246,15 @@ class SampleBatch:
                 # the residuals are scratch: square them in place
                 self._cache[key] = (np.mean(np.square(residuals, out=residuals), axis=-1), singular)
         return self._cache[key]
+
+
+def _is_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` is the very memory of ``b``: one data pointer, shape and strides."""
+    return (
+        a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+        and a.shape == b.shape
+        and a.strides == b.strides
+    )
 
 
 def _sign(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -390,15 +399,20 @@ def _ols(y: np.ndarray, X: np.ndarray, intercept: bool, ws: Workspace):
     xtx = Xt @ X
     xty = Xt @ y[..., None]
     k = X.shape[-1]
+    fitted = ws.scratch(y.shape)
     if k == 1:
-        # one predictor: the rank test (an SVD) decides as xtx == 0 does, and
-        # LAPACK's solve of the 1 x 1 system is the division
+        # one predictor: the rank test (an SVD) decides as xtx == 0 does,
+        # LAPACK's solve of the 1 x 1 system is the division, and the
+        # fitted values, a matmul over an inner dimension of 1, are the
+        # product summed onto +0 as matmul sums it (a -0 product gives +0)
         singular = xtx[..., 0, 0] == 0.0
         beta = xty / np.where(singular, np.inf, xtx[..., 0, 0])[..., None, None]
+        np.multiply(X[..., 0], beta[..., 0, 0][..., None], out=fitted)
+        fitted += 0.0
     else:
         singular = np.asarray(np.linalg.matrix_rank(xtx) < k)
         beta = np.linalg.solve(np.where(singular[..., None, None], np.eye(k), xtx), xty)
-    fitted = np.matmul(X, beta, out=ws.scratch(X.shape[:-1] + (1,)))[..., 0]
+        np.matmul(X, beta, out=fitted[..., None])
     return beta[..., 0], np.subtract(y, fitted, out=fitted), singular
 
 

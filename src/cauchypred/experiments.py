@@ -67,8 +67,16 @@ from .dgp import (
 )
 from .errors import DomainError, PartitionError, SchemaError
 from .estimators import PARITIES, RegressionSample, SampleBatch, Workspace, group_block_size, term_count
-from .inference import BatchOutcomes, TestOutcome, check_level, group_t_outcomes, hybrid_outcomes
-from .rng import RngStream, substream_index
+from .inference import (
+    BatchOutcomes,
+    TestOutcome,
+    check_level,
+    critical_value,
+    group_t_outcomes,
+    hybrid_outcomes,
+    reference,
+)
+from .rng import RngStream, substream_index, substream_indices
 
 _METHOD_RE = re.compile(r"^t(?P<q>\d+)$|^(?:t(?P<gq>\d+)_(?=tau_))?tau(?:_(?P<parity>[eo]))?$")
 _PARITIES = {parity[0]: parity for parity in PARITIES}
@@ -392,7 +400,7 @@ def _run_combination(grid: ExperimentGrid, T, vol, rows: range, models: tuple) -
         signature = grid.dgp_signature(beta, kappa, T, vol)
         reps = range(max(rows.start - j * n, 0), min(rows.stop - j * n, n))
         starts.append(len(streams))
-        streams += [RngStream(grid.master_seed, substream_index(signature, rep)) for rep in reps]
+        streams += [RngStream(grid.master_seed, index) for index in substream_indices(signature, reps)]
         configs += [models[j]] * len(reps)
     simulate = simulate_continuous_batch if grid.dgp_kind == "continuous" else simulate_discrete_batch
     batch = simulate(configs, streams, _block_workspace())
@@ -427,6 +435,8 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     models = grid.validate()
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    for method in grid.methods:  # cached once per process, and inherited by forked workers
+        critical_value(reference(parse_method(method).q), grid.alpha, grid.sided)
     pairs = list(itertools.product(grid.beta_values, grid.kappa_values))
     rows = len(pairs) * grid.n_reps  # in each (T, vol) group
     blocks = []  # (elements, T index, vol index, rows of the group)

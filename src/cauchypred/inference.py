@@ -27,10 +27,22 @@ forms (``parity=None`` is the levels form).  It runs on a
 tests are its batch-of-one wrappers.  Bonferroni and Wald combinations
 handle several predictors jointly.  Every test returns a
 :class:`TestOutcome` whose decision satisfies reject iff p_value <= alpha.
+
+A batch decides by critical value, not by p-value.  Each statistic is
+oriented for its side (|stat| two-sided, stat right, -stat left) and
+compared with the c at which that side's p-value equals alpha
+(:func:`critical_value`, cached per process): at or above
+c + m it rejects, at or below c - m it does not, with
+m = 1e-9 max(1, |c|), about 1e5 times the tested error of the cdfs.  Only
+a statistic strictly inside that band has its p-value computed to decide,
+so the decision is the one p_value <= alpha gives.  The p-values
+themselves are computed when :attr:`BatchOutcomes.p_value` is first read,
+which the Monte Carlo engine never does.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,6 +85,10 @@ DEGENERACIES = (
 )
 _DENOMINATOR, _SINGULAR, _VARIANCE, _GROUPS = range(1, len(DEGENERACIES) + 1)
 
+# half-width of the band around a critical value c, relative to max(1, |c|),
+# inside which a decision falls back to the p-value
+_BAND = 1e-9
+
 
 @dataclass(frozen=True)
 class ReferenceDistribution:
@@ -87,6 +103,20 @@ class ReferenceDistribution:
         if self.family == "std_normal":
             return dists.std_normal(x)
         raise DomainError(f"no cdf for reference distribution {self.family!r}")
+
+    def two_sided_cv(self, level: float) -> float:
+        """The c > 0 with P(|X| > c) = level, for the symmetric families."""
+        if self.family == "student_t":
+            return dists.student_t_two_sided_cv(level, self.df)
+        if self.family == "std_normal":
+            return dists.std_normal_two_sided_cv(level)
+        raise DomainError(f"no critical value for reference distribution {self.family!r}")
+
+
+def reference(q: Optional[int]) -> ReferenceDistribution:
+    """The reference of the group t-test over q blocks, t(q - 1), or for
+    ``q=None`` that of the hybrid test, N(0, 1)."""
+    return ReferenceDistribution("std_normal") if q is None else ReferenceDistribution("student_t", df=q - 1)
 
 
 @dataclass(frozen=True)
@@ -107,11 +137,12 @@ class BatchOutcomes:
     On a sample where the test raises a degenerate-statistic error,
     ``cause`` is 1 + that error's index in :data:`DEGENERACIES`, the
     statistic and p-value are nan and the sample does not reject;
-    elsewhere ``cause`` is 0.
+    elsewhere ``cause`` is 0.  ``reject`` is decided by critical value
+    (module docstring) and equals ``p_value <= alpha``; ``p_value`` is
+    computed when first read.
     """
 
     statistic: np.ndarray
-    p_value: np.ndarray
     reject: np.ndarray
     cause: np.ndarray
     ref_dist: ReferenceDistribution
@@ -136,6 +167,16 @@ class BatchOutcomes:
             warning=self.warning,
         )
 
+    @functools.cached_property
+    def p_value(self) -> np.ndarray:
+        """p-values of the samples whose statistic is defined, nan elsewhere.
+        Each depends on its own statistic only, so not on which others are
+        defined."""
+        defined = self.cause == 0
+        p = np.full(self.statistic.shape, np.nan)
+        p[defined] = _p_value(self.statistic[defined], self.ref_dist, self.sided)
+        return p
+
 
 @dataclass(frozen=True)
 class JointTestOutcome:
@@ -155,12 +196,26 @@ def check_level(alpha: float, sided: str) -> None:
         raise DomainError(f"sided must be one of {SIDES}, got {sided!r}")
 
 
+@functools.lru_cache(maxsize=256)
+def critical_value(ref: ReferenceDistribution, alpha: float, sided: str) -> float:
+    """The c at which the p-value of a statistic oriented for ``sided``
+    (|stat| two-sided, stat right, -stat left) equals alpha; it rejects
+    from c up.  Cached per process.
+
+    One side at level alpha takes the two-sided value at level 2 alpha, and
+    by symmetry -c at 1 - alpha above 1/2, so c = 0 at alpha = 1/2.
+    """
+    check_level(alpha, sided)
+    if sided == "two":
+        return ref.two_sided_cv(alpha)
+    if alpha == 0.5:
+        return 0.0
+    c = ref.two_sided_cv(2.0 * min(alpha, 1.0 - alpha))
+    return c if alpha < 0.5 else -c
+
+
 def _p_value(statistic, ref: ReferenceDistribution, sided: str):
     """p-value of a statistic, elementwise over an array of them."""
-    if ref.family == "chi_square":
-        if sided != "right":
-            raise DomainError("chi-square tests are right-tailed only")
-        return dists.chi_square_sf(np.maximum(statistic, 0.0), ref.df)
     # both references are symmetric: tails as cdf(-|x|) keep their accuracy
     # where 1 - cdf would round to 0
     if sided == "right":
@@ -178,18 +233,22 @@ def _outcomes(
     cause: np.ndarray,
     warning: Optional[str] = None,
 ) -> BatchOutcomes:
-    """p-values and decisions of the samples whose statistic is defined
-    (``cause`` 0); the others get nan.  Each p-value depends on its own
-    statistic only, so it does not depend on which others are defined."""
+    """Decisions of the samples whose statistic is defined (``cause`` 0);
+    the others get a nan statistic and do not reject.  A statistic within
+    the band around the critical value decides by its p-value (module
+    docstring)."""
     check_level(alpha, sided)
-    defined = cause == 0
-    statistic = np.where(defined, statistic, np.nan)
-    p = np.full(statistic.shape, np.nan)
-    p[defined] = _p_value(statistic[defined], ref, sided)
+    statistic = np.where(cause == 0, statistic, np.nan)
+    c = critical_value(ref, alpha, sided)
+    margin = _BAND * max(1.0, abs(c))
+    oriented = np.abs(statistic) if sided == "two" else (statistic if sided == "right" else -statistic)
+    reject = oriented >= c + margin  # nan: False
+    band = (oriented > c - margin) & ~reject
+    if band.any():
+        reject[band] = _p_value(statistic[band], ref, sided) <= alpha
     return BatchOutcomes(
         statistic=statistic,
-        p_value=p,
-        reject=p <= alpha,
+        reject=reject,
         cause=cause,
         ref_dist=ref,
         sided=sided,
@@ -237,9 +296,8 @@ def _group_t_outcomes(values: np.ndarray, alpha: float, sided: str) -> BatchOutc
             f"{sided}-sided group t-test validity is only guaranteed for "
             f"alpha <= {bound:g}; got alpha={alpha}"
         )
-    ref = ReferenceDistribution("student_t", df=values.shape[-1] - 1)
     cause = np.where(flat, _GROUPS, 0).astype(np.int8)
-    return _outcomes(stat, ref, sided, alpha, cause, warning)
+    return _outcomes(stat, reference(values.shape[-1]), sided, alpha, cause, warning)
 
 
 def group_t_outcomes(
@@ -270,7 +328,7 @@ def hybrid_outcomes(
     ).astype(np.int8)
     stat = fit.gamma / np.sqrt((2.0 if differenced else 1.0) * np.where(w2 == 0.0, 1.0, w2))
     stat = np.where(fit.denom < 0, -stat, stat)  # sign(D)
-    return _outcomes(stat, ReferenceDistribution("std_normal"), sided, alpha, cause)
+    return _outcomes(stat, reference(None), sided, alpha, cause)
 
 
 def t_q_test(groups: GroupStatistics, alpha: float, sided: str = "two") -> TestOutcome:
@@ -380,8 +438,16 @@ def wald_joint(sample: RegressionSample, alpha: float) -> JointTestOutcome:
         raise DegenerateVarianceError(DEGENERACIES[_VARIANCE - 1][1])
     b = z.T @ sample.y
     stat = float(b @ np.linalg.solve(S, b) / w2)
-    ref = ReferenceDistribution("chi_square", df=k)
-    marginal = _outcomes(np.array([stat]), ref, "right", alpha, np.zeros(1, dtype=np.int8)).single()
+    check_level(alpha, "right")
+    p = dists.chi_square_sf(max(stat, 0.0), k)
+    marginal = TestOutcome(
+        statistic=stat,
+        ref_dist=ReferenceDistribution("chi_square", df=k),
+        p_value=p,
+        sided="right",
+        alpha=float(alpha),
+        reject=p <= alpha,
+    )
     return JointTestOutcome(
         per_predictor=(marginal,),
         method="wald",

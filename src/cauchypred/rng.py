@@ -75,6 +75,16 @@ def substream_index(*labels: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def substream_indices(label: object, reps: Iterable[int]) -> Iterator[int]:
+    """``substream_index(label, rep)`` for each rep in turn, bit for bit,
+    hashing the text of ``label`` once rather than once per rep."""
+    head = hashlib.sha256((repr(label) + "|").encode("utf-8"))
+    for rep in reps:
+        digest = head.copy()
+        digest.update(repr(rep).encode("utf-8"))
+        yield int.from_bytes(digest.digest()[:8], "big")
+
+
 def correlated_normal_arrays(
     gen: np.random.Generator, rho: float, size: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -68,6 +68,20 @@ class TestTestCommand:
         row = (out_dir / "test_result.csv").read_text().splitlines()[1].split(",")
         assert row[:3] == [spec.label, repr(expected.statistic), repr(expected.p_value)]
 
+    @pytest.mark.parametrize("case", sorted(json.loads((GOLDEN / "cli_test_outputs.json").read_text())))
+    def test_output_matches_golden(self, tmp_path, capsys, case):
+        # the printed line and the result file of the four benchmark flag
+        # sets on a null and a strong-signal series, byte for byte
+        golden = json.loads((GOLDEN / "cli_test_outputs.json").read_text())[case]
+        seed, beta, *flags = case.split(" ")
+        csv = write_dataset(
+            tmp_path, n=600, beta=float(beta.partition("=")[2]), seed=int(seed.partition("=")[2])
+        )
+        assert main(["test", str(csv), *flags]) == 0
+        assert capsys.readouterr().out == golden["stdout"]
+        assert main(["test", str(csv), *flags, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "test_result.csv").read_text() == golden["csv"]
+
     def test_hybrid_runs(self, tmp_path, capsys):
         csv = write_dataset(tmp_path)
         assert main(["test", str(csv)]) == 0

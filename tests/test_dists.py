@@ -12,7 +12,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from cauchypred import DomainError, chi_square_sf, std_normal, student_t, student_t_two_sided_cv
+from cauchypred import (
+    DomainError,
+    chi_square_sf,
+    std_normal,
+    std_normal_two_sided_cv,
+    student_t,
+    student_t_two_sided_cv,
+)
 
 mpmath.mp.dps = 30
 
@@ -57,6 +64,19 @@ class TestStdNormal:
         grid = np.linspace(-8, 8, 401)
         values = [std_normal(x) for x in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 0.01, 0.05, 0.5, 0.99])
+    def test_cv_matches_oracle(self, alpha):
+        # P(|Z| > c) = alpha: c = sqrt(2) erfcinv(alpha)
+        oracle = float(mpmath.sqrt(2) * mpmath.erfinv(1 - mpmath.mpf(alpha)))
+        assert std_normal_two_sided_cv(alpha) == pytest.approx(oracle, rel=1e-13)
+
+    def test_cv_definition_and_domain(self):
+        cv = std_normal_two_sided_cv(0.05)
+        assert 2 * std_normal(-cv) == pytest.approx(0.05, rel=1e-14)
+        with pytest.raises(DomainError):
+            std_normal_two_sided_cv(1.0)
 
 
 class TestStudentT:

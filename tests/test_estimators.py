@@ -27,7 +27,7 @@ from cauchypred import (
     simulate_continuous_batch,
     simulate_discrete_batch,
 )
-from cauchypred.estimators import MAGNITUDE_BOUND, PARITIES, Workspace, diff_terms, term_count
+from cauchypred.estimators import MAGNITUDE_BOUND, PARITIES, Workspace, _ols, diff_terms, term_count
 from cauchypred.inference import group_t_outcomes, hybrid_outcomes
 
 
@@ -134,6 +134,24 @@ class TestOneDataValidator:
             RegressionSample(y=y, x_lag=x)
         with pytest.raises(DomainError, match="univariate"):
             RegressionSample(y=y, x_lag=gen.standard_normal((20, 2)), x_level=np.zeros(21))
+
+    @pytest.mark.parametrize("fault", ["nan", "inf"])
+    def test_levels_view_is_checked_through_the_levels(self, fault):
+        # x_lag passed as the levels' own view is not compared with them;
+        # a fault in it is one in the levels, which their check catches
+        gen = np.random.default_rng(10)
+        y, lev = gen.standard_normal((3, 12)), np.cumsum(gen.standard_normal((3, 13)), axis=1)
+        SampleBatch(y, lev[:, :-1], lev)
+        SampleBatch(y, lev[:, :-1].copy(), lev)  # an equal copy passes too
+        # not equal: the same shape and strides elsewhere, the same memory
+        # with other strides, or a different array
+        zero_stride = np.lib.stride_tricks.as_strided(lev, (3, 12), (lev.strides[0], 0))
+        for x_lag in (lev[:, 1:], zero_stride, lev[:, :-1] + 1.0):
+            with pytest.raises(DomainError, match="x_lag must equal"):
+                SampleBatch(y, x_lag, lev)
+        lev[1, 4] = {"nan": np.nan, "inf": np.inf}[fault]
+        with pytest.raises(DomainError, match="x_level contains non-finite"):
+            SampleBatch(y, lev[:, :-1], lev)
 
 
 class TestTermCount:
@@ -291,6 +309,29 @@ class TestOlsFit:
             assert abs(np.sum(xd * res)) <= 1e-8 * scale
             if intercept:
                 assert abs(np.sum(res)) <= 1e-8 * (np.sqrt(60 * np.sum(res * res)) + 1e-30)
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_one_predictor_fit_matches_matmul_bitwise(self, intercept):
+        # the fitted values of one predictor are a product, bit for bit the
+        # matmul over an inner dimension of 1, also on a singular row and
+        # on signed zeros
+        gen = np.random.default_rng(11)
+        X = gen.standard_normal((6, 40, 1))
+        y = np.array([0.5, 0.5, -0.5, 0, 0, 0])[:, None] * X[..., 0] + gen.standard_normal((6, 40))
+        X[0] = 0.0  # singular
+        X[1:3, :5], y[1:3, :5] = -0.0, -0.0  # -0 fits of either sign beside -0 responses
+        y[3, :3] = -0.0
+        with Workspace() as ws:
+            beta, residuals, singular = _ols(y, X, intercept, ws)
+        yc = y - y.mean(axis=-1, keepdims=True) if intercept else y
+        Xc = X - X.mean(axis=-2, keepdims=True) if intercept else X
+        xtx, xty = np.swapaxes(Xc, -1, -2) @ Xc, np.swapaxes(Xc, -1, -2) @ yc[..., None]
+        expected_singular = xtx[..., 0, 0] == 0.0
+        expected_beta = xty / np.where(expected_singular, np.inf, xtx[..., 0, 0])[..., None, None]
+        expected = yc - np.matmul(Xc, expected_beta)[..., 0]
+        assert singular.tolist() == expected_singular.tolist() == [True] + [False] * 5
+        assert np.array_equal(beta.view(np.int64), expected_beta[..., 0].view(np.int64))
+        assert np.array_equal(residuals.view(np.int64), expected.view(np.int64))
 
     def test_singular_design(self):
         with pytest.raises(SingularDesignError):

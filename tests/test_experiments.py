@@ -2,6 +2,7 @@
 agreement, worker-count invariance, and the exceedance study."""
 
 import dataclasses
+import itertools
 import sys
 import threading
 import typing
@@ -23,6 +24,7 @@ from cauchypred import (
     default_d2_threshold,
     experiments,
     group_gammas,
+    inference,
     grouped_hybrid_test,
     hybrid_test,
     hybrid_test_intercept,
@@ -32,6 +34,7 @@ from cauchypred import (
     simulate_continuous_batch,
     simulate_discrete,
     simulate_discrete_batch,
+    substream_index,
     t_q_test,
 )
 from cauchypred.dataio import bundled_config_names, load_experiment_file, resolve_config_path
@@ -340,12 +343,51 @@ class TestRunGrid:
             run_grid(small_discrete_grid(), workers=0)
 
     @pytest.mark.parametrize("name", bundled_config_names())
-    def test_cells_match_golden(self, name):
-        # every bundled config at 10 reps and master seed 1, byte for byte
+    def test_cells_match_golden(self, name, monkeypatch):
+        # every bundled config at 10 reps and master seed 1, byte for byte;
+        # no block reads BatchOutcomes.p_value, and the only p-values
+        # computed to decide are of statistics within the band around the
+        # critical value (in practice none)
         _, grid = load_experiment_file(resolve_config_path(name))
         grid = dataclasses.replace(grid, n_reps=10, master_seed=1)
-        expected = (GOLDEN / f"{name}_cells.csv").read_text(encoding="utf-8")
-        assert run_grid(grid).to_csv_text() == expected
+        p_value, decided = inference._p_value, []
+
+        def spy(statistic, ref, sided):
+            decided.append((statistic, ref, sided))
+            return p_value(statistic, ref, sided)
+
+        monkeypatch.setattr(inference, "_p_value", spy)
+        monkeypatch.setattr(inference.BatchOutcomes, "p_value", property(lambda self: pytest.fail("p_value read")))
+        assert run_grid(grid).to_csv_text() == (GOLDEN / f"{name}_cells.csv").read_text(encoding="utf-8")
+        for statistic, ref, sided in decided:
+            c = inference.critical_value(ref, grid.alpha, sided)
+            oriented = {"two": np.abs(statistic), "right": statistic, "left": -statistic}[sided]
+            assert np.all(np.abs(oriented - c) < 1e-9 * max(1.0, abs(c)))
+
+    def test_stream_keys_are_substream_indices(self, monkeypatch):
+        # each replication's stream index is substream_index(signature, rep),
+        # also in blocks that start and end inside a combination
+        grid = small_discrete_grid(
+            beta_values=(0.0, 1.0), kappa_values=(0.0, 50.0), T_values=(60.0, 120.0), vol_models=("CNST", "SB"),
+            n_reps=7,
+        )
+        keys = []
+
+        def stream(seed, index=None):  # the grid's seed check passes no index
+            if index is None:
+                return RngStream(seed)
+            keys.append(index)
+            return RngStream(seed, index)
+
+        monkeypatch.setattr(experiments, "RngStream", stream)
+        monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", 5 * 60)
+        run_grid(grid)
+        expected = [
+            substream_index(grid.dgp_signature(*combination), rep)
+            for combination in itertools.product(*(getattr(grid, axis) for axis in experiments._AXES))
+            for rep in range(grid.n_reps)
+        ]
+        assert sorted(keys) == sorted(expected) and len(set(keys)) == len(keys)
 
     def test_dense_table_cells(self):
         # the dense counts read back as one CellResult per (combination, method)

@@ -2,6 +2,7 @@
 identities across tests, and degenerate-input errors."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cauchypred import (
     SampleBatch,
     SignDegeneracyError,
     bonferroni_joint,
+    chi_square_sf,
     grouped_hybrid_test,
     group_gammas,
     hybrid_test,
@@ -34,7 +36,15 @@ from cauchypred import (
 )
 from cauchypred.estimators import diff_cauchy
 from cauchypred.experiments import evaluate_method, parse_method
-from cauchypred.inference import _p_value, ReferenceDistribution, group_t_outcomes
+from cauchypred.inference import (
+    SIDES,
+    ReferenceDistribution,
+    _outcomes,
+    _p_value,
+    critical_value,
+    group_t_outcomes,
+    reference,
+)
 
 
 def groups(values):
@@ -118,6 +128,59 @@ class TestTailPValues:
     def test_two_sided_far_tail(self):
         p = _p_value(10.0, ReferenceDistribution("std_normal"), "two")
         assert p == pytest.approx(2 * 7.61985302416047e-24, rel=1e-10, abs=0)
+
+
+REFERENCES = [reference(q) for q in (2, 8, 12, 16, 200, None)]  # t(1), t(7), ..., t(199), N(0, 1)
+
+
+def _ref_id(ref):
+    return ref.family if ref.df is None else f"t{ref.df}"
+
+
+def _oriented_sweep(c):
+    """c, 1 to 1000 representable steps either side of it, and c moved by
+    1e-9 to 1e-6 of |c| and of max(1, |c|)."""
+    values = [c]
+    for direction in (math.inf, -math.inf):
+        x = c
+        for _ in range(1000):
+            x = math.nextafter(x, direction)
+            values.append(x)
+    rel = np.logspace(-9, -6, 13)
+    scale = max(1.0, abs(c))
+    return np.concatenate([values, c * (1 + rel), c * (1 - rel), c + rel * scale, c - rel * scale])
+
+
+class TestCriticalValueDecision:
+    # reject comes from the critical value; only a statistic within
+    # 1e-9 max(1, |c|) of it decides by its p-value
+    @pytest.mark.parametrize("ref", REFERENCES, ids=_ref_id)
+    @pytest.mark.parametrize("sided", SIDES)
+    def test_boundary_sweep_decides_as_the_p_value(self, ref, sided):
+        for alpha in (1e-6, 0.01, 0.05, 0.08326, 0.5, 0.7, 0.99):
+            oriented = _oriented_sweep(critical_value(ref, alpha, sided))
+            stat = {"two": np.concatenate([oriented, -oriented]), "right": oriented, "left": -oriented}[sided]
+            out = _outcomes(stat, ref, sided, alpha, np.zeros(stat.shape, dtype=np.int8))
+            assert np.array_equal(out.reject, out.p_value <= alpha), alpha
+            assert out.reject.any() and not out.reject.all(), alpha
+
+    @pytest.mark.parametrize("ref", REFERENCES, ids=_ref_id)
+    def test_critical_values_by_side(self, ref):
+        for alpha in (1e-6, 0.05, 0.3):
+            c = critical_value(ref, alpha, "right")
+            assert c == ref.two_sided_cv(2 * alpha)
+            assert critical_value(ref, alpha, "left") == c
+            # above 1/2: minus the value at the complement level, as rounded
+            assert critical_value(ref, 1 - alpha, "right") == -ref.two_sided_cv(2 * (1 - (1 - alpha)))
+            assert _p_value(c, ref, "right") == pytest.approx(alpha, rel=1e-12)
+            assert _p_value(critical_value(ref, alpha, "two"), ref, "two") == pytest.approx(alpha, rel=1e-12)
+        assert critical_value(ref, 0.5, "right") == 0.0
+
+    def test_undefined_rows_do_not_reject(self):
+        cause = np.array([0, 4, 0], dtype=np.int8)
+        out = _outcomes(np.array([5.0, 5.0, 0.1]), reference(None), "two", 0.05, cause)
+        assert out.reject.tolist() == [True, False, False]
+        assert np.isnan(out.statistic[1]) and np.isnan(out.p_value[1])
 
 
 class TestHybridTest:
@@ -317,6 +380,17 @@ class TestJointTests:
         assert joint.wald_stat >= 0.0
         assert joint.per_predictor[0].sided == "right"
         assert joint.per_predictor[0].ref_dist.df == 2
+
+    def test_wald_decides_by_its_chi_square_p_value(self):
+        gen = np.random.default_rng(19)
+        X = np.cumsum(gen.standard_normal((250, 2)), axis=0)
+        y = 0.02 * X[:, 0] + gen.standard_normal(250)
+        joint = wald_joint(RegressionSample(y=y, x_lag=X), 0.05)
+        (marginal,) = joint.per_predictor
+        assert marginal.p_value == chi_square_sf(joint.wald_stat, 2)
+        assert marginal.reject == joint.joint_reject == (marginal.p_value <= 0.05)
+        with pytest.raises(DomainError):
+            wald_joint(RegressionSample(y=y, x_lag=X), 1.0)
 
 
 class TestNullDistributionChecks:

@@ -10,7 +10,7 @@ from cauchypred import (
     draw_correlated_normals,
     substream_index,
 )
-from cauchypred.rng import generators
+from cauchypred.rng import generators, substream_indices
 
 
 def test_same_key_bitwise_identical():
@@ -67,6 +67,12 @@ def test_substream_index_stable():
     assert substream_index("cell", 3) == substream_index("cell", 3)
     assert substream_index("cell", 3) != substream_index("cell", 4)
     assert 0 <= substream_index("x") < 2**64
+
+
+@pytest.mark.parametrize("label", ["cell", "discrete|0.0|50.0|240|CNST|é", ("a", 1.5, None), 2**70])
+def test_substream_indices_hash_the_label_once(label):
+    reps = list(range(40)) + [12345, 2**63]
+    assert list(substream_indices(label, reps)) == [substream_index(label, rep) for rep in reps]
 
 
 def test_pair_rho_one_identical():
