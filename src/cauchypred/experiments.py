@@ -46,8 +46,10 @@ hybrid                      ``tau``     ``tau_e`` / ``tau_o``
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
@@ -171,9 +173,17 @@ class ExperimentGrid:
     rho: float = _only("discrete", "rho")
     endogeneity: str = _only("discrete", "endogeneity")
 
-    def validate(self) -> dict:
+    def validate(self) -> Mapping[tuple, tuple]:
         """Check every rule a run would hit; return each (T, vol) group's
-        list of the DGP configs of its (beta, kappa) pairs, in grid order."""
+        tuple of the DGP configs of its (beta, kappa) pairs, in grid order.
+
+        A grid that passes is checked once: later calls return the same
+        read-only mapping.  One that fails raises on every call.
+        """
+        return self._models
+
+    @functools.cached_property
+    def _models(self) -> Mapping[tuple, tuple]:
         if self.dgp_kind not in ("continuous", "discrete"):
             raise SchemaError(f"dgp_kind must be 'continuous' or 'discrete', got {self.dgp_kind!r}")
         for name in (*_AXES, "methods"):
@@ -220,7 +230,12 @@ class ExperimentGrid:
                     group_block_size(terms, s.q)
             except (DomainError, PartitionError) as exc:
                 raise SchemaError(f"method {s.label!r} cannot run at n_obs = {n}: {exc}") from exc
-        return models
+        return MappingProxyType({group: tuple(configs) for group, configs in models.items()})
+
+    def __getstate__(self) -> dict:
+        # the validation memo stays in this process: a pool task pickles the
+        # grid for its fields, and the worker gets its block's configs apart
+        return {name: value for name, value in self.__dict__.items() if name != "_models"}
 
     def dgp_config(self, beta, kappa, T, vol):
         """The model of one combination: its coordinates plus the design's knobs."""
@@ -429,14 +444,27 @@ def run_cell(
     return cell
 
 
+def _prepare_fork(grid: ExperimentGrid) -> None:
+    """Load and cache in this process what every block needs, so that forked
+    pool workers inherit it instead of each loading it again: the grid's
+    critical values, and ``numpy.random``, which numpy imports lazily, on
+    first use, and which ``import cauchypred`` therefore never loads."""
+    for method in grid.methods:
+        critical_value(reference(parse_method(method).q), grid.alpha, grid.sided)
+    import numpy.random  # noqa: F401
+
+
 def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     """Evaluate the whole grid, optionally fanning its blocks out to worker
-    processes, largest first.  Output is independent of the worker count."""
+    processes, largest first.  Output is independent of the worker count.
+
+    On Linux the workers are forked from this process after
+    :func:`_prepare_fork`, so they inherit its critical-value cache and
+    loaded modules.
+    """
     models = grid.validate()
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    for method in grid.methods:  # cached once per process, and inherited by forked workers
-        critical_value(reference(parse_method(method).q), grid.alpha, grid.sided)
     pairs = list(itertools.product(grid.beta_values, grid.kappa_values))
     rows = len(pairs) * grid.n_reps  # in each (T, vol) group
     blocks = []  # (elements, T index, vol index, rows of the group)
@@ -455,9 +483,14 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     if workers == 1 or len(tasks) == 1:
         results = [_run_combination(*task) for task in tasks]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only where a pool runs
+        import multiprocessing  # loaded only where a pool runs
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        _prepare_fork(grid)
+        # fork on Linux, whatever the interpreter's default, so the workers
+        # inherit what _prepare_fork loaded; the platform's default elsewhere
+        context = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=context) as pool:
             futures = [pool.submit(_run_combination, *task) for task in tasks]
             results = [f.result() for f in futures]
     counts = np.zeros(

@@ -202,6 +202,18 @@ class TestTableCommand:
             out2 / "cli_small_cells.csv"
         ).read_bytes()
 
+    def test_grid_validated_once(self, tmp_path, monkeypatch):
+        # loading the file validates the grid; run_grid reuses that result,
+        # so each combination's DGP config is built once per invocation
+        built = []
+        dgp_config = experiments.ExperimentGrid.dgp_config
+        monkeypatch.setattr(
+            experiments.ExperimentGrid, "dgp_config", lambda grid, *c: built.append(c) or dgp_config(grid, *c)
+        )
+        config = small_config(tmp_path)
+        assert main(["table", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert built == [(0.0, 0.0, 60.0, "CNST"), (0.0, 50.0, 60.0, "CNST")]
+
     def test_schema_error_before_compute(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         payload = json.loads(small_config(tmp_path).read_text())

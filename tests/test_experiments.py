@@ -3,6 +3,9 @@ agreement, worker-count invariance, and the exceedance study."""
 
 import dataclasses
 import itertools
+import os
+import pickle
+import subprocess
 import sys
 import threading
 import typing
@@ -201,6 +204,26 @@ class TestGridValidation:
         with pytest.raises(SchemaError, match="more than once"):
             small_discrete_grid(methods=methods).validate()
 
+    def test_validation_is_memoised_per_grid(self):
+        grid = small_discrete_grid(T_values=(60.0, 120.0))
+        unvalidated = pickle.dumps(grid)
+        models = grid.validate()
+        assert grid.validate() is models
+        assert list(models) == [(60.0, "CNST"), (120.0, "CNST")]
+        assert models[60.0, "CNST"] == tuple(grid.dgp_config(0.0, k, 60.0, "CNST") for k in (0.0, 50.0))
+        with pytest.raises(TypeError):
+            models[60.0, "CNST"] = ()
+        # the memo is not pickled into a pool task, nor copied by replace
+        assert pickle.dumps(grid) == unvalidated
+        assert pickle.loads(pickle.dumps(grid)) == grid
+        assert dataclasses.replace(grid).validate() is not models
+
+    def test_invalid_grid_raises_on_every_call(self):
+        grid = small_discrete_grid(alpha=1.5)
+        for _ in range(2):
+            with pytest.raises(SchemaError):
+                grid.validate()
+
 
 def size_grid(kind, T_values, method, **overrides):
     """A one-method grid whose first T is the one under test."""
@@ -286,6 +309,36 @@ class TestRunGrid:
             monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", cap)
             assert run_grid(grid, workers=1).to_csv_text() == serial
             assert run_grid(grid, workers=2).to_csv_text() == serial
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="pool workers are forked on Linux only")
+    def test_pool_workers_start_warm(self, tmp_path):
+        # a fresh interpreter records every module import and every task
+        # unpickling in its forked workers: the package imports leave
+        # numpy.random out, and run_grid loads it before the pool forks, so
+        # no worker imports anything
+        log = tmp_path / "worker_events.txt"
+        probe = f"""
+import os, sys
+parent = os.getpid()
+fd = os.open({str(log)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+def record(event, args):
+    if event in ("import", "pickle.find_class") and os.getpid() != parent:
+        os.write(fd, f"{{os.getpid()}} {{event}} {{args[0]}}\\n".encode())
+
+sys.addaudithook(record)
+import cauchypred
+assert "numpy.random" not in sys.modules, "import cauchypred"
+import cauchypred.cli
+assert "numpy.random" not in sys.modules, "import cauchypred.cli"
+cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_grid())!r}), workers=2)
+"""
+        package_root = str(Path(experiments.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_root}
+        subprocess.run([sys.executable, "-c", probe], check=True, env=env, timeout=120)
+        events = [line.split(" ", 2) for line in log.read_text().splitlines()]
+        assert not [module for _, event, module in events if event == "import"]
+        assert {pid for pid, event, _ in events if event == "pickle.find_class"}  # the workers ran blocks
 
     def test_blocks_span_combinations(self, monkeypatch):
         # 7-row blocks of 5-replication combinations: every block but the

@@ -22,6 +22,7 @@ from cauchypred import (
     SampleBatch,
     SignDegeneracyError,
     bonferroni_joint,
+    cauchy_estimate,
     chi_square_sf,
     grouped_hybrid_test,
     group_gammas,
@@ -491,6 +492,41 @@ class TestMetamorphic:
         assert statistic(y=c * s.y) == pytest.approx(stat, rel=1e-9, abs=0)
         if spec.parity is not None:  # differencing removes any intercept
             assert statistic(y=s.y + a) == pytest.approx(stat, rel=1e-9, abs=0)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kappa=st.sampled_from([0.0, 5.0, 50.0]),
+        q=st.sampled_from([2, 3, 8, 12]),
+        transform=st.one_of(
+            st.tuples(st.just("odd power"), st.sampled_from([3, 5, 7, 9])),
+            st.tuples(st.just("signed power"), st.floats(min_value=0.1, max_value=10.0)),
+            st.tuples(st.just("tan stretch"), st.floats(min_value=0.05, max_value=20.0)),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sign_preserving_predictor_transform(self, seed, kappa, q, transform):
+        # the group t-tests and the hybrid numerator gamma read the predictor
+        # only through sign(x) (sign(0) = +1), so any transform of x_level
+        # that keeps every sign leaves them bit-identical; the tan stretch
+        # makes x heavy-tailed, up to about 1.6e16
+        s = simulate_discrete(DgpDiscreteConfig(n_obs=120, kappa_bar=kappa), RngStream(seed))
+        kind, p = transform
+        x = s.x_level
+        if kind == "odd power":
+            z = x**p
+        elif kind == "signed power":
+            z = np.sign(x) * np.abs(x) ** p
+        else:
+            z = np.tan(np.pi / 2 * np.tanh(x / p))
+        assert np.array_equal(z >= 0.0, x >= 0.0)
+        samples = [RegressionSample(y=s.y, x_lag=lev[:-1], x_level=lev) for lev in (x, z)]
+        for label in (f"t{q}", f"t{q}_tau_e", f"t{q}_tau_o"):
+            spec = parse_method(label)
+            before, after = (evaluate_method(spec, t, 0.05, "two").statistic for t in samples)
+            assert after == before, label
+        assert cauchy_estimate(samples[1]).gamma == cauchy_estimate(samples[0]).gamma
+        for parity in ("even", "odd"):
+            assert diff_cauchy(samples[1], parity).gamma == diff_cauchy(samples[0], parity).gamma
 
     @pytest.mark.parametrize("label", ["t8", "tau", "tau_o", "t8_tau_o"])
     def test_large_response_inside_the_magnitude_bound(self, label):
