@@ -15,7 +15,6 @@ code.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -100,9 +99,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     path = resolve_config_path(args.config)
-    name, grid = load_experiment_file(path)
-    if args.seed is not None:
-        grid = dataclasses.replace(grid, master_seed=args.seed)
+    name, grid = load_experiment_file(path, master_seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # fails before the grid runs
     table = run_grid(grid, workers=args.workers)

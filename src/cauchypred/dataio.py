@@ -197,12 +197,13 @@ def _design_of(key: str, kind: str) -> str:
     return _FIELDS[key].metadata.get("design", kind)
 
 
-def config_to_grid(config: dict) -> ExperimentGrid:
+def config_to_grid(config: dict, master_seed: int | None = None) -> ExperimentGrid:
     """Validate a config mapping and build the experiment grid.
 
     The keys are ``name`` plus the fields of :class:`ExperimentGrid`, with
     the field defaults; ``sided`` defaults to ``"right"`` under the discrete
-    design.
+    design.  ``master_seed``, if given, replaces the config's before the
+    grid is validated.
     """
     if not isinstance(config, dict):
         raise SchemaError("experiment config must be a JSON object")
@@ -215,6 +216,8 @@ def config_to_grid(config: dict) -> ExperimentGrid:
     if not isinstance(config["name"], str) or not config["name"]:
         raise SchemaError("name must be a nonempty string")
     values = {k: _convert(k, v) for k, v in config.items() if k != "name"}
+    if master_seed is not None:
+        values["master_seed"] = _convert("master_seed", master_seed)
     if values["dgp_kind"] == "discrete":
         values.setdefault("sided", "right")
     grid = ExperimentGrid(**values)
@@ -235,8 +238,11 @@ def grid_to_config(grid: ExperimentGrid, name: str) -> dict:
     return config
 
 
-def load_experiment_file(path: str | Path) -> tuple[str, ExperimentGrid]:
-    """Load an experiment JSON file (or a run manifest) into a grid.
+def load_experiment_file(
+    path: str | Path, master_seed: int | None = None
+) -> tuple[str, ExperimentGrid]:
+    """Load an experiment JSON file (or a run manifest) into a grid, with
+    ``master_seed``, if given, in place of the file's.
 
     A manifest produced by the table command wraps the config under a
     ``config`` key; it is accepted directly so a run can be reproduced from
@@ -249,7 +255,7 @@ def load_experiment_file(path: str | Path) -> tuple[str, ExperimentGrid]:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     if isinstance(payload, dict) and "config" in payload and "tool" in payload:
         payload = payload["config"]
-    grid = config_to_grid(payload)
+    grid = config_to_grid(payload, master_seed)
     return payload["name"], grid
 
 

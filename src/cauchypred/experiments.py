@@ -16,14 +16,14 @@ Combinations that share (T, vol) differ only in beta and kappa, so their
 replications are simulated and tested together as the rows of one
 :class:`~cauchypred.estimators.SampleBatch`: the rows of such a group run in
 grid order, combination-major, and are cut into blocks of at most
-``BLOCK_ELEMENTS`` (rows x observations).  A block is the unit of work both
-in-process and in the worker pool; it counts rejections and degenerate
-replications per combination, and the intermediates the methods share
-(sign terms, OLS fits) are computed once per block.  Every row's outcome
-depends on its own sample only, so the counts do not depend on the block
-size.  :class:`McTable` keeps the counts as one dense array.
+``BLOCK_ELEMENTS`` (rows x observations).  A block is the unit of work, in
+this process and in the child processes of a fan-out; it counts rejections
+and degenerate replications per combination, and the intermediates the
+methods share (sign terms, OLS fits) are computed once per block.  Every
+row's outcome depends on its own sample only, so the counts do not depend
+on the block size.  :class:`McTable` keeps the counts as one dense array.
 
-Each thread (so each worker process of a pool) writes the arrays of every
+Each thread (so each child process of a fan-out) writes the arrays of every
 block it runs, and of every :func:`d2_study` chunk, into one
 :class:`~cauchypred.estimators.Workspace` whose buffers grow to the largest
 block and are never freed.  Blocks therefore neither allocate nor fault
@@ -233,8 +233,8 @@ class ExperimentGrid:
         return MappingProxyType({group: tuple(configs) for group, configs in models.items()})
 
     def __getstate__(self) -> dict:
-        # the validation memo stays in this process: a pool task pickles the
-        # grid for its fields, and the worker gets its block's configs apart
+        # the validation memo stays in this process: a spawned child gets the
+        # grid pickled for its fields, and its blocks' configs apart
         return {name: value for name, value in self.__dict__.items() if name != "_models"}
 
     def dgp_config(self, beta, kappa, T, vol):
@@ -389,7 +389,7 @@ _THREAD = threading.local()
 
 def _block_workspace() -> Workspace:
     """The calling thread's workspace, which every block and d2 chunk it
-    runs reuses (one per worker process in a pool)."""
+    runs reuses (one per child process of a fan-out)."""
     if not hasattr(_THREAD, "workspace"):
         _THREAD.workspace = Workspace()
     return _THREAD.workspace
@@ -446,7 +446,7 @@ def run_cell(
 
 def _prepare_fork(grid: ExperimentGrid) -> None:
     """Load and cache in this process what every block needs, so that forked
-    pool workers inherit it instead of each loading it again: the grid's
+    children inherit it instead of each loading it again: the grid's
     critical values, and ``numpy.random``, which numpy imports lazily, on
     first use, and which ``import cauchypred`` therefore never loads."""
     for method in grid.methods:
@@ -454,11 +454,83 @@ def _prepare_fork(grid: ExperimentGrid) -> None:
     import numpy.random  # noqa: F401
 
 
-def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
-    """Evaluate the whole grid, optionally fanning its blocks out to worker
-    processes, largest first.  Output is independent of the worker count.
+def _deal(sizes: list, n: int) -> list[list[int]]:
+    """Indices of ``sizes`` (largest first) dealt into ``n`` shares, each to
+    the share with the fewest elements so far, the first on a tie."""
+    shares, loads = [[] for _ in range(n)], [0] * n
+    for i, size in enumerate(sizes):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += size
+    return shares
 
-    On Linux the workers are forked from this process after
+
+def _run_share(tasks: list) -> list[np.ndarray]:
+    return [_run_combination(*task) for task in tasks]
+
+
+def _child_share(tasks: list, send) -> None:
+    """A child process's life: run its share of blocks and send back their
+    counts, or the exception that stopped them."""
+    try:
+        sent = _run_share(tasks)
+    except Exception as exc:
+        sent = exc
+    send.send(sent)
+
+
+def _fan_out(grid: ExperimentGrid, shares: list[list]) -> list[list[np.ndarray]]:
+    """Each share's counts: one child process per share but the first, which
+    this process runs itself meanwhile.
+
+    A child's exception is raised here, and a child that exits without
+    sending raises :class:`ChildProcessError` with its exit code.  No child
+    outlives the call: on any exception every child is killed and joined.
+    """
+    if len(shares) == 1:
+        return [_run_share(shares[0])]
+    import multiprocessing  # loaded only where a fan-out runs
+
+    _prepare_fork(grid)
+    # fork on Linux, whatever the interpreter's default, so the children
+    # inherit what _prepare_fork loaded; the platform's default elsewhere
+    context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
+    children = []
+    try:
+        for tasks in shares[1:]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_child_share, args=(tasks, send))
+            child.start()
+            children.append((child, receive))
+            send.close()  # the child holds the only write end, so its exit ends the pipe
+        results = [_run_share(shares[0])]
+        for child, receive in children:
+            try:
+                sent = receive.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"run_grid child {child.pid} exited with code {child.exitcode} before sending its counts"
+                ) from None
+            if isinstance(sent, Exception):
+                raise sent
+            results.append(sent)
+            child.join()
+        return results
+    finally:
+        for child, receive in children:
+            child.kill()  # a no-op once the child has exited
+            child.join()
+            receive.close()
+
+
+def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
+    """Evaluate the whole grid.  Output is independent of the worker count.
+
+    With ``workers`` > 1 and more than one block, the blocks, largest first,
+    are dealt into ``min(workers, blocks)`` shares of about equal elements;
+    this process runs the first share while one child process runs each of
+    the others.  On Linux the children are forked from this process after
     :func:`_prepare_fork`, so they inherit its critical-value cache and
     loaded modules.
     """
@@ -476,28 +548,19 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
             for start in range(0, rows, step)
         ]
     blocks.sort(key=lambda b: b[0], reverse=True)
+    shares = _deal([b[0] for b in blocks], min(workers, len(blocks)))
     tasks = []
     for _, t, v, block in blocks:
         T, vol = grid.T_values[t], grid.vol_models[v]
         tasks.append((grid, T, vol, block, models[T, vol]))
-    if workers == 1 or len(tasks) == 1:
-        results = [_run_combination(*task) for task in tasks]
-    else:
-        import multiprocessing  # loaded only where a pool runs
-        from concurrent.futures import ProcessPoolExecutor
-
-        _prepare_fork(grid)
-        # fork on Linux, whatever the interpreter's default, so the workers
-        # inherit what _prepare_fork loaded; the platform's default elsewhere
-        context = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=context) as pool:
-            futures = [pool.submit(_run_combination, *task) for task in tasks]
-            results = [f.result() for f in futures]
+    results = _fan_out(grid, [[tasks[i] for i in share] for share in shares])
     counts = np.zeros(
         (len(pairs), len(grid.T_values), len(grid.vol_models), len(grid.methods), 2), dtype=np.int64
     )
-    for (_, t, v, _), result in zip(blocks, results):
-        counts[:, t, v] += result
+    for share, share_results in zip(shares, results):
+        for i, result in zip(share, share_results):
+            _, t, v, _ = blocks[i]
+            counts[:, t, v] += result
     return McTable(
         n_reps=grid.n_reps,
         beta_values=tuple(map(float, grid.beta_values)),

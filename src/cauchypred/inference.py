@@ -70,11 +70,6 @@ from .estimators import (
 
 SIDES = ("two", "right", "left")
 
-# Bakirov & Szekely (2006), as used by Ibragimov & Mueller (2010, JBES): the
-# two-sided t-test on q >= 2 independent, symmetric, possibly heterogeneous
-# block values keeps its size for alpha up to this level.
-ALPHA_VALIDITY_BOUND = 0.08326
-
 # The degenerate-statistic errors a test raises on a sample, in the order
 # the tests check them; BatchOutcomes.cause is 1 + the index, 0 if none.
 DEGENERACIES = (
@@ -278,26 +273,37 @@ def t_statistic(values: np.ndarray) -> float:
     return float(stat)
 
 
+def group_t_validity_bound(q: int, sided: str) -> float:
+    """The largest alpha at which the group t-test over q >= 2 independent,
+    symmetric, possibly heterogeneous block values keeps its size.
+
+    Two-sided it is 0.1 for q <= 14 and 0.08326 above (Ibragimov & Mueller
+    2010, JBES, Theorem 1, after Bakirov & Szekely 2006).  Under the null
+    the statistic is symmetric, so a one-sided level-alpha test rejects
+    with half the probability of the two-sided level-2 alpha test: the
+    one-sided bound is half the two-sided one.
+    """
+    two_sided = 0.1 if q <= 14 else 0.08326
+    return two_sided if sided == "two" else two_sided / 2
+
+
 def _group_t_outcomes(values: np.ndarray, alpha: float, sided: str) -> BatchOutcomes:
     """t-statistic of the q block values (last axis) against t(q-1).
 
-    ``ALPHA_VALIDITY_BOUND`` is the two-sided bound.  Under the null the
-    statistic is symmetric, so a one-sided level-alpha test rejects with
-    half the probability of the two-sided level-2 alpha test: it keeps its
-    size only when 2 alpha <= ALPHA_VALIDITY_BOUND, so the one-sided bound
-    is half the two-sided one.  Levels above the bound for ``sided`` are
+    Levels above :func:`group_t_validity_bound` for q and ``sided`` are
     flagged on the outcome rather than rejected outright.
     """
     stat, flat = _t_statistics(values)
-    bound = ALPHA_VALIDITY_BOUND if sided == "two" else ALPHA_VALIDITY_BOUND / 2
+    q = values.shape[-1]
+    bound = group_t_validity_bound(q, sided)
     warning = None
     if alpha > bound:
         warning = (
-            f"{sided}-sided group t-test validity is only guaranteed for "
-            f"alpha <= {bound:g}; got alpha={alpha}"
+            f"{sided}-sided group t-test validity over q={q} groups is only "
+            f"guaranteed for alpha <= {bound:g}; got alpha={alpha}"
         )
     cause = np.where(flat, _GROUPS, 0).astype(np.int8)
-    return _outcomes(stat, reference(values.shape[-1]), sided, alpha, cause, warning)
+    return _outcomes(stat, reference(q), sided, alpha, cause, warning)
 
 
 def group_t_outcomes(

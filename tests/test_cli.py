@@ -202,17 +202,25 @@ class TestTableCommand:
             out2 / "cli_small_cells.csv"
         ).read_bytes()
 
-    def test_grid_validated_once(self, tmp_path, monkeypatch):
-        # loading the file validates the grid; run_grid reuses that result,
-        # so each combination's DGP config is built once per invocation
+    def test_grid_validated_once(self, tmp_path, monkeypatch, capsys):
+        # loading the file validates the grid, with --seed applied first;
+        # run_grid reuses that result, so each combination's DGP config is
+        # built once per invocation
         built = []
         dgp_config = experiments.ExperimentGrid.dgp_config
         monkeypatch.setattr(
             experiments.ExperimentGrid, "dgp_config", lambda grid, *c: built.append(c) or dgp_config(grid, *c)
         )
         config = small_config(tmp_path)
-        assert main(["table", "--config", str(config), "--out", str(tmp_path)]) == 0
-        assert built == [(0.0, 0.0, 60.0, "CNST"), (0.0, 50.0, 60.0, "CNST")]
+        for seed, master_seed in ((), 11), (("--seed", "5"), 5):
+            built.clear()
+            assert main(["table", "--config", str(config), "--out", str(tmp_path), *seed]) == 0
+            assert built == [(0.0, 0.0, 60.0, "CNST"), (0.0, 50.0, 60.0, "CNST")]
+            manifest = json.loads((tmp_path / "cli_small_manifest.json").read_text())
+            assert manifest["config"]["master_seed"] == master_seed
+        capsys.readouterr()
+        assert main(["table", "--config", str(config), "--out", str(tmp_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_schema_error_before_compute(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

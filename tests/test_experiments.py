@@ -3,11 +3,13 @@ agreement, worker-count invariance, and the exceedance study."""
 
 import dataclasses
 import itertools
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 import threading
+import time
 import typing
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from cauchypred import (
     DgpDiscreteConfig,
     DomainError,
     ExperimentGrid,
+    PartitionError,
     RegressionSample,
     RngStream,
     SchemaError,
@@ -302,20 +305,23 @@ class TestRunGrid:
             beta_values=(0.0, 1.0), kappa_values=(0.0, 50.0), T_values=(60.0, 120.0), n_reps=20
         )
         serial = run_grid(grid, workers=1).to_csv_text()
-        assert run_grid(grid, workers=8).to_csv_text() == serial
+        # two groups of one block each: 8 workers get 2 shares
+        for workers in (2, 3, 8):
+            assert run_grid(grid, workers=workers).to_csv_text() == serial
         # blocks of one row (a cap below one row still takes one), and one
         # block per (T, vol) group: the counts do not depend on the cut
         for cap in (60, 4 * 20 * 120):
             monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", cap)
-            assert run_grid(grid, workers=1).to_csv_text() == serial
-            assert run_grid(grid, workers=2).to_csv_text() == serial
+            for workers in (1, 2, 3):
+                assert run_grid(grid, workers=workers).to_csv_text() == serial
+        assert not multiprocessing.active_children()
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="pool workers are forked on Linux only")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
     def test_pool_workers_start_warm(self, tmp_path):
-        # a fresh interpreter records every module import and every task
-        # unpickling in its forked workers: the package imports leave
-        # numpy.random out, and run_grid loads it before the pool forks, so
-        # no worker imports anything
+        # a fresh interpreter records every audit event raised in its forked
+        # children: the package imports leave numpy.random and
+        # multiprocessing out, and run_grid loads them before it forks, so
+        # no child imports anything
         log = tmp_path / "worker_events.txt"
         probe = f"""
 import os, sys
@@ -323,14 +329,13 @@ parent = os.getpid()
 fd = os.open({str(log)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
 def record(event, args):
-    if event in ("import", "pickle.find_class") and os.getpid() != parent:
-        os.write(fd, f"{{os.getpid()}} {{event}} {{args[0]}}\\n".encode())
+    if os.getpid() != parent:
+        os.write(fd, f"{{os.getpid()}} {{event}} {{args[0] if args else ''}}\\n".encode())
 
 sys.addaudithook(record)
 import cauchypred
-assert "numpy.random" not in sys.modules, "import cauchypred"
 import cauchypred.cli
-assert "numpy.random" not in sys.modules, "import cauchypred.cli"
+assert not {{"numpy.random", "multiprocessing"}} & set(sys.modules), "import cauchypred"
 cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_grid())!r}), workers=2)
 """
         package_root = str(Path(experiments.__file__).resolve().parents[1])
@@ -338,7 +343,55 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
         subprocess.run([sys.executable, "-c", probe], check=True, env=env, timeout=120)
         events = [line.split(" ", 2) for line in log.read_text().splitlines()]
         assert not [module for _, event, module in events if event == "import"]
-        assert {pid for pid, event, _ in events if event == "pickle.find_class"}  # the workers ran blocks
+        assert events  # a child ran
+
+    @staticmethod
+    def fail_blocks(monkeypatch, in_parent, in_child):
+        """Make every block call ``in_parent()`` or ``in_child()`` first,
+        after the process that runs it."""
+        parent = os.getpid()
+        run = experiments._run_combination
+
+        def patched(*task):
+            (in_parent if os.getpid() == parent else in_child)()
+            return run(*task)
+
+        monkeypatch.setattr(experiments, "_run_combination", patched)
+
+    # two (T, vol) groups of one block each: the second block runs in a child
+    TWO_BLOCKS = dict(T_values=(60.0, 120.0))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
+    def test_child_exception_reraised(self, monkeypatch):
+        def in_child():
+            raise PartitionError("no partition in the child")
+
+        self.fail_blocks(monkeypatch, lambda: None, in_child)
+        with pytest.raises(PartitionError, match="^no partition in the child$") as raised:
+            run_grid(small_discrete_grid(**self.TWO_BLOCKS), workers=2)
+        assert raised.type is PartitionError
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
+    def test_child_exit_names_its_code(self, monkeypatch):
+        self.fail_blocks(monkeypatch, lambda: None, lambda: os._exit(3))
+        with pytest.raises(ChildProcessError, match="exited with code 3 before sending"):
+            run_grid(small_discrete_grid(**self.TWO_BLOCKS), workers=2)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
+    def test_caller_failure_ends_children(self, monkeypatch):
+        # the caller's own share raises while its child is still busy: the
+        # child is killed and joined before the exception propagates
+        def in_parent():
+            raise DomainError("the caller's share failed")
+
+        self.fail_blocks(monkeypatch, in_parent, lambda: time.sleep(60))
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="the caller's share failed"):
+            run_grid(small_discrete_grid(**self.TWO_BLOCKS), workers=2)
+        assert time.monotonic() - start < 30
+        assert not multiprocessing.active_children()
 
     def test_blocks_span_combinations(self, monkeypatch):
         # 7-row blocks of 5-replication combinations: every block but the

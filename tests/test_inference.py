@@ -35,6 +35,7 @@ from cauchypred import (
     t_q_test,
     wald_joint,
 )
+from cauchypred import dists, inference
 from cauchypred.estimators import diff_cauchy
 from cauchypred.experiments import evaluate_method, parse_method
 from cauchypred.inference import (
@@ -301,9 +302,24 @@ class TestGroupedHybrid:
                         run()
 
 
+def extreme_point_size(q, alpha, sided):
+    """The group t-test's largest size over the Bakirov-Szekely extreme
+    points: k of the q block values N(0, 1), the rest 0, for k = 2..q (at
+    k = 1 the statistic is +-1, which never rejects at these levels)."""
+    c = critical_value(reference(q), alpha, sided)
+    sizes = []
+    for k in range(2, q + 1):
+        # |t| > c  <=>  S^2 / (k Q) > b  <=>  |T_{k-1}| > c_k
+        b = q * c * c / (k * (q - 1 + c * c))
+        if b < 1:
+            c_k = math.sqrt((k - 1) * b / (1 - b))
+            sizes.append((2 if sided == "two" else 1) * float(dists.student_t(-c_k, k - 1)))
+    return max(sizes)
+
+
 class TestAlphaValidityBound:
-    # two-sided bound 0.08326 (Bakirov & Szekely 2006); by symmetry the
-    # one-sided bound is half of it, 0.04163
+    # above q = 14 groups the two-sided bound is 0.08326 (Bakirov & Szekely
+    # 2006); by symmetry the one-sided bound is half of it, 0.04163
     CASES = [
         (0.05, "right", True),
         (0.04, "right", False),
@@ -313,14 +329,48 @@ class TestAlphaValidityBound:
 
     @pytest.mark.parametrize("alpha,sided,warns", CASES)
     def test_t_q_test(self, alpha, sided, warns):
-        out = t_q_test(groups([0.3, -1.2, 0.8, 2.0, -0.5]), alpha, sided)
+        values = np.tile([0.3, -1.2, 0.8, 2.0], 4)  # q = 16
+        out = t_q_test(groups(values), alpha, sided)
         assert (out.warning is not None) == warns
 
     @pytest.mark.parametrize("alpha,sided,warns", CASES)
     def test_grouped_hybrid_test(self, alpha, sided, warns):
         s = random_walk_sample(6, 150, with_levels=True)
-        out = grouped_hybrid_test(s, "odd", 5, alpha, sided)
+        out = grouped_hybrid_test(s, "odd", 16, alpha, sided)
         assert (out.warning is not None) == warns
+
+    @pytest.mark.parametrize("sided", SIDES)
+    def test_bound_depends_on_q(self, sided):
+        # Ibragimov & Mueller (2010, Theorem 1): two-sided 0.1 up to q = 14
+        half = 1 if sided == "two" else 0.5
+        for q in range(2, 15):
+            assert inference.group_t_validity_bound(q, sided) == 0.1 * half
+        for q in (15, 16, 60, 1000):
+            assert inference.group_t_validity_bound(q, sided) == 0.08326 * half
+
+    @pytest.mark.parametrize("sided", ["two", "right"])
+    def test_bound_keeps_the_extreme_point_size(self, sided):
+        for q in range(2, 61):
+            alpha = inference.group_t_validity_bound(q, sided)
+            assert extreme_point_size(q, alpha, sided) <= alpha * (1 + 1e-9), q
+        # just past the theorem's edge, 0.1 is no longer kept
+        assert extreme_point_size(15, 0.1, "two") > 0.1
+        assert extreme_point_size(15, 0.05, "right") > 0.05
+
+    @pytest.mark.parametrize("q,sided,alpha,warns", [
+        (14, "two", 0.1, False),
+        (14, "two", 0.1001, True),
+        (15, "two", 0.1, True),
+        (12, "right", 0.05, False),
+        (16, "right", 0.05, True),
+        (16, "left", 0.04163, False),
+    ])
+    def test_warning_names_q_and_bound(self, q, sided, alpha, warns):
+        out = t_q_test(groups(np.linspace(-1.0, 2.0, q)), alpha, sided)
+        assert (out.warning is not None) == warns
+        if warns:
+            bound = inference.group_t_validity_bound(q, sided)
+            assert f"q={q} groups" in out.warning and f"alpha <= {bound:g}" in out.warning
 
 
 class TestJointTests:
