@@ -26,15 +26,14 @@ fixed, documented order (volatility first, then the shock channels), so a
 config and a stream reproduce the same sample bitwise on any platform.
 
 :func:`simulate_continuous_batch` and :func:`simulate_discrete_batch` build
-one sample per stream as the rows of a
-:class:`~cauchypred.estimators.SampleBatch`, each from its own config: the
-configs of a batch share the sample length, the volatility model and every
-other knob, and may differ only in ``beta`` and ``kappa_bar``.  Each row
-draws from its own stream in the documented order, then the moving
-average, volatility chain, autoregression (one coefficient per row) and
-demeaning run over the whole (R, T) arrays.  The single-sample functions
-are their batch-of-one wrappers, so a row of a batch equals the sample of
-its config and stream bit for bit.
+one sample per stream index as the rows of a
+:class:`~cauchypred.estimators.SampleBatch`.  A batch has one model (its
+config) and one master seed; each row owns a stream index and may have its
+own ``beta`` and ``kappa_bar``.  Each row draws from its own stream in the
+documented order, then the moving average, volatility chain,
+autoregression (one coefficient per row) and demeaning run over the whole
+(R, T) arrays.  The single-sample functions are their batch-of-one
+wrappers, so a row of a batch equals its single sample bit for bit.
 
 The batch simulators and :func:`brownian_paths` write every (R, T) array
 into a :class:`~cauchypred.estimators.Workspace` with ``out=``: the draws,
@@ -47,8 +46,8 @@ memory with no other call's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Optional
 
 import numpy as np
 
@@ -60,7 +59,7 @@ from .estimators import (
     _recursive_demean,
     partition_consecutive,
 )
-from .rng import RngStream, generators
+from .rng import RngStream, check_key, generators
 
 VOL_MODELS = ("CNST", "SB", "RS", "GBM")
 
@@ -339,21 +338,28 @@ def _ar_path(innovations: np.ndarray, coefficients, out: np.ndarray, ws: Workspa
     return out
 
 
-def _per_row(configs: Sequence, streams: Sequence[RngStream]):
-    """The model the configs of a batch share, and each row's beta and
-    kappa_bar as arrays: one config per stream, differing at most in
-    those two fields."""
-    if len(configs) == 0 or len(configs) != len(streams):
-        raise DomainError("a batch needs one config per stream, and at least one")
-    distinct = list({id(c): c for c in configs}.values())
-    model = distinct[0]
-    shared = [f.name for f in fields(model) if f.name not in ("beta", "kappa_bar")]
-    for config in distinct[1:]:
-        if type(config) is not type(model) or any(getattr(config, f) != getattr(model, f) for f in shared):
-            raise DomainError("the configs of a batch may differ only in beta and kappa_bar")
-    beta = np.array([c.beta for c in configs])
-    kappa = np.array([c.kappa_bar for c in configs])
-    return model, beta, kappa
+def _rows(config, master_seed: int, stream_indices, beta, kappa_bar):
+    """A batch's stream indices as ints and each row's beta and kappa_bar
+    as arrays (None: the config's own in every row), after checking each
+    input once: the seed, the indices, and each distinct (beta, kappa_bar)
+    pair other than the config's own, by building its config."""
+    check_key("master_seed", master_seed)
+    indices = np.asarray(stream_indices)
+    if indices.ndim != 1 or indices.size == 0 or indices.dtype.kind not in "iu" or indices.min() < 0:
+        raise DomainError(
+            "stream_indices must be a nonempty 1-D array of unsigned 64-bit integers (any integer dtype, "
+            f"not bool), got {indices.dtype} of shape {indices.shape}"
+        )
+    indices = indices.tolist()
+    rows = []
+    for name, given in (("beta", beta), ("kappa_bar", kappa_bar)):
+        values = np.full(len(indices), getattr(config, name), dtype=float) if given is None else np.asarray(given, dtype=float)
+        if values.shape != (len(indices),):
+            raise DomainError(f"{name} must hold one value per stream index ({len(indices)}), got shape {values.shape}")
+        rows.append(values)
+    for b, k in set(zip(rows[0].tolist(), rows[1].tolist())) - {(config.beta, config.kappa_bar)}:
+        replace(config, beta=b, kappa_bar=k)
+    return indices, rows[0], rows[1]
 
 
 def _correlate(
@@ -368,17 +374,16 @@ def _correlate(
 
 
 def simulate_continuous_batch(
-    configs: Sequence[DgpContinuousConfig],
-    streams: Sequence[RngStream],
+    config: DgpContinuousConfig, master_seed: int, stream_indices, beta=None, kappa_bar=None,
     workspace: Optional[Workspace] = None,
 ) -> SampleBatch:
-    """One replication of the no-intercept design per (config, stream)
-    pair, as the rows of a batch; row r is
-    ``simulate_continuous(configs[r], streams[r])``.  Every (R, T) array,
-    the batch's included, is one of ``workspace``'s arrays."""
-    config, beta, kappa = _per_row(configs, streams)
+    """One replication of the no-intercept design per stream index, as the
+    rows of a batch: row r is ``simulate_continuous(config, RngStream(master_seed,
+    stream_indices[r]))`` with the row's beta and kappa_bar (None: the config's).
+    Every (R, T) array, the batch's included, is one of ``workspace``'s."""
+    indices, beta, kappa = _rows(config, master_seed, stream_indices, beta, kappa_bar)
     ws = Workspace() if workspace is None else workspace
-    n, reps = config.n_obs, len(streams)
+    n, reps = config.n_obs, len(indices)
     x_lag, y = ws.array("x", (reps, n)), ws.array("y", (reps, n))
     gbm = config.vol_model == "GBM"
     jumps = config.jump_intensity > 0
@@ -390,7 +395,7 @@ def simulate_continuous_batch(
         e_v = ws.scratch((reps, n)) if gbm else None
         counts = ws.scratch((reps, n)) if jumps else None
         sizes = ws.scratch((reps, n)) if jumps else None
-        for r, gen in enumerate(generators(streams)):
+        for r, gen in enumerate(generators(master_seed, indices)):
             if vol is not None:
                 getattr(gen, vol[0])(out=vol_draws[r])
             if gbm:
@@ -443,29 +448,28 @@ def simulate_continuous(config: DgpContinuousConfig, stream: RngStream) -> Regre
     v shock at rho_vw, and under GBM also with the volatility shock at
     rho_wz.
     """
-    batch = simulate_continuous_batch([config], [stream])
+    batch = simulate_continuous_batch(config, stream.master_seed, [stream.stream_index])
     return RegressionSample(y=batch.y[0], x_lag=batch.x_lag[0])
 
 
 def simulate_discrete_batch(
-    configs: Sequence[DgpDiscreteConfig],
-    streams: Sequence[RngStream],
+    config: DgpDiscreteConfig, master_seed: int, stream_indices, beta=None, kappa_bar=None,
     workspace: Optional[Workspace] = None,
 ) -> SampleBatch:
-    """One replication of the intercept-experiment design per (config,
-    stream) pair, as the rows of a batch; row r is
-    ``simulate_discrete(configs[r], streams[r])``.  Every (R, T) array,
-    the batch's included, is one of ``workspace``'s arrays."""
-    config, beta, kappa = _per_row(configs, streams)
+    """One replication of the intercept-experiment design per stream index,
+    as the rows of a batch: row r is ``simulate_discrete(config, RngStream(master_seed,
+    stream_indices[r]))`` with the row's beta and kappa_bar (None: the config's).
+    Every (R, T) array, the batch's included, is one of ``workspace``'s."""
+    indices, beta, kappa = _rows(config, master_seed, stream_indices, beta, kappa_bar)
     ws = Workspace() if workspace is None else workspace
-    n, reps, order = config.n_obs, len(streams), config.ma_order
+    n, reps, order = config.n_obs, len(indices), config.ma_order
     x_level, y = ws.array("x", (reps, n + 1)), ws.array("y", (reps, n))  # x_0 .. x_n
     vol = _volatility_draws(config.vol_model, n)
     with ws:
         vol_draws = None if vol is None else ws.scratch((reps, vol[1]))
         v_full = ws.scratch((reps, n + order))
         e = ws.scratch((reps, n))
-        for r, gen in enumerate(generators(streams)):
+        for r, gen in enumerate(generators(master_seed, indices)):
             if vol is not None:
                 getattr(gen, vol[0])(out=vol_draws[r])
             gen.standard_normal(out=v_full[r])
@@ -493,7 +497,7 @@ def simulate_discrete(config: DgpDiscreteConfig, stream: RngStream) -> Regressio
     innovation when ``endogeneity="eta"``.  The effective slope is
     beta / n_obs under the default localization.
     """
-    batch = simulate_discrete_batch([config], [stream])
+    batch = simulate_discrete_batch(config, stream.master_seed, [stream.stream_index])
     return RegressionSample(y=batch.y[0], x_lag=batch.x_lag[0], x_level=batch.x_level[0])
 
 

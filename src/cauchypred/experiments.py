@@ -402,25 +402,24 @@ def _run_combination(grid: ExperimentGrid, T, vol, rows: range, models: tuple) -
     Row ``i`` of the group is replication ``i % n_reps`` of the group's
     ``i // n_reps``-th (beta, kappa) pair in grid order, drawn from the
     stream of that replication; ``models`` holds the DGP config of each
-    pair.  Returns the rejection and degenerate counts the block adds, as a
+    pair, and the block is one batch of the first with each row's beta and
+    kappa.  Returns the rejection and degenerate counts the block adds, as a
     (pairs, methods, 2) array.
     """
     specs = [parse_method(m) for m in grid.methods]
-    pairs = list(itertools.product(grid.beta_values, grid.kappa_values))
     n = grid.n_reps
-    first = rows.start // n
-    configs, streams, starts = [], [], []
-    for j in range(first, (rows.stop - 1) // n + 1):
-        beta, kappa = pairs[j]
-        signature = grid.dgp_signature(beta, kappa, T, vol)
+    first, stop = rows.start // n, (rows.stop - 1) // n + 1
+    indices, starts = [], []
+    for j in range(first, stop):
         reps = range(max(rows.start - j * n, 0), min(rows.stop - j * n, n))
-        starts.append(len(streams))
-        streams += [RngStream(grid.master_seed, index) for index in substream_indices(signature, reps)]
-        configs += [models[j]] * len(reps)
+        starts.append(len(indices))
+        indices += substream_indices(grid.dgp_signature(models[j].beta, models[j].kappa_bar, T, vol), reps)
+    per_pair = np.array([(model.beta, model.kappa_bar) for model in models[first:stop]])
+    beta, kappa = np.repeat(per_pair, np.diff(starts + [len(indices)]), axis=0).T
     simulate = simulate_continuous_batch if grid.dgp_kind == "continuous" else simulate_discrete_batch
-    batch = simulate(configs, streams, _block_workspace())
-    counts = np.zeros((len(pairs), len(specs), 2), dtype=np.int64)
-    span = slice(first, first + len(starts))
+    batch = simulate(models[0], grid.master_seed, np.array(indices, dtype=np.uint64), beta, kappa, _block_workspace())
+    counts = np.zeros((len(models), len(specs), 2), dtype=np.int64)
+    span = slice(first, stop)
     for k, spec in enumerate(specs):
         outcomes = evaluate_batch(spec, batch, grid.alpha, grid.sided)
         counts[span, k, 0] = np.add.reduceat(outcomes.reject, starts, dtype=np.int64)

@@ -1,11 +1,11 @@
 """Deterministic multi-stream random numbers.
 
-Every Monte Carlo replication owns one :class:`RngStream`, identified by a
-64-bit master seed plus a 64-bit stream index.  Streams are backed by the
-counter-based Philox generator, so stream ``r`` is constructed directly from
-its key without generating streams ``0..r-1`` first, and the variate
-sequence for a given key is identical on every platform and under any
-worker count.
+Every Monte Carlo replication owns one stream, named by a 64-bit master
+seed plus a 64-bit stream index; a batch of replications is one seed and
+an array of indices.  Streams are backed by the counter-based Philox
+generator, keyed in :func:`generators` only, so stream ``r`` is built from
+its key without generating streams ``0..r-1`` first, and its variates are
+identical on every platform and under any worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ from .errors import DomainError
 _UINT64_MAX = 2**64 - 1
 
 
+def check_key(name: str, value) -> None:
+    """Raise unless ``value`` is an unsigned 64-bit integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value <= _UINT64_MAX:
+        raise DomainError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Key of one reproducible random stream."""
@@ -29,38 +35,29 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("master_seed", "stream_index"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= v <= _UINT64_MAX:
-                raise DomainError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
+        check_key("master_seed", self.master_seed)
+        check_key("stream_index", self.stream_index)
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return next(generators(self.master_seed, [self.stream_index]))
 
 
-def generators(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
-    """The generator of each stream in turn, each starting in the state of a
-    fresh ``stream.generator()``, so it yields the same variates.
+def generators(master_seed: int, stream_indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """The generator of each stream ``(master_seed, index)`` in turn (keys
+    checked by the caller), each in the state of a freshly keyed Philox.
 
-    One Philox generator is re-keyed for every stream, from Python ints
+    One Philox generator is re-keyed for every index, from Python ints
     rather than new arrays, which costs far less than building a new one.
     A generator yielded is valid only until the next one is requested.
     """
     bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bit_generator)
-    for stream in streams:
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": (0, 0, 0, 0),
-                "key": (stream.master_seed, stream.stream_index),
-            },
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    state = {"counter": (0, 0, 0, 0), "key": None}
+    fresh = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for index in stream_indices:
+        state["key"] = (master_seed, index)
+        bit_generator.state = fresh  # copied in: the dict is not kept
         yield gen
 
 

@@ -2,10 +2,11 @@
 
 The Monte Carlo engine simulates and tests the replications of every
 combination that shares (T, vol) together, as the rows of a
-``SampleBatch`` whose rows may differ in beta and kappa; the public
-single-sample functions run the same kernels on a batch of one.  These
-tests check, replication by replication, that batching changes nothing:
-each row of a simulated batch is the sample of its config and stream, and
+``SampleBatch`` of one model whose rows may differ in beta and kappa; the
+public single-sample functions run the same kernels on a batch of one.
+These tests check, replication by replication, that batching changes
+nothing: each row of a simulated batch is the sample of its config (with
+the row's beta and kappa) and stream, and
 each method's batch outcome on a row (statistic, p-value, decision, or the
 degenerate-statistic error) is what the single-sample test gives on it.
 """
@@ -47,14 +48,21 @@ ALL_METHODS = LEVEL_METHODS + ("tau_e", "tau_o", "t8_tau_e", "t8_tau_o", "t12_ta
 T = 64
 
 
-def streams(n, seed=31):
-    return [RngStream(seed, i) for i in range(n)]
+SEED = 31
+
+
+def streams(n):
+    """The stream indices of n rows, and the stream of each row."""
+    indices = np.arange(n, dtype=np.uint64)
+    return indices, [RngStream(SEED, int(i)) for i in indices]
 
 
 def mixed(config, n):
-    """n configs that cycle through four (beta, kappa_bar) pairs of ``config``."""
+    """n configs that cycle through four (beta, kappa_bar) pairs of
+    ``config``, and their beta and kappa_bar arrays."""
     pairs = [(config.beta, config.kappa_bar), (0.0, 0.0), (2.5, 100.0), (-1.0, 5.0)]
-    return [dataclasses.replace(config, beta=b, kappa_bar=k) for b, k in (pairs * n)[:n]]
+    configs = [dataclasses.replace(config, beta=b, kappa_bar=k) for b, k in (pairs * n)[:n]]
+    return configs, [c.beta for c in configs], [c.kappa_bar for c in configs]
 
 
 @pytest.mark.parametrize("vol", ["CNST", "SB", "RS", "GBM"])
@@ -65,8 +73,8 @@ def test_continuous_rows_are_single_samples(vol, jumps):
         years=10, kappa_bar=5.0, beta=0.02, vol_model=vol, jump_intensity=jumps, jump_sd=1.5
     )
     for n in (3, 30):
-        keys = streams(n)
-        batch = simulate_continuous_batch([config] * n, keys)
+        indices, keys = streams(n)
+        batch = simulate_continuous_batch(config, SEED, indices)
         assert batch.x_level is None
         for r, stream in enumerate(keys):
             single = simulate_continuous(config, stream)
@@ -81,8 +89,8 @@ def test_discrete_rows_are_single_samples(vol, ma_order, endogeneity):
         n_obs=120, kappa_bar=50.0, beta=1.0, vol_model=vol, ma_order=ma_order, endogeneity=endogeneity
     )
     for n in (3, 30):
-        keys = streams(n)
-        batch = simulate_discrete_batch([config] * n, keys)
+        indices, keys = streams(n)
+        batch = simulate_discrete_batch(config, SEED, indices)
         for r, stream in enumerate(keys):
             single = simulate_discrete(config, stream)
             assert np.array_equal(batch.y[r], single.y)
@@ -94,8 +102,8 @@ def test_continuous_rows_mixing_beta_and_kappa(vol):
     # a stacked (T, vol) group: every row follows its own config
     config = DgpContinuousConfig(years=10, kappa_bar=5.0, beta=0.02, vol_model=vol)
     for n in (3, 30):
-        keys, configs = streams(n), mixed(config, n)
-        batch = simulate_continuous_batch(configs, keys)
+        (indices, keys), (configs, beta, kappa) = streams(n), mixed(config, n)
+        batch = simulate_continuous_batch(config, SEED, indices, beta, kappa)
         for r, (row_config, stream) in enumerate(zip(configs, keys)):
             single = simulate_continuous(row_config, stream)
             assert np.array_equal(batch.y[r], single.y)
@@ -107,24 +115,38 @@ def test_continuous_rows_mixing_beta_and_kappa(vol):
 def test_discrete_rows_mixing_beta_and_kappa(vol, slope_scale):
     config = DgpDiscreteConfig(n_obs=120, kappa_bar=50.0, beta=1.0, vol_model=vol, slope_scale=slope_scale)
     for n in (3, 30):
-        keys, configs = streams(n), mixed(config, n)
-        batch = simulate_discrete_batch(configs, keys)
+        (indices, keys), (configs, beta, kappa) = streams(n), mixed(config, n)
+        batch = simulate_discrete_batch(config, SEED, indices, beta, kappa)
         for r, (row_config, stream) in enumerate(zip(configs, keys)):
             single = simulate_discrete(row_config, stream)
             assert np.array_equal(batch.y[r], single.y)
             assert np.array_equal(batch.x_level[r], single.x_level)
 
 
-def test_batch_configs_may_differ_only_in_beta_and_kappa():
-    base = DgpDiscreteConfig(n_obs=60)
-    with pytest.raises(DomainError, match="differ only"):
-        simulate_discrete_batch([base, dataclasses.replace(base, rho=-0.5)], streams(2))
-    with pytest.raises(DomainError, match="differ only"):
-        simulate_discrete_batch([base, DgpDiscreteConfig(n_obs=61)], streams(2))
-    with pytest.raises(DomainError, match="one config per stream"):
-        simulate_discrete_batch([base], streams(2))
-    with pytest.raises(DomainError, match="one config per stream"):
-        simulate_continuous_batch([], [])
+@pytest.mark.parametrize("simulate,config", [
+    (simulate_discrete_batch, DgpDiscreteConfig(n_obs=60)),
+    (simulate_continuous_batch, DgpContinuousConfig(years=5)),
+])
+def test_batch_input_checks(simulate, config):
+    # every input is checked once per call and named when it is wrong
+    rows = np.array([0, 2**64 - 1], dtype=np.uint64)
+    # any integer array of in-range values names the same streams
+    assert np.array_equal(simulate(config, np.uint64(0), [0, 1]).y, simulate(config, 0, np.arange(2)).y)
+    assert np.array_equal(simulate(config, 0, rows).y[1], simulate(config, 0, [2**64 - 1]).y[0])
+    bad = {
+        "master_seed": [{"master_seed": s} for s in (-1, 2**64, 1.0, True, "1", None)],
+        "stream_indices": [
+            {"stream_indices": i}
+            for i in ([-1], [0, -1], [2**64], [0.0], [1.5], [True], np.array([1], dtype=object), [], [[0, 1]], 3)
+        ],
+        "beta": [{"beta": b} for b in ([1.0], [1.0, 2.0, 3.0], [0.0, np.nan], [np.inf, 0.0])],
+        "kappa_bar": [{"kappa_bar": k} for k in ([5.0], [[0.0, 0.0]], [0.0, -1.0])],
+    }
+    for field, cases in bad.items():
+        for case in cases:
+            kw = {"master_seed": 0, "stream_indices": rows, **case}
+            with pytest.raises(DomainError, match=field):
+                simulate(config, kw.pop("master_seed"), kw.pop("stream_indices"), **kw)
 
 
 def forced_rows():
@@ -149,7 +171,7 @@ def forced_rows():
 
 def simulated_rows(n):
     config = DgpDiscreteConfig(n_obs=T, kappa_bar=50.0, vol_model="RS")
-    batch = simulate_discrete_batch([config] * n, streams(n))
+    batch = simulate_discrete_batch(config, SEED, streams(n)[0])
     return [(batch.y[r], batch.x_level[r]) for r in range(n)]
 
 
@@ -227,8 +249,8 @@ def test_estimators_match_batch_rows():
 
 def test_level_methods_on_a_continuous_batch():
     config = DgpContinuousConfig(years=5, kappa_bar=20.0, beta=0.05, vol_model="GBM")
-    keys = streams(30)
-    batch = simulate_continuous_batch([config] * 30, keys)
+    indices, keys = streams(30)
+    batch = simulate_continuous_batch(config, SEED, indices)
     for label in LEVEL_METHODS:
         method = parse_method(label)
         out = evaluate_batch(method, batch, 0.05, "two")

@@ -14,7 +14,6 @@ from cauchypred import (
     DomainError,
     PartitionError,
     RegressionSample,
-    RngStream,
     SampleBatch,
     SingularDesignError,
     cauchy_estimate,
@@ -501,7 +500,7 @@ class TestOneAllocator:
             for rows in (3, 30):  # the row-by-row and the vector-step AR
 
                 def call(seed):
-                    batch = simulate([config] * rows, [RngStream(seed, i) for i in range(rows)])
+                    batch = simulate(config, seed, range(rows))
                     return [batch.y, batch.x_lag, *batch.terms(None), *batch.residual_variance(True)[:1]]
 
                 self.assert_independent(call)

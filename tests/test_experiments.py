@@ -94,7 +94,7 @@ class TestMethodParsing:
             experiments, "hybrid_outcomes",
             lambda batch, parity, *args: calls.append(("hybrid", None, parity)),
         )
-        batch = simulate_discrete_batch([DgpDiscreteConfig(n_obs=60)], [RngStream(1)])
+        batch = simulate_discrete_batch(DgpDiscreteConfig(n_obs=60), 1, [0])
         experiments.evaluate_batch(spec, batch, 0.05, "two")
         kernel = "group_t" if kind in ("t_q", "grouped_hybrid") else "hybrid"
         assert calls == [(kernel, q, parity)]
@@ -472,20 +472,21 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
 
     def test_stream_keys_are_substream_indices(self, monkeypatch):
         # each replication's stream index is substream_index(signature, rep),
-        # also in blocks that start and end inside a combination
+        # also in blocks that start and end inside a combination; each block
+        # is one batch of one model under the grid's seed
         grid = small_discrete_grid(
             beta_values=(0.0, 1.0), kappa_values=(0.0, 50.0), T_values=(60.0, 120.0), vol_models=("CNST", "SB"),
             n_reps=7,
         )
         keys = []
 
-        def stream(seed, index=None):  # the grid's seed check passes no index
-            if index is None:
-                return RngStream(seed)
-            keys.append(index)
-            return RngStream(seed, index)
+        def simulate(config, master_seed, stream_indices, *args):
+            assert isinstance(config, DgpDiscreteConfig) and master_seed == grid.master_seed
+            assert stream_indices.dtype == np.uint64
+            keys.extend(stream_indices.tolist())
+            return simulate_discrete_batch(config, master_seed, stream_indices, *args)
 
-        monkeypatch.setattr(experiments, "RngStream", stream)
+        monkeypatch.setattr(experiments, "simulate_discrete_batch", simulate)
         monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", 5 * 60)
         run_grid(grid)
         expected = [
@@ -494,6 +495,28 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
             for rep in range(grid.n_reps)
         ]
         assert sorted(keys) == sorted(expected) and len(set(keys)) == len(keys)
+
+    def test_no_stream_or_config_per_replication(self, monkeypatch):
+        # a replication is its index under the grid's seed: a run builds no
+        # RngStream, and a block checks each of its other (beta, kappa) pairs
+        # by building one config, not one per replication
+        grid = small_discrete_grid(beta_values=(0.0, 1.0), T_values=(60.0, 120.0), n_reps=50)
+        grid.validate()
+        built, blocks = [], []
+        for cls in (RngStream, DgpDiscreteConfig):
+            init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, init=init: built.append(self) or init(self))
+
+        def simulate(config, master_seed, stream_indices, *args):
+            blocks.append(len(stream_indices))
+            return simulate_discrete_batch(config, master_seed, stream_indices, *args)
+
+        monkeypatch.setattr(experiments, "simulate_discrete_batch", simulate)
+        monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", 70 * 60)
+        run_grid(grid)
+        assert sum(blocks) == 2 * 2 * 2 * 50 and len(blocks) == 9
+        assert not any(isinstance(b, RngStream) for b in built)
+        assert 0 < len(built) <= 3 * len(blocks)
 
     def test_dense_table_cells(self):
         # the dense counts read back as one CellResult per (combination, method)
@@ -593,11 +616,8 @@ class TestBlockWorkspace:
     thread, which later blocks of any shape overwrite."""
 
     def test_public_batches_are_not_overwritten(self):
-        configs = [DgpDiscreteConfig(n_obs=60, kappa_bar=5.0, vol_model="RS")] * 30
-        discrete = simulate_discrete_batch(configs, [RngStream(4, i) for i in range(30)])
-        continuous = simulate_continuous_batch(
-            [DgpContinuousConfig(years=5.0, vol_model="GBM")] * 30, [RngStream(4, i) for i in range(30)]
-        )
+        discrete = simulate_discrete_batch(DgpDiscreteConfig(n_obs=60, kappa_bar=5.0, vol_model="RS"), 4, range(30))
+        continuous = simulate_continuous_batch(DgpContinuousConfig(years=5.0, vol_model="GBM"), 4, range(30))
 
         def arrays():
             out = [discrete.y, discrete.x_lag, discrete.x_level, continuous.y, continuous.x_lag]
