@@ -120,16 +120,20 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.dgp == "continuous":
+        if args.n_obs is not None:
+            raise CauchyPredError("--n-obs applies only to --dgp discrete")
         config = DgpContinuousConfig(
-            years=args.years,
+            years=20.0 if args.years is None else args.years,
             kappa_bar=args.kappa,
             beta=args.beta,
             vol_model=args.vol,
         )
         sample = simulate_continuous(config, RngStream(args.seed))
     else:
+        if args.years is not None:
+            raise CauchyPredError("--years applies only to --dgp continuous")
         config = DgpDiscreteConfig(
-            n_obs=args.n_obs,
+            n_obs=240 if args.n_obs is None else args.n_obs,
             kappa_bar=args.kappa,
             beta=args.beta,
             vol_model=args.vol,
@@ -212,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--vol", default="CNST")
     p_sim.add_argument("--kappa", type=float, default=0.0)
     p_sim.add_argument("--beta", type=float, default=0.0)
-    p_sim.add_argument("--years", type=float, default=20.0, help="continuous design horizon")
-    p_sim.add_argument("--n-obs", type=int, default=240, help="discrete design sample size")
+    p_sim.add_argument("--years", type=float, default=None, help="continuous design horizon (default 20)")
+    p_sim.add_argument("--n-obs", type=int, default=None, help="discrete design sample size (default 240)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default=None, help="output file (stdout when omitted)")
     p_sim.set_defaults(func=_cmd_simulate)

@@ -344,7 +344,13 @@ def _rows(config, master_seed: int, stream_indices, beta, kappa_bar):
     input once: the seed, the indices, and each distinct (beta, kappa_bar)
     pair other than the config's own, by building its config."""
     check_key("master_seed", master_seed)
-    indices = np.asarray(stream_indices)
+    indices = stream_indices
+    if not isinstance(indices, np.ndarray):
+        # key by key: numpy infers float64 for a list mixing ints at and above 2**63
+        indices = np.asarray(indices, dtype=object)
+        for value in indices.flat:
+            check_key("stream_indices", value)
+        indices = indices.astype(np.uint64)
     if indices.ndim != 1 or indices.size == 0 or indices.dtype.kind not in "iu" or indices.min() < 0:
         raise DomainError(
             "stream_indices must be a nonempty 1-D array of unsigned 64-bit integers (any integer dtype, "

@@ -11,16 +11,15 @@ may be present, and recursive demeaning of predictor levels.
 Every statistic is computed once, by a kernel over the last axis of its
 arrays, so the same code serves one :class:`RegressionSample` and a
 :class:`SampleBatch` of R samples held as (R, T) arrays (the Monte Carlo
-engine's unit of work).  Data is validated where it enters, when a sample
-or a batch is built, not again by each statistic.  The estimators are pure
-functions and safe for unrestricted concurrent use.
+engine's unit of work).  Data is validated once, where it enters: a sample
+keeps the batch that checked it, whose cached intermediates all calls on it
+share.  The estimators are pure and safe for unrestricted concurrent use.
 
-Every array a kernel makes comes from a :class:`Workspace`.  The Monte
-Carlo engine hands one workspace to block after block, so it runs without
-returning memory to the system and faulting it in again.  A public function
-or a batch given no workspace makes its own at the call, so nothing it
-returns shares memory with another call's result.  A workspace belongs to
-one thread.
+Every array a kernel makes comes from a :class:`Workspace`, which belongs
+to one thread.  The Monte Carlo engine hands its thread's one to block after
+block, so memory is neither returned to the system nor faulted in again.  A
+public function, or a batch given none (a sample's), takes a fresh workspace
+per computation: no two calls or threads share scratch or result memory.
 """
 
 from __future__ import annotations
@@ -120,7 +119,8 @@ class RegressionSample:
     dated t-1, so each response is paired with the previous period's
     predictor.  ``x_level`` optionally carries the T+1 predictor levels
     x_0..x_T; it is required by the first-differenced estimators and must be
-    consistent with ``x_lag`` (univariate only).
+    consistent with ``x_lag`` (univariate only).  The sample keeps read-only
+    float copies of its inputs and the :class:`SampleBatch` that validated them.
     """
 
     y: np.ndarray
@@ -128,25 +128,25 @@ class RegressionSample:
     x_level: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float)
-        x = np.asarray(self.x_lag, dtype=float)
-        lev = None if self.x_level is None else np.asarray(self.x_level, dtype=float)
+        y, x, lev = (None if a is None else np.array(a, dtype=float) for a in (self.y, self.x_lag, self.x_level))
+        for a in (y, x) if lev is None else (y, x, lev):
+            a.flags.writeable = False  # private copies: the caller's arrays may change, the sample's cannot
         if y.ndim != 1:
             raise DomainError("y must be one-dimensional")
         if x.ndim not in (1, 2):
             raise DomainError("x_lag must be a vector or a T x K matrix")
         if x.shape[0] != y.shape[0]:
-            raise DomainError(
-                f"y and x_lag lengths differ: {y.shape[0]} vs {x.shape[0]}"
-            )
+            raise DomainError(f"y and x_lag lengths differ: {y.shape[0]} vs {x.shape[0]}")
         if lev is not None and (lev.ndim != 1 or x.ndim != 1):
             raise DomainError("x_level is only supported for univariate samples")
         # the batch owns the data rules: its rows are the K predictor columns (views)
         rows = x.T if x.ndim == 2 else x[None]
-        SampleBatch(np.broadcast_to(y, rows.shape), rows, None if lev is None else lev[None])
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x_lag", x)
-        object.__setattr__(self, "x_level", lev)
+        batch = SampleBatch(np.broadcast_to(y, rows.shape), rows, None if lev is None else lev[None])
+        for name, value in zip(("y", "x_lag", "x_level", "_batch"), (y, x, lev, batch)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # unpickled arrays are writable: rebuild the copies and the batch
+        return RegressionSample, (self.y, self.x_lag, self.x_level)
 
     @property
     def n_obs(self) -> int:
@@ -173,10 +173,10 @@ class SampleBatch:
     and its first T columns equal ``x_lag``, as for
     :class:`RegressionSample`.  The data is validated once, on
     construction.  The intermediates a test needs (:meth:`terms`,
-    :meth:`residual_variance`) are cached on the batch, so every method
-    evaluated on it shares them, and written into the buffers of its
-    ``workspace``.  A batch given a workspace is valid only until the
-    workspace serves the next block; one given none makes its own.
+    :meth:`residual_variance`) are cached, so every method on it shares
+    them.  Given a ``workspace`` (one thread's), it writes them there and is
+    valid until that serves the next block.  Given none (a sample's batch),
+    each cache fill takes a fresh one, so threads share it without a lock.
     """
 
     __slots__ = ("y", "x_lag", "x_level", "_cache", "_workspace")
@@ -198,13 +198,13 @@ class SampleBatch:
                 raise DomainError("x_lag must equal the first T columns of x_level")
         self.y, self.x_lag, self.x_level = y, x, x_level
         self._cache: dict = {}
-        self._workspace = Workspace() if workspace is None else workspace
+        self._workspace = workspace
 
     @classmethod
     def of(cls, sample: RegressionSample) -> "SampleBatch":
-        """A univariate sample as a batch of one."""
-        lev = sample.x_level
-        return cls(sample.y[None], sample.x1()[None], None if lev is None else lev[None])
+        """A univariate sample as a batch of one: the batch it was validated by."""
+        sample.x1()  # raises unless univariate
+        return sample._batch
 
     def terms(self, parity: Optional[Parity] = None) -> tuple[np.ndarray, np.ndarray]:
         """Numerator and denominator terms of the sign-instrument estimator
@@ -214,7 +214,7 @@ class SampleBatch:
         key = ("terms", parity)
         if key in self._cache:
             return self._cache[key]
-        ws, y = self._workspace, self.y
+        ws, y = self._workspace or Workspace(), self.y
         numer, denom = f"numer.{parity}", f"denom.{parity}"
         if parity is None:
             terms = _sign(self.x_lag, ws.array(numer, y.shape))
@@ -241,7 +241,7 @@ class SampleBatch:
         whether the row's design is singular."""
         key = ("omega", intercept)
         if key not in self._cache:
-            with self._workspace as ws:
+            with self._workspace or Workspace() as ws:
                 _, residuals, singular = _ols(self.y, self.x_lag[..., None], intercept, ws)
                 # the residuals are scratch: square them in place
                 self._cache[key] = (np.mean(np.square(residuals, out=residuals), axis=-1), singular)
@@ -340,6 +340,8 @@ class GroupStatistics:
             raise PartitionError("group blocks must contain at least one observation")
         if not 0 <= self.dropped < self.q:
             raise PartitionError(f"invalid trailing remainder {self.dropped}")
+        if np.shape(self.gammas)[-1:] != (self.q,):
+            raise PartitionError(f"gammas must hold q={self.q} values on its last axis, got {np.shape(self.gammas)}")
 
     @classmethod
     def from_terms(cls, terms: np.ndarray, q: int) -> "GroupStatistics":
@@ -463,7 +465,7 @@ def diff_terms(sample: RegressionSample, parity: Parity) -> tuple[np.ndarray, np
     index exists, so the two parities use disjoint response differences.
     """
     numer, denom = SampleBatch.of(sample).terms(parity)
-    return numer[0], denom[0]
+    return numer[0].copy(), denom[0].copy()  # writing into them leaves the sample's cached terms as they were
 
 
 def diff_cauchy(sample: RegressionSample, parity: Parity) -> CauchyFit:

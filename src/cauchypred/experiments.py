@@ -119,7 +119,7 @@ def parse_method(label: str) -> MethodSpec:
 def evaluate_method(
     method: MethodSpec, sample: RegressionSample, alpha: float, sided: str
 ) -> TestOutcome:
-    """Run the test a method label names on one sample, as a batch of one."""
+    """Run the test a method label names on one sample's own batch of one."""
     return evaluate_batch(method, SampleBatch.of(sample), alpha, sided).single()
 
 

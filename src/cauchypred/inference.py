@@ -24,9 +24,9 @@ which removes the intercept.  Each family has one body,
 forms (``parity=None`` is the levels form).  It runs on a
 :class:`~cauchypred.estimators.SampleBatch` and returns
 :class:`BatchOutcomes`, arrays over the batch's samples; the four public
-tests are its batch-of-one wrappers.  Bonferroni and Wald combinations
-handle several predictors jointly.  Every test returns a
-:class:`TestOutcome` whose decision satisfies reject iff p_value <= alpha.
+tests run it on the sample's own batch, sharing its terms and OLS fits.
+Bonferroni and Wald combinations handle several predictors jointly.  Every
+test returns a :class:`TestOutcome`, which rejects iff p_value <= alpha.
 
 A batch decides by critical value, not by p-value.  Each statistic is
 oriented for its side (|stat| two-sided, stat right, -stat left) and
@@ -62,6 +62,7 @@ from .estimators import (
     Parity,
     RegressionSample,
     SampleBatch,
+    _as_float_array,
     _mean_square,
     _sign,
     _sign_fit,
@@ -341,9 +342,13 @@ def t_q_test(groups: GroupStatistics, alpha: float, sided: str = "two") -> TestO
     """Group t-test on the per-block normalized numerators.
 
     The statistic is sqrt(q) * mean / sd of the q block values, referred to
-    a t distribution with q-1 degrees of freedom.
+    a t distribution with q-1 degrees of freedom.  ``groups`` holds one
+    sample's q finite values.
     """
-    return _group_t_outcomes(np.asarray(groups.gammas, dtype=float)[None], alpha, sided).single()
+    gammas = _as_float_array(groups.gammas, "gammas")
+    if gammas.ndim != 1:
+        raise DomainError(f"gammas must hold one sample's values, got shape {gammas.shape}")
+    return _group_t_outcomes(gammas[None], alpha, sided).single()
 
 
 def hybrid_test(sample: RegressionSample, alpha: float, sided: str = "two") -> TestOutcome:

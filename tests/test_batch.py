@@ -149,6 +149,22 @@ def test_batch_input_checks(simulate, config):
                 simulate(config, kw.pop("master_seed"), kw.pop("stream_indices"), **kw)
 
 
+@pytest.mark.parametrize("simulate,config", [
+    (simulate_discrete_batch, DgpDiscreteConfig(n_obs=60)),
+    (simulate_continuous_batch, DgpContinuousConfig(years=5)),
+])
+def test_index_lists_are_checked_key_by_key(simulate, config):
+    # numpy infers float64 for this list; its keys are valid unsigned 64-bit ints
+    keys = [2**63, 1]
+    listed, array = simulate(config, 3, keys), simulate(config, 3, np.array(keys, dtype=np.uint64))
+    for name in ("y", "x_lag", "x_level"):
+        a, b = getattr(listed, name), getattr(array, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    for keys in ([1.0], [True], [-1], [2**64]):
+        with pytest.raises(DomainError, match="stream_indices"):
+            simulate(config, 3, keys)
+
+
 def forced_rows():
     """Samples on which the tests raise each degenerate-statistic error."""
     ramp = np.arange(T + 1, dtype=float) + 1.0

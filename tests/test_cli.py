@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cauchypred import cli, experiments
+from cauchypred import RegressionSample, cli, experiments
 from cauchypred.cli import main
 from cauchypred.dataio import bundled_config_names, parse_csv
 from cauchypred.dgp import MAX_N_OBS
@@ -123,6 +123,15 @@ class TestTestCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and "too large" in captured.err
+
+    def test_builds_one_sample(self, tmp_path, capsys, monkeypatch):
+        # the one sample is validated once, whichever test runs on it
+        built = []
+        post_init = RegressionSample.__post_init__
+        monkeypatch.setattr(RegressionSample, "__post_init__", lambda self: built.append(self) or post_init(self))
+        csv = write_dataset(tmp_path, n=120)
+        assert main(["test", str(csv), "--method", "tq", "--q", "8", "--intercept"]) == 0
+        assert len(built) == 1 and "t8_tau_o" in capsys.readouterr().out
 
     def test_missing_q(self, tmp_path, capsys):
         csv = write_dataset(tmp_path)
@@ -327,6 +336,16 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--dgp", "discrete", "--years", "5"], "--years applies only to --dgp continuous"),
+        (["--dgp", "continuous", "--n-obs", "50"], "--n-obs applies only to --dgp discrete"),
+    ], ids=["years", "n_obs"])
+    def test_other_designs_horizon_is_an_error(self, capsys, flags, message):
+        assert main(["simulate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_discrete_dump(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -1,6 +1,10 @@
 """Estimator contracts: hand-worked examples, algebraic identities, and
 randomized cross-checks against direct loop-based formulas."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,15 +22,21 @@ from cauchypred import (
     SingularDesignError,
     cauchy_estimate,
     diff_cauchy,
+    estimators,
     group_gammas,
+    grouped_hybrid_test,
+    hybrid_test,
+    hybrid_test_intercept,
     ols_fit,
     omega_hat_sq,
     recursive_demean,
     sign_conv,
     simulate_continuous_batch,
     simulate_discrete_batch,
+    t_q_test,
 )
 from cauchypred.estimators import MAGNITUDE_BOUND, PARITIES, Workspace, _ols, diff_terms, term_count
+from cauchypred.experiments import evaluate_method, parse_method
 from cauchypred.inference import group_t_outcomes, hybrid_outcomes
 
 
@@ -528,3 +538,101 @@ class TestOneAllocator:
         self.assert_independent(call)
         fits = [cauchy_estimate(s) for s in samples]
         assert fits[0] == cauchy_estimate(samples[0]) and fits[0] != fits[1]
+
+
+# every method label form, at two group counts
+LABELS = ("tau", "tau_e", "tau_o", "t8", "t12", "t8_tau_e", "t12_tau_e", "t8_tau_o", "t12_tau_o")
+
+
+def every_method(s):
+    """Every method label's outcome on a sample, by label."""
+    return {label: evaluate_method(parse_method(label), s, 0.05, "two") for label in LABELS}
+
+
+def random_levels(seed, T):
+    gen = np.random.default_rng(seed)
+    return gen.standard_normal(T), np.cumsum(gen.standard_normal(T + 1))
+
+
+class TestOneBatchPerSample:
+    """A sample keeps the one batch that validated its private, read-only
+    copies of the data, and every single-sample call runs on that batch."""
+
+    def test_validated_once_and_intermediates_shared(self, monkeypatch):
+        y, lev = random_levels(11, 240)
+        inits, fits = [], []
+        init, ols = SampleBatch.__init__, estimators._ols
+        monkeypatch.setattr(SampleBatch, "__init__", lambda self, *a, **k: inits.append(1) or init(self, *a, **k))
+        monkeypatch.setattr(estimators, "_ols", lambda *a: fits.append(a[2]) or ols(*a))
+        s = RegressionSample(y=y, x_lag=lev[:-1], x_level=lev)
+        assert SampleBatch.of(s) is SampleBatch.of(s)
+        for _ in range(2):
+            cauchy_estimate(s)
+            t_q_test(group_gammas(s, 12), 0.05)
+            hybrid_test(s, 0.05)
+            for parity in PARITIES:
+                diff_terms(s, parity)
+                diff_cauchy(s, parity)
+                hybrid_test_intercept(s, parity, 0.05)
+                grouped_hybrid_test(s, parity, 8, 0.05)
+            every_method(s)
+        assert len(inits) == 1
+        assert sorted(fits) == [False, True]  # one OLS fit with and one without intercept
+        multivariate = RegressionSample(y=y, x_lag=np.stack([lev[:-1], y], axis=1))
+        assert len(inits) == 2
+        with pytest.raises(DomainError, match="univariate"):
+            SampleBatch.of(multivariate)
+
+    def test_inputs_are_copied_and_read_only(self):
+        y, lev = random_levels(12, 120)
+        x = lev[:-1].copy()
+        s = RegressionSample(y=y, x_lag=x, x_level=lev)
+        expected = every_method(RegressionSample(y=y.copy(), x_lag=x.copy(), x_level=lev.copy()))
+        # the caller's arrays change after construction, before and after the first call
+        y += 1.0
+        x *= -1.0
+        assert every_method(s) == expected
+        lev[:] = 0.0
+        numer, denom = diff_terms(s, "odd")
+        numer[:] = 0.0  # the result is the caller's; the sample's cached terms are not
+        denom[:] = 0.0
+        assert every_method(s) == expected
+        for kept in (s, pickle.loads(pickle.dumps(s))):
+            assert every_method(kept) == expected
+            for name in ("y", "x_lag", "x_level"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(kept, name)[0] = 1.0
+        multivariate = RegressionSample(y=y, x_lag=np.stack([x, y], axis=1))
+        for a in (multivariate.y, multivariate.x_lag):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_threads_share_one_sample(self):
+        # more threads than cores, switching often, start together on each
+        # fresh sample, each in its own order: every cache fill of the shared
+        # batch takes its own workspace, so all see the serial outcomes
+        data = [random_levels(100 + i, 2000) for i in range(40)]
+        serial = [every_method(RegressionSample(y=y, x_lag=lev[:-1], x_level=lev)) for y, lev in data]
+        n_threads = 8
+        results = [[] for _ in range(n_threads)]
+        barrier = threading.Barrier(n_threads, timeout=60)
+        shared = [RegressionSample(y=y, x_lag=lev[:-1], x_level=lev) for y, lev in data]
+
+        def run(i):
+            order = LABELS[i % len(LABELS):] + LABELS[: i % len(LABELS)]
+            for s in shared:
+                barrier.wait()
+                results[i].append({label: evaluate_method(parse_method(label), s, 0.05, "two") for label in order})
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * n_threads

@@ -470,6 +470,18 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
             oriented = {"two": np.abs(statistic), "right": statistic, "left": -statistic}[sided]
             assert np.all(np.abs(oriented - c) < 1e-9 * max(1.0, abs(c)))
 
+    def test_monte_carlo_builds_no_sample(self, monkeypatch):
+        # the engine and d2_study run batch kernels only: no single-sample
+        # object, and so none of its validation, is made per replication
+        built = []
+        post_init = RegressionSample.__post_init__
+        monkeypatch.setattr(RegressionSample, "__post_init__", lambda self: built.append(self) or post_init(self))
+        for name in bundled_config_names():
+            _, grid = load_experiment_file(resolve_config_path(name))
+            run_grid(dataclasses.replace(grid, n_reps=3), workers=1)
+        d2_study(1000, 200)
+        assert built == []
+
     def test_stream_keys_are_substream_indices(self, monkeypatch):
         # each replication's stream index is substream_index(signature, rep),
         # also in blocks that start and end inside a combination; each block

@@ -587,3 +587,22 @@ class TestMetamorphic:
         stat = evaluate_method(spec, s, 0.05, "two").statistic
         got = evaluate_method(spec, scaled, 0.05, "two").statistic
         assert got == pytest.approx(stat, rel=1.5e-15, abs=0)
+
+
+class TestGroupStatisticsInput:
+    def test_q_must_match_the_gammas(self):
+        # five values under q=3 used to be tested as five groups against t(4)
+        with pytest.raises(PartitionError, match="q=3"):
+            t_q_test(GroupStatistics(q=3, gammas=np.arange(1.0, 6.0), block_size=1, dropped=0), 0.05)
+        with pytest.raises(PartitionError, match="q=3"):
+            GroupStatistics(q=3, gammas=np.ones((2, 5)), block_size=1, dropped=0)
+
+    def test_t_q_test_takes_one_sample(self):
+        two_samples = GroupStatistics(q=3, gammas=np.arange(6.0).reshape(2, 3), block_size=1, dropped=0)
+        with pytest.raises(DomainError, match="gammas must hold one sample's values, got shape \\(2, 3\\)"):
+            t_q_test(two_samples, 0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gammas(self, bad):
+        with pytest.raises(DomainError, match="gammas contains non-finite"):
+            t_q_test(groups([1.0, bad, 2.0, 0.5]), 0.05)
