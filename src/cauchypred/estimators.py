@@ -111,17 +111,18 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionSample:
     """Aligned response and lagged-predictor series.
 
     ``y`` holds y_1..y_T and row t of ``x_lag`` holds the predictor values
     dated t-1, so each response is paired with the previous period's
-    predictor.  ``x_level`` optionally carries the T+1 predictor levels
-    x_0..x_T; it is required by the first-differenced estimators and must be
-    consistent with ``x_lag`` (univariate only).  The sample keeps read-only
-    float copies of its inputs and the :class:`SampleBatch` that validated them.
-    """
+    predictor, or a T x K ``x_lag`` K predictors.  The optional ``x_level``
+    holds the T+1 levels x_0..x_T (the first T equal ``x_lag``; univariate
+    only) that the first-differenced estimators need.  The sample keeps
+    read-only float copies of its inputs and :attr:`batch`, the
+    :class:`SampleBatch` that validated them, one row per predictor.
+    Samples compare by identity."""
 
     y: np.ndarray
     x_lag: np.ndarray
@@ -129,8 +130,6 @@ class RegressionSample:
 
     def __post_init__(self) -> None:
         y, x, lev = (None if a is None else np.array(a, dtype=float) for a in (self.y, self.x_lag, self.x_level))
-        for a in (y, x) if lev is None else (y, x, lev):
-            a.flags.writeable = False  # private copies: the caller's arrays may change, the sample's cannot
         if y.ndim != 1:
             raise DomainError("y must be one-dimensional")
         if x.ndim not in (1, 2):
@@ -139,14 +138,20 @@ class RegressionSample:
             raise DomainError(f"y and x_lag lengths differ: {y.shape[0]} vs {x.shape[0]}")
         if lev is not None and (lev.ndim != 1 or x.ndim != 1):
             raise DomainError("x_level is only supported for univariate samples")
-        # the batch owns the data rules: its rows are the K predictor columns (views)
-        rows = x.T if x.ndim == 2 else x[None]
+        # the batch owns the data rules: one contiguous row per predictor, as a univariate sample has
+        rows = np.ascontiguousarray(x.T) if x.ndim == 2 else x[None]
+        for a in (y, x, rows) if lev is None else (y, x, rows, lev):
+            a.flags.writeable = False  # private copies: the caller's arrays may change, the sample's cannot
         batch = SampleBatch(np.broadcast_to(y, rows.shape), rows, None if lev is None else lev[None])
         for name, value in zip(("y", "x_lag", "x_level", "_batch"), (y, x, lev, batch)):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):  # unpickled arrays are writable: rebuild the copies and the batch
         return RegressionSample, (self.y, self.x_lag, self.x_level)
+
+    @property
+    def batch(self) -> "SampleBatch":
+        return self._batch
 
     @property
     def n_obs(self) -> int:
@@ -204,7 +209,7 @@ class SampleBatch:
     def of(cls, sample: RegressionSample) -> "SampleBatch":
         """A univariate sample as a batch of one: the batch it was validated by."""
         sample.x1()  # raises unless univariate
-        return sample._batch
+        return sample.batch
 
     def terms(self, parity: Optional[Parity] = None) -> tuple[np.ndarray, np.ndarray]:
         """Numerator and denominator terms of the sign-instrument estimator
@@ -325,10 +330,11 @@ def cauchy_estimate(sample: RegressionSample) -> CauchyFit:
     return _checked_fit(*SampleBatch.of(sample).terms(None))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupStatistics:
-    """Per-group normalized numerators over q consecutive blocks (on the
-    last axis of ``gammas``; leading axes index the samples of a batch)."""
+    """Per-group normalized numerators over q >= 2 consecutive blocks (on the
+    last axis of ``gammas``; leading axes index the samples of a batch).
+    Compared by identity."""
 
     q: int
     gammas: np.ndarray
@@ -336,6 +342,8 @@ class GroupStatistics:
     dropped: int
 
     def __post_init__(self) -> None:
+        if self.q < 2:
+            raise PartitionError(f"need q >= 2 groups, got q={self.q}")
         if self.block_size < 1:
             raise PartitionError("group blocks must contain at least one observation")
         if not 0 <= self.dropped < self.q:

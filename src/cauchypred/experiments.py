@@ -59,6 +59,7 @@ import numpy as np
 
 from . import dists
 from .dgp import (
+    MAX_N_OBS,
     DgpContinuousConfig,
     DgpDiscreteConfig,
     abs_integral_blocks,
@@ -135,6 +136,12 @@ def evaluate_batch(
 _DGP_CONFIGS = {"continuous": DgpContinuousConfig, "discrete": DgpDiscreteConfig}
 # the grid's coordinates, in the order of a combination's (beta, kappa, T, vol)
 _AXES = ("beta_values", "kappa_values", "T_values", "vol_models")
+
+# Most simulated values (replications x observations, summed over the
+# combinations) in one grid: 140 times the six bundled configs together.
+# run_grid lists a grid's blocks, about 300 bytes each, before it runs one;
+# blocks hold 24 001 values or more, so at this bound the list stays below 0.26 GB.
+MAX_GRID_ELEMENTS = 20_000_000_000
 
 
 def _only(design: str, name: str):
@@ -222,6 +229,12 @@ class ExperimentGrid:
                 at = ", ".join(f"{axis} entry {value!r}" for axis, value in zip(_AXES, combination))
                 raise SchemaError(f"{exc}; at {at}") from exc
             models.setdefault(combination[2:], []).append(config)
+        elements = sum(len(configs) * self.n_reps * configs[0].n_obs for configs in models.values())
+        if elements > MAX_GRID_ELEMENTS:
+            raise SchemaError(
+                f"n_reps = {self.n_reps} asks for {elements:.3g} simulated values over the grid "
+                f"(replications x observations), above MAX_GRID_ELEMENTS = {MAX_GRID_ELEMENTS:g}"
+            )
         n_obs = {group[0].n_obs for group in models.values()}
         for n, s in itertools.product(sorted(n_obs), specs):
             try:
@@ -583,6 +596,8 @@ class D2Result:
     bin_counts: np.ndarray
 
 
+# Most draws of a d2 study: their values take 80 MB, twice that while binned.
+MAX_D2_DRAWS = 10_000_000
 _D2_CHUNK = 1000
 _D2_BLOCK = 100  # paths drawn and reduced together within a chunk
 _D2_BIN_EDGES = np.linspace(1.0, 26.0, 126)  # 125 bins of width 0.2
@@ -612,6 +627,10 @@ def d2_study(
     """
     if n_draws < 1000:
         raise DomainError("need at least 1000 draws")
+    if n_draws > MAX_D2_DRAWS:
+        raise DomainError(f"n_draws must be at most MAX_D2_DRAWS = {MAX_D2_DRAWS}, got {n_draws}")
+    if n_steps > MAX_N_OBS:  # a chunk holds three (100, n_steps) arrays: 2.4 GB at the bound
+        raise DomainError(f"n_steps must be at most MAX_N_OBS = {MAX_N_OBS}, got {n_steps}")
     if threshold is None:
         threshold = default_d2_threshold()
     if not np.isfinite(threshold):

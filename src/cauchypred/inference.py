@@ -25,8 +25,9 @@ forms (``parity=None`` is the levels form).  It runs on a
 :class:`~cauchypred.estimators.SampleBatch` and returns
 :class:`BatchOutcomes`, arrays over the batch's samples; the four public
 tests run it on the sample's own batch, sharing its terms and OLS fits.
-Bonferroni and Wald combinations handle several predictors jointly.  Every
-test returns a :class:`TestOutcome`, which rejects iff p_value <= alpha.
+The joint tests take one K-predictor sample: Bonferroni runs the hybrid test
+on its batch's K rows, Wald tests the K slopes together.  Every test
+returns a :class:`TestOutcome`, which rejects iff p_value <= alpha.
 
 A batch decides by critical value, not by p-value.  Each statistic is
 oriented for its side (|stat| two-sided, stat right, -stat left) and
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -150,16 +151,20 @@ class BatchOutcomes:
         """The outcome of a batch of one sample, or its degenerate-statistic error."""
         if self.cause.shape != (1,):
             raise DomainError(f"expected a batch of one sample, got {self.cause.shape[0]}")
-        if self.cause[0]:
-            error, message = DEGENERACIES[self.cause[0] - 1]
+        return self.outcome(0)
+
+    def outcome(self, i: int) -> TestOutcome:
+        """The outcome of sample ``i``, or its degenerate-statistic error."""
+        if self.cause[i]:
+            error, message = DEGENERACIES[self.cause[i] - 1]
             raise error(message)
         return TestOutcome(
-            statistic=float(self.statistic[0]),
+            statistic=float(self.statistic[i]),
             ref_dist=self.ref_dist,
-            p_value=float(self.p_value[0]),
+            p_value=float(self.p_value[i]),
             sided=self.sided,
             alpha=float(self.alpha),
-            reject=bool(self.reject[0]),
+            reject=bool(self.reject[i]),
             warning=self.warning,
         )
 
@@ -391,29 +396,18 @@ def grouped_hybrid_test(
     return group_t_outcomes(SampleBatch.of(sample), q, parity, alpha, sided).single()
 
 
-def bonferroni_joint(
-    samples: Sequence[RegressionSample],
-    alpha: float,
-    sided: str = "two",
-) -> JointTestOutcome:
-    """Joint test of K univariate slopes by the Bonferroni rule.
+def bonferroni_joint(sample: RegressionSample, alpha: float, sided: str = "two") -> JointTestOutcome:
+    """Joint test of the K slopes of a K-predictor sample by the Bonferroni rule.
 
-    Runs the hybrid test on each sample (all must share the same response)
-    and rejects the joint null when the smallest p-value is <= alpha / K.
-    """
-    if len(samples) < 1:
-        raise DomainError("need at least one sample")
-    y0 = samples[0].y
-    for s in samples[1:]:
-        if not np.array_equal(s.y, y0):
-            raise DomainError("all samples must share the same response series")
-    outcomes = tuple(hybrid_test(s, alpha, sided) for s in samples)
-    k = len(outcomes)
-    joint = min(o.p_value for o in outcomes) <= alpha / k
+    Runs the hybrid test of each predictor alone, as the K rows of the
+    sample's batch, and rejects the joint null when the smallest p-value is
+    <= alpha / K.  A degenerate predictor raises its error, the first in order."""
+    batch = hybrid_outcomes(sample.batch, None, alpha, sided)
+    outcomes = tuple(batch.outcome(k) for k in range(sample.n_predictors))
     return JointTestOutcome(
         per_predictor=outcomes,
         method="bonferroni",
-        joint_reject=bool(joint),
+        joint_reject=bool(min(o.p_value for o in outcomes) <= alpha / len(outcomes)),
         alpha=float(alpha),
     )
 

@@ -282,6 +282,22 @@ class TestTableCommand:
         assert capsys.readouterr().err.startswith(f"error: method '{method}' cannot run at n_obs = ")
 
 
+    def test_grid_beyond_memory_fails_at_load(self, tmp_path, capsys, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(experiments, "_run_combination", no_block)
+        payload = json.loads(small_config(tmp_path).read_text())
+        payload.update(n_reps=10**12)
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["table", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n_reps = 1000000000000 asks for ")
+        assert captured.err.count("\n") == 1 and "MAX_GRID_ELEMENTS" in captured.err
+
+
 def _unreadable(tmp_path, case):
     """The arguments of a command whose file cannot be read, or whose
     output directory cannot be made."""
@@ -387,6 +403,20 @@ class TestD2Command:
     def test_threshold_one(self, capsys):
         assert main(["d2", "--draws", "1000", "--steps", "150", "--threshold", "1.0"]) == 0
         assert "= 1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--steps", "1000000000"], "n_steps must be at most MAX_N_OBS = 1000000, got 1000000000"),
+            (["--draws", "1000000000000"], "n_draws must be at most MAX_D2_DRAWS = 10000000, got 1000000000000"),
+        ],
+    )
+    def test_sizes_beyond_memory(self, capsys, flags, message):
+        # 745 GiB of paths and 7.3 TiB of values: rejected before either is allocated
+        assert main(["d2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_non_finite_threshold(self, capsys):
         assert main(["d2", "--draws", "1000", "--steps", "150", "--threshold", "nan"]) == 2

@@ -266,6 +266,24 @@ class TestSizeRules:
         grid.validate()
         assert run_grid(grid).n_reps == 3
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_size_bound_before_any_block(self, monkeypatch, workers):
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(experiments, "_run_combination", no_block)
+        grid = size_grid("discrete", (240.0, 60.0), "tau_o", n_reps=10**12)
+        for run in (grid.validate, lambda: run_grid(grid, workers=workers)):
+            with pytest.raises(SchemaError, match="n_reps = 1000000000000 asks for 3e\\+14 simulated values"):
+                run()
+
+    def test_grid_size_boundary(self):
+        # two (beta, kappa) pairs at 1000 observations: the bound is n_reps x 2000
+        n_reps = experiments.MAX_GRID_ELEMENTS // 2000
+        size_grid("discrete", (1000.0,), "tau_o", beta_values=(0.0, 1.0), n_reps=n_reps).validate()
+        with pytest.raises(SchemaError, match="MAX_GRID_ELEMENTS"):
+            size_grid("discrete", (1000.0,), "tau_o", beta_values=(0.0, 1.0), n_reps=n_reps + 1).validate()
+
     def test_differenced_pairs(self):
         # at least 2 pairs: T = 8 gives 3 odd pairs; the hybrid has no q
         size_grid("discrete", (8.0,), "tau_o").validate()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import stdtr
 
 from cauchypred import (
+    DegenerateDenominatorError,
     DegenerateGroupsError,
     DgpDiscreteConfig,
     DegenerateVarianceError,
@@ -381,24 +382,55 @@ class TestJointTests:
         x1 = np.cumsum(gen.standard_normal(T))
         x2 = np.cumsum(gen.standard_normal(T))
         y = 0.8 * x1 + gen.standard_normal(T) * 3.0
-        s1 = sample(y, x1)
-        s2 = sample(y, x2)
-        joint = bonferroni_joint([s1, s2], alpha=0.05)
+        joint = bonferroni_joint(sample(y, np.column_stack([x1, x2])), alpha=0.05)
         p = [o.p_value for o in joint.per_predictor]
         assert joint.joint_reject == (min(p) <= 0.025)
 
     def test_bonferroni_k1_equals_hybrid(self):
         s = random_walk_sample(13, 120)
-        joint = bonferroni_joint([s], alpha=0.05)
+        joint = bonferroni_joint(s, alpha=0.05)
         single = hybrid_test(s, alpha=0.05)
         assert joint.joint_reject == single.reject
         assert joint.per_predictor[0].p_value == pytest.approx(single.p_value, abs=1e-15)
 
-    def test_bonferroni_requires_shared_response(self):
-        s1 = random_walk_sample(14, 50)
-        s2 = random_walk_sample(15, 50)
-        with pytest.raises(DomainError):
-            bonferroni_joint([s1, s2], alpha=0.05)
+    def test_bonferroni_rows_equal_univariate_tests(self):
+        # each row of the K-row batch is bit for bit the hybrid test on that
+        # predictor's own sample, over K 1-4 and T 10-700
+        gen = np.random.default_rng(22)
+        for i in range(300):
+            k, T = 1 + i % 4, int(gen.integers(10, 701))
+            X = np.cumsum(gen.standard_normal((T, k)), axis=0) if i % 2 else gen.standard_normal((T, k))
+            y = 0.1 * X[:, 0] + gen.standard_normal(T)
+            alpha, sided = (0.01, 0.05, 0.2)[i % 3], SIDES[i % len(SIDES)]
+            joint = bonferroni_joint(RegressionSample(y=y, x_lag=X), alpha, sided)
+            singles = tuple(hybrid_test(RegressionSample(y=y, x_lag=X[:, j]), alpha, sided) for j in range(k))
+            assert joint.per_predictor == singles
+            assert joint.joint_reject == (min(o.p_value for o in singles) <= alpha / k)
+
+    def test_bonferroni_permutes_with_predictors(self):
+        gen = np.random.default_rng(23)
+        X = np.cumsum(gen.standard_normal((300, 3)), axis=0)
+        y = 0.03 * X[:, 2] + gen.standard_normal(300)
+        joint = bonferroni_joint(RegressionSample(y=y, x_lag=X), 0.05)
+        for order in itertools.permutations(range(3)):
+            permuted = bonferroni_joint(RegressionSample(y=y, x_lag=X[:, list(order)]), 0.05)
+            assert permuted.per_predictor == tuple(joint.per_predictor[j] for j in order)
+            assert permuted.joint_reject == joint.joint_reject
+
+    def test_bonferroni_raises_first_degenerate_predictor(self):
+        gen = np.random.default_rng(24)
+        x = gen.standard_normal(50)
+        zero, y = np.zeros(50), 2.0 * x  # a zero denominator; a perfect fit
+        with pytest.raises(DegenerateDenominatorError):
+            bonferroni_joint(RegressionSample(y=y, x_lag=np.column_stack([zero, x])), 0.05)
+        with pytest.raises(DegenerateVarianceError):
+            bonferroni_joint(RegressionSample(y=y, x_lag=np.column_stack([x, zero])), 0.05)
+
+    def test_multi_predictor_batch_rows_are_contiguous(self):
+        X = np.arange(30.0).reshape(10, 3)
+        batch = RegressionSample(y=np.ones(10), x_lag=X).batch
+        assert batch.x_lag.flags.c_contiguous and not batch.x_lag.flags.writeable
+        np.testing.assert_array_equal(batch.x_lag, X.T)
 
     def test_wald_equals_tau_squared_at_k1(self):
         s = random_walk_sample(16, 300)
@@ -606,3 +638,22 @@ class TestGroupStatisticsInput:
     def test_non_finite_gammas(self, bad):
         with pytest.raises(DomainError, match="gammas contains non-finite"):
             t_q_test(groups([1.0, bad, 2.0, 0.5]), 0.05)
+
+    @pytest.mark.parametrize("q", [1, 0])
+    def test_fewer_than_two_groups(self, q):
+        # one group has no spread: rejected where the statistics are made, not in dists
+        with pytest.raises(PartitionError, match=f"need q >= 2 groups, got q={q}"):
+            GroupStatistics(q=q, gammas=np.ones(q), block_size=1, dropped=0)
+
+
+class TestIdentityEquality:
+    def test_samples_compare_by_identity(self):
+        s = random_walk_sample(25, 40)
+        twin = RegressionSample(y=s.y, x_lag=s.x_lag)
+        assert s == s and not s == twin and s != twin
+        assert len({s, twin, s}) == 2
+
+    def test_group_statistics_compare_by_identity(self):
+        g, twin = groups([1.0, 2.0, 3.0]), groups([1.0, 2.0, 3.0])
+        assert g == g and g != twin
+        assert len({g, twin, g}) == 2
