@@ -98,6 +98,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.workers < 1:  # before the output directory is made
+        raise CauchyPredError("workers must be >= 1")
     path = resolve_config_path(args.config)
     name, grid = load_experiment_file(path, master_seed=args.seed)
     out_dir = Path(args.out)

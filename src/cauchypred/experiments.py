@@ -408,17 +408,19 @@ def _block_workspace() -> Workspace:
     return _THREAD.workspace
 
 
-def _run_combination(grid: ExperimentGrid, T, vol, rows: range, models: tuple) -> np.ndarray:
+def _run_combination(grid: ExperimentGrid, t: int, v: int, rows: range, counts: np.ndarray) -> None:
     """The unit of work of :func:`run_grid`: one block of rows of the
-    (T, vol) group, simulated and tested together.
+    ``(T_values[t], vol_models[v])`` group, simulated and tested together.
 
     Row ``i`` of the group is replication ``i % n_reps`` of the group's
     ``i // n_reps``-th (beta, kappa) pair in grid order, drawn from the
-    stream of that replication; ``models`` holds the DGP config of each
-    pair, and the block is one batch of the first with each row's beta and
-    kappa.  Returns the rejection and degenerate counts the block adds, as a
-    (pairs, methods, 2) array.
+    stream of that replication; the block is one batch of the group's first
+    DGP config with each row's beta and kappa.  Adds its rejection and
+    degenerate counts into ``counts[pairs, t, v]`` of a (pairs, T, vol,
+    methods, 2) array: two blocks can share the pair at their boundary.
     """
+    T, vol = grid.T_values[t], grid.vol_models[v]
+    models = grid.validate()[T, vol]
     specs = [parse_method(m) for m in grid.methods]
     n = grid.n_reps
     first, stop = rows.start // n, (rows.stop - 1) // n + 1
@@ -431,13 +433,11 @@ def _run_combination(grid: ExperimentGrid, T, vol, rows: range, models: tuple) -
     beta, kappa = np.repeat(per_pair, np.diff(starts + [len(indices)]), axis=0).T
     simulate = simulate_continuous_batch if grid.dgp_kind == "continuous" else simulate_discrete_batch
     batch = simulate(models[0], grid.master_seed, np.array(indices, dtype=np.uint64), beta, kappa, _block_workspace())
-    counts = np.zeros((len(models), len(specs), 2), dtype=np.int64)
-    span = slice(first, stop)
+    span = counts[first:stop, t, v]
     for k, spec in enumerate(specs):
         outcomes = evaluate_batch(spec, batch, grid.alpha, grid.sided)
-        counts[span, k, 0] = np.add.reduceat(outcomes.reject, starts, dtype=np.int64)
-        counts[span, k, 1] = np.add.reduceat(outcomes.cause != 0, starts, dtype=np.int64)
-    return counts
+        span[:, k, 0] += np.add.reduceat(outcomes.reject, starts, dtype=np.int64)
+        span[:, k, 1] += np.add.reduceat(outcomes.cause != 0, starts, dtype=np.int64)
 
 
 def run_cell(
@@ -477,30 +477,37 @@ def _deal(sizes: list, n: int) -> list[list[int]]:
     return shares
 
 
-def _run_share(tasks: list) -> list[np.ndarray]:
-    return [_run_combination(*task) for task in tasks]
+def _run_share(grid: ExperimentGrid, blocks: list) -> np.ndarray:
+    """The counts of a share of ``(t, v, rows)`` blocks, each added into
+    one (pairs, T, vol, methods, 2) array as it ends."""
+    pairs = len(grid.beta_values) * len(grid.kappa_values)
+    counts = np.zeros((pairs, len(grid.T_values), len(grid.vol_models), len(grid.methods), 2), dtype=np.int64)
+    for t, v, rows in blocks:
+        _run_combination(grid, t, v, rows, counts)
+    return counts
 
 
-def _child_share(tasks: list, send) -> None:
+def _child_share(grid: ExperimentGrid, blocks: list, send) -> None:
     """A child process's life: run its share of blocks and send back their
     counts, or the exception that stopped them."""
     try:
-        sent = _run_share(tasks)
+        sent = _run_share(grid, blocks)
     except Exception as exc:
         sent = exc
     send.send(sent)
 
 
-def _fan_out(grid: ExperimentGrid, shares: list[list]) -> list[list[np.ndarray]]:
-    """Each share's counts: one child process per share but the first, which
-    this process runs itself meanwhile.
+def _fan_out(grid: ExperimentGrid, shares: list[list]) -> np.ndarray:
+    """The counts of all shares, summed: one child process per share but
+    the first, which this process runs itself meanwhile; each child sends
+    one count array.
 
     A child's exception is raised here, and a child that exits without
     sending raises :class:`ChildProcessError` with its exit code.  No child
     outlives the call: on any exception every child is killed and joined.
     """
     if len(shares) == 1:
-        return [_run_share(shares[0])]
+        return _run_share(grid, shares[0])
     import multiprocessing  # loaded only where a fan-out runs
 
     _prepare_fork(grid)
@@ -509,13 +516,13 @@ def _fan_out(grid: ExperimentGrid, shares: list[list]) -> list[list[np.ndarray]]
     context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
     children = []
     try:
-        for tasks in shares[1:]:
+        for blocks in shares[1:]:
             receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_child_share, args=(tasks, send))
+            child = context.Process(target=_child_share, args=(grid, blocks, send))
             child.start()
             children.append((child, receive))
             send.close()  # the child holds the only write end, so its exit ends the pipe
-        results = [_run_share(shares[0])]
+        counts = _run_share(grid, shares[0])
         for child, receive in children:
             try:
                 sent = receive.recv()
@@ -526,9 +533,9 @@ def _fan_out(grid: ExperimentGrid, shares: list[list]) -> list[list[np.ndarray]]
                 ) from None
             if isinstance(sent, Exception):
                 raise sent
-            results.append(sent)
+            counts += sent
             child.join()
-        return results
+        return counts
     finally:
         for child, receive in children:
             child.kill()  # a no-op once the child has exited
@@ -542,15 +549,14 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     With ``workers`` > 1 and more than one block, the blocks, largest first,
     are dealt into ``min(workers, blocks)`` shares of about equal elements;
     this process runs the first share while one child process runs each of
-    the others.  On Linux the children are forked from this process after
-    :func:`_prepare_fork`, so they inherit its critical-value cache and
-    loaded modules.
+    the others, and the shares' count arrays are summed.  On Linux the
+    children are forked after :func:`_prepare_fork`, so they inherit its
+    critical-value cache and loaded modules.
     """
     models = grid.validate()
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    pairs = list(itertools.product(grid.beta_values, grid.kappa_values))
-    rows = len(pairs) * grid.n_reps  # in each (T, vol) group
+    rows = len(grid.beta_values) * len(grid.kappa_values) * grid.n_reps  # in each (T, vol) group
     blocks = []  # (elements, T index, vol index, rows of the group)
     for t, v in np.ndindex(len(grid.T_values), len(grid.vol_models)):
         n_obs = models[grid.T_values[t], grid.vol_models[v]][0].n_obs
@@ -561,18 +567,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
         ]
     blocks.sort(key=lambda b: b[0], reverse=True)
     shares = _deal([b[0] for b in blocks], min(workers, len(blocks)))
-    tasks = []
-    for _, t, v, block in blocks:
-        T, vol = grid.T_values[t], grid.vol_models[v]
-        tasks.append((grid, T, vol, block, models[T, vol]))
-    results = _fan_out(grid, [[tasks[i] for i in share] for share in shares])
-    counts = np.zeros(
-        (len(pairs), len(grid.T_values), len(grid.vol_models), len(grid.methods), 2), dtype=np.int64
-    )
-    for share, share_results in zip(shares, results):
-        for i, result in zip(share, share_results):
-            _, t, v, _ = blocks[i]
-            counts[:, t, v] += result
+    counts = _fan_out(grid, [[blocks[i][1:] for i in share] for share in shares])
     return McTable(
         n_reps=grid.n_reps,
         beta_values=tuple(map(float, grid.beta_values)),
@@ -637,19 +632,13 @@ def d2_study(
         raise DomainError(f"threshold must be finite, got {threshold}")
     values = np.empty(n_draws)
     workspace = _block_workspace()
-    pos = 0
-    chunk_id = 0
-    while pos < n_draws:
-        take = min(_D2_CHUNK, n_draws - pos)
+    for chunk_id, chunk in enumerate(range(0, n_draws, _D2_CHUNK)):
         # 2 groups of a demeaned path; both stay in the key, which fixes the draws
-        stream = RngStream(master_seed, substream_index("d2", n_steps, 2, True, chunk_id))
-        gen = stream.generator()
-        for i in range(0, take, _D2_BLOCK):
-            count = min(_D2_BLOCK, take - i)
-            paths = brownian_paths(gen, count, n_steps, demean=True, workspace=workspace)
-            values[pos + i : pos + i + count] = d_statistic(abs_integral_blocks(paths, 2))
-        pos += take
-        chunk_id += 1
+        gen = RngStream(master_seed, substream_index("d2", n_steps, 2, True, chunk_id)).generator()
+        for start in range(chunk, min(chunk + _D2_CHUNK, n_draws), _D2_BLOCK):
+            stop = min(start + _D2_BLOCK, n_draws)  # a chunk is a whole number of blocks
+            paths = brownian_paths(gen, stop - start, n_steps, demean=True, workspace=workspace)
+            values[start:stop] = d_statistic(abs_integral_blocks(paths, 2))
     tail = float(np.mean(values > threshold))
     counts, _ = np.histogram(np.clip(values, None, _D2_BIN_EDGES[-1] - 1e-12), bins=_D2_BIN_EDGES)
     centers = 0.5 * (_D2_BIN_EDGES[:-1] + _D2_BIN_EDGES[1:])

@@ -263,6 +263,15 @@ class TestTableCommand:
         assert main(["table", "--config", "no_such", "--out", str(tmp_path / "y")]) != 0
         assert "bundled" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_make_no_directory(self, tmp_path, capsys, workers):
+        out = tmp_path / "wtest" / "out"
+        assert main(["table", "--config", "table1_cnst", "--workers", workers, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: workers must be >= 1\n"
+        assert not (tmp_path / "wtest").exists()
+
 
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
     @pytest.mark.parametrize(

@@ -423,6 +423,41 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
                 experiments.CellKey(0.0, kappa, 60.0, "CNST", "t8_tau_o")
             ]
 
+    def test_share_adds_its_blocks(self):
+        # one share of blocks that start and end inside combinations, out of
+        # order, in two (T, vol) groups: its one count array is the grid's
+        grid = small_discrete_grid(
+            kappa_values=(0.0, 20.0, 50.0, 100.0), T_values=(60.0, 120.0), vol_models=("CNST", "RS"), n_reps=5
+        )
+        whole = run_grid(grid).counts
+        cuts = (0, 3, 10, 11, 17, 20)
+        blocks = [(t, v, range(a, b)) for t, v in itertools.product((1, 0), (0, 1)) for a, b in zip(cuts, cuts[1:])]
+        counts = experiments._run_share(grid, blocks[::-1])
+        assert counts.shape == (4, 2, 2, 2, 2)
+        assert np.array_equal(counts.reshape(whole.shape), whole)
+        # shares over any split of the blocks add up to it
+        halves = [experiments._run_share(grid, blocks[i::2]) for i in (0, 1)]
+        assert np.array_equal(halves[0] + halves[1], counts)
+        # a block counts into its own (T, vol) group and the pairs it covers only
+        part = experiments._run_share(grid, [(0, 1, range(3, 10))])
+        assert part[2:].sum() == part[:, 0, 0].sum() == part[:, 1].sum() == 0
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_methods(self, monkeypatch, method):
+        # children that do not fork get the grid pickled without its
+        # validation memo, so each validates it once; they send the cells a
+        # serial run gives
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        _, grid = load_experiment_file(resolve_config_path("size_persistent_vol"))
+        grid = dataclasses.replace(grid, n_reps=40)
+        serial = run_grid(grid).to_csv_text()
+        context, asked = multiprocessing.get_context(method), []
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: asked.append(method) or context)
+        assert run_grid(grid, workers=2).to_csv_text() == serial
+        assert len(asked) == 1  # one fan-out
+        assert not multiprocessing.active_children()
+
     def test_run_cell_matches_grid(self):
         grid = small_discrete_grid()
         table = run_grid(grid)
