@@ -146,7 +146,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for t in range(sample.n_obs):
         row = f"{t + 1},{float(sample.y[t])!r},{float(x1[t])!r}"
         if sample.x_level is not None:
-            row += f",{float(sample.x_level[t])!r}"
+            row += f",{float(sample.x_level[t + 1])!r}"
         lines.append(row)
     text = "\n".join(lines) + "\n"
     if args.out:

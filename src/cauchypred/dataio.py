@@ -20,7 +20,6 @@ import datetime
 import io
 import json
 import math
-import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -167,30 +166,6 @@ def dataset_to_csv_text(
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentGrid)}
 _REQUIRED = {"name"} | {n for n, f in _FIELDS.items() if f.default is dataclasses.MISSING}
-_TYPES = typing.get_type_hints(ExperimentGrid)
-# what a JSON value must be for each (item) type of an ExperimentGrid field
-_KINDS = {float: "number", int: "nonnegative integer", str: "string"}
-
-
-def _accepts(typ: type, v) -> bool:
-    if isinstance(v, bool):
-        return False
-    if typ is float:
-        return isinstance(v, (int, float))
-    return isinstance(v, typ) and not (typ is int and v < 0)
-
-
-def _convert(key: str, v):
-    """Check one config value against its field's type and convert it."""
-    typ = _TYPES[key]
-    if typing.get_origin(typ) is tuple:
-        item = typing.get_args(typ)[0]
-        if not isinstance(v, list) or not v or not all(_accepts(item, x) for x in v):
-            raise SchemaError(f"{key} must be a nonempty list of {_KINDS[item]}s")
-        return tuple(item(x) for x in v)
-    if not _accepts(typ, v):
-        raise SchemaError(f"{key} must be a {_KINDS[typ]}")
-    return typ(v)
 
 
 def _design_of(key: str, kind: str) -> str:
@@ -203,7 +178,7 @@ def config_to_grid(config: dict, master_seed: int | None = None) -> ExperimentGr
     The keys are ``name`` plus the fields of :class:`ExperimentGrid`, with
     the field defaults; ``sided`` defaults to ``"right"`` under the discrete
     design.  ``master_seed``, if given, replaces the config's before the
-    grid is validated.
+    grid is built, which checks every value.
     """
     if not isinstance(config, dict):
         raise SchemaError("experiment config must be a JSON object")
@@ -215,13 +190,12 @@ def config_to_grid(config: dict, master_seed: int | None = None) -> ExperimentGr
         raise SchemaError(f"missing config keys: {sorted(missing)}")
     if not isinstance(config["name"], str) or not config["name"]:
         raise SchemaError("name must be a nonempty string")
-    values = {k: _convert(k, v) for k, v in config.items() if k != "name"}
+    values = {k: v for k, v in config.items() if k != "name"}
     if master_seed is not None:
-        values["master_seed"] = _convert("master_seed", master_seed)
+        values["master_seed"] = master_seed
     if values["dgp_kind"] == "discrete":
         values.setdefault("sided", "right")
     grid = ExperimentGrid(**values)
-    grid.validate()
     misplaced = sorted(k for k in values if _design_of(k, grid.dgp_kind) != grid.dgp_kind)
     if misplaced:
         raise SchemaError(f"keys {misplaced} do not apply to the {grid.dgp_kind} design")

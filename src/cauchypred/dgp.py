@@ -394,7 +394,9 @@ def simulate_continuous_batch(
     gbm = config.vol_model == "GBM"
     jumps = config.jump_intensity > 0
     vol = _volatility_draws(config.vol_model, n)
-    with ws:
+    # an explosive AR path (kappa_bar far above 2 n_obs) or a huge beta gives inf or
+    # nan without a numpy warning; the batch then rejects it as non-finite
+    with ws, np.errstate(over="ignore", invalid="ignore"):
         vol_draws = None if vol is None else ws.scratch((reps, vol[1]))
         v_full = ws.scratch((reps, n + 2))
         e_w = ws.scratch((reps, n))
@@ -471,7 +473,9 @@ def simulate_discrete_batch(
     n, reps, order = config.n_obs, len(indices), config.ma_order
     x_level, y = ws.array("x", (reps, n + 1)), ws.array("y", (reps, n))  # x_0 .. x_n
     vol = _volatility_draws(config.vol_model, n)
-    with ws:
+    # an explosive AR path (kappa_bar far above 2 n_obs) or a huge beta gives inf or
+    # nan without a numpy warning; the batch then rejects it as non-finite
+    with ws, np.errstate(over="ignore", invalid="ignore"):
         vol_draws = None if vol is None else ws.scratch((reps, vol[1]))
         v_full = ws.scratch((reps, n + order))
         e = ws.scratch((reps, n))

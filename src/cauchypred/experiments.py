@@ -48,12 +48,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import re
 import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -151,13 +152,35 @@ def _only(design: str, name: str):
     return field(default=default, metadata={"design": design})
 
 
+# what a value must be for each (item) type of an ExperimentGrid field
+_KINDS = {float: (numbers.Real, "number"), int: (numbers.Integral, "nonnegative integer"), str: (str, "string")}
+
+
+def _accepts(typ: type, v) -> bool:
+    return isinstance(v, _KINDS[typ][0]) and not isinstance(v, bool) and not (typ is int and v < 0)
+
+
+def _typed(name: str, typ, value):
+    """A field's value checked against its type hint and converted to it."""
+    if get_origin(typ) is tuple:
+        item = get_args(typ)[0]
+        if not isinstance(value, (list, tuple)) or not value or not all(_accepts(item, v) for v in value):
+            raise SchemaError(f"{name} must be a nonempty list of {_KINDS[item][1]}s")
+        return tuple(map(item, value))
+    if not _accepts(typ, value):
+        raise SchemaError(f"{name} must be a {_KINDS[typ][1]}")
+    return typ(value)
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     """Full parameterization of one experiment table.
 
     This is also the experiment-file schema (see :mod:`cauchypred.dataio`):
     every field is a key, fields without a default are required, and the
-    ``design`` metadata marks the knobs of a single design.
+    ``design`` metadata marks the knobs of a single design.  Building a grid
+    checks it once, raising :class:`SchemaError` at the first rule it breaks,
+    and converts each field to its type (a list to a tuple, an int to a float).
     """
 
     dgp_kind: str  # "continuous" | "discrete"
@@ -180,25 +203,15 @@ class ExperimentGrid:
     rho: float = _only("discrete", "rho")
     endogeneity: str = _only("discrete", "endogeneity")
 
-    def validate(self) -> Mapping[tuple, tuple]:
-        """Check every rule a run would hit; return each (T, vol) group's
-        tuple of the DGP configs of its (beta, kappa) pairs, in grid order.
-
-        A grid that passes is checked once: later calls return the same
-        read-only mapping.  One that fails raises on every call.
-        """
-        return self._models
-
-    @functools.cached_property
-    def _models(self) -> Mapping[tuple, tuple]:
+    def __post_init__(self) -> None:
+        # each field to its declared type, then every rule a run would hit
+        for name, typ in _TYPES.items():
+            object.__setattr__(self, name, _typed(name, typ, getattr(self, name)))
         if self.dgp_kind not in ("continuous", "discrete"):
             raise SchemaError(f"dgp_kind must be 'continuous' or 'discrete', got {self.dgp_kind!r}")
-        for name in (*_AXES, "methods"):
-            values = getattr(self, name)
-            if len(values) == 0:
-                raise SchemaError(f"{name} must be nonempty")
-            # each coordinate names one row of the table; methods are compared parsed, below
-            if name != "methods" and len(set(values)) < len(values):
+        # each coordinate names one row of the table; methods are compared parsed, below
+        for name in _AXES:
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise SchemaError(f"{name} lists a value more than once")
         if self.n_reps < 1:
             raise SchemaError("n_reps must be >= 1")
@@ -211,7 +224,7 @@ class ExperimentGrid:
                     f"method {s.label!r} needs predictor levels and is only "
                     "available under the discrete design"
                 )
-        if self.dgp_kind == "discrete" and not all(float(T).is_integer() for T in self.T_values):
+        if self.dgp_kind == "discrete" and not all(T.is_integer() for T in self.T_values):
             raise SchemaError("T_values must be whole numbers under the discrete design")
         # ask the owners of the seed, level, model and size rules before any
         # block runs; the DGP configs own the finite and range rules of every
@@ -243,12 +256,20 @@ class ExperimentGrid:
                     group_block_size(terms, s.q)
             except (DomainError, PartitionError) as exc:
                 raise SchemaError(f"method {s.label!r} cannot run at n_obs = {n}: {exc}") from exc
-        return MappingProxyType({group: tuple(configs) for group, configs in models.items()})
+        object.__setattr__(self, "_models", MappingProxyType({g: tuple(c) for g, c in models.items()}))
 
-    def __getstate__(self) -> dict:
-        # the validation memo stays in this process: a spawned child gets the
-        # grid pickled for its fields, and its blocks' configs apart
-        return {name: value for name, value in self.__dict__.items() if name != "_models"}
+    def __reduce__(self):
+        # rebuilt through the constructor, so an unpickled grid is checked too
+        return functools.partial(ExperimentGrid, **{f.name: getattr(self, f.name) for f in fields(self)}), ()
+
+    def validate(self) -> Mapping[tuple, tuple]:
+        """Each (T, vol) group's tuple of the DGP configs of its (beta,
+        kappa) pairs, in grid order, as a read-only mapping.
+
+        Building the grid checked it against every rule a run would hit and
+        made this mapping: a grid that breaks a rule is never built.
+        """
+        return self._models
 
     def dgp_config(self, beta, kappa, T, vol):
         """The model of one combination: its coordinates plus the design's knobs."""
@@ -286,6 +307,9 @@ class ExperimentGrid:
             f"{self.dgp_kind}|beta={float(beta)!r}|kappa={float(kappa)!r}"
             f"|T={float(T)!r}|vol={vol}|{extras}"
         )
+
+
+_TYPES = get_type_hints(ExperimentGrid)
 
 
 def method_sort_key(label: str):
@@ -570,9 +594,9 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     counts = _fan_out(grid, [[blocks[i][1:] for i in share] for share in shares])
     return McTable(
         n_reps=grid.n_reps,
-        beta_values=tuple(map(float, grid.beta_values)),
-        kappa_values=tuple(map(float, grid.kappa_values)),
-        T_values=tuple(map(float, grid.T_values)),
+        beta_values=grid.beta_values,
+        kappa_values=grid.kappa_values,
+        T_values=grid.T_values,
         vol_models=grid.vol_models,
         methods=tuple(parse_method(m).label for m in grid.methods),
         counts=counts.reshape(-1, len(grid.methods), 2),

@@ -431,6 +431,7 @@ def wald_joint(sample: RegressionSample, alpha: float) -> JointTestOutcome:
     the K-variate no-intercept OLS residual variance.  At K = 1 the
     statistic equals the squared hybrid statistic.
     """
+    check_level(alpha, "right")
     X = sample.x_matrix()
     k = X.shape[1]
     z = _sign(X, np.empty(X.shape))
@@ -443,7 +444,6 @@ def wald_joint(sample: RegressionSample, alpha: float) -> JointTestOutcome:
         raise DegenerateVarianceError(DEGENERACIES[_VARIANCE - 1][1])
     b = z.T @ sample.y
     stat = float(b @ np.linalg.solve(S, b) / w2)
-    check_level(alpha, "right")
     p = dists.chi_square_sf(max(stat, 0.0), k)
     marginal = TestOutcome(
         statistic=stat,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cauchypred import RegressionSample, cli, experiments
+from cauchypred import DgpDiscreteConfig, RegressionSample, RngStream, cli, experiments, simulate_discrete
 from cauchypred.cli import main
 from cauchypred.dataio import bundled_config_names, parse_csv
 from cauchypred.dgp import MAX_N_OBS
@@ -381,6 +381,21 @@ class TestSimulateCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,y,x_lag,x_level"
         assert len(lines) == 25
+
+    def test_discrete_dump_rebuilds_the_sample(self, tmp_path, capsys):
+        # x_lag holds x_0..x_{T-1} and x_level x_1..x_T, so the two columns
+        # together give every level, and the dump is a `test` input
+        out = tmp_path / "dump.csv"
+        assert main(["simulate", "--dgp", "discrete", "--n-obs", "24", "--kappa", "50", "--seed", "7",
+                     "--out", str(out)]) == 0
+        _, y, x_lag, x_level = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+        rebuilt = RegressionSample(y, x_lag, x_level=[x_lag[0], *x_level])
+        sample = simulate_discrete(DgpDiscreteConfig(n_obs=24, kappa_bar=50.0), RngStream(7))
+        for name in ("y", "x_lag", "x_level"):  # bit for bit
+            assert getattr(rebuilt, name).tobytes() == getattr(sample, name).tobytes()
+        capsys.readouterr()
+        assert main(["test", str(out), "--date-col", "t", "--x-col", "x_level", "--intercept"]) == 0
+        assert capsys.readouterr().out.startswith("tau_o: statistic=")
 
     def test_continuous_stdout(self, capsys):
         assert main(["simulate", "--dgp", "continuous", "--years", "2", "--seed", "3"]) == 0

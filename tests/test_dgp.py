@@ -250,6 +250,20 @@ def test_n_obs_bound():
             DgpContinuousConfig(**horizon)
 
 
+@pytest.mark.parametrize("design", ["discrete", "continuous"])
+def test_explosive_path_fails_without_warnings(design):
+    # kappa_bar far above 2 n_obs makes the AR path explode to inf, and a huge
+    # beta overflows y: numpy stays quiet (warnings are errors here) and the
+    # batch rejects the sample as non-finite
+    if design == "discrete":
+        make, simulate = (lambda **kw: DgpDiscreteConfig(n_obs=240, **kw)), simulate_discrete
+    else:
+        make, simulate = (lambda **kw: DgpContinuousConfig(years=20, **kw)), simulate_continuous
+    for knobs in ({"kappa_bar": 1e6}, {"kappa_bar": 1e300}, {"kappa_bar": 600.0, "beta": 1e300}):
+        with pytest.raises(DomainError, match="^y contains non-finite entries$"):
+            simulate(make(**knobs), RngStream(3))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "config,horizon,names",

@@ -1,6 +1,7 @@
 """Experiment-engine contracts: method parsing, grid validation, cell/grid
 agreement, worker-count invariance, and the exceedance study."""
 
+import copy
 import dataclasses
 import itertools
 import multiprocessing
@@ -43,7 +44,13 @@ from cauchypred import (
     substream_index,
     t_q_test,
 )
-from cauchypred.dataio import bundled_config_names, load_experiment_file, resolve_config_path
+from cauchypred.dataio import (
+    bundled_config_names,
+    config_to_grid,
+    grid_to_config,
+    load_experiment_file,
+    resolve_config_path,
+)
 from cauchypred.experiments import evaluate_method
 from cauchypred.inference import SIDES
 from cauchypred.inference import TestOutcome as Outcome  # not collected as a test class
@@ -156,18 +163,17 @@ class TestGridValidation:
             small_discrete_grid(methods=()).validate()
 
     def test_parity_method_on_continuous(self):
-        grid = ExperimentGrid(
-            dgp_kind="continuous",
-            beta_values=(0.0,),
-            kappa_values=(0.0,),
-            T_values=(5.0,),
-            vol_models=("CNST",),
-            methods=("tau_e",),
-            n_reps=10,
-            master_seed=1,
-        )
         with pytest.raises(SchemaError):
-            grid.validate()
+            ExperimentGrid(
+                dgp_kind="continuous",
+                beta_values=(0.0,),
+                kappa_values=(0.0,),
+                T_values=(5.0,),
+                vol_models=("CNST",),
+                methods=("tau_e",),
+                n_reps=10,
+                master_seed=1,
+            )
 
     def test_gbm_on_discrete(self):
         with pytest.raises(SchemaError):
@@ -222,10 +228,10 @@ class TestGridValidation:
         assert dataclasses.replace(grid).validate() is not models
 
     def test_invalid_grid_raises_on_every_call(self):
-        grid = small_discrete_grid(alpha=1.5)
+        # an invalid grid is never built: every attempt raises
         for _ in range(2):
             with pytest.raises(SchemaError):
-                grid.validate()
+                small_discrete_grid(alpha=1.5)
 
 
 def size_grid(kind, T_values, method, **overrides):
@@ -253,9 +259,8 @@ class TestSizeRules:
             raise AssertionError("a block ran")
 
         monkeypatch.setattr(experiments, "_run_combination", no_block)
-        grid = size_grid(kind, T_values, method)
         with pytest.raises(SchemaError, match=f"method '{method}' cannot run at n_obs = {n_obs}:"):
-            run_grid(grid, workers=workers)
+            run_grid(size_grid(kind, T_values, method), workers=workers)
 
     @pytest.mark.parametrize(
         "kind,T,method", [("continuous", 5.0, "t60"), ("discrete", 60.0, "t29_tau_o")]
@@ -272,10 +277,8 @@ class TestSizeRules:
             raise AssertionError("a block ran")
 
         monkeypatch.setattr(experiments, "_run_combination", no_block)
-        grid = size_grid("discrete", (240.0, 60.0), "tau_o", n_reps=10**12)
-        for run in (grid.validate, lambda: run_grid(grid, workers=workers)):
-            with pytest.raises(SchemaError, match="n_reps = 1000000000000 asks for 3e\\+14 simulated values"):
-                run()
+        with pytest.raises(SchemaError, match="n_reps = 1000000000000 asks for 3e\\+14 simulated values"):
+            run_grid(size_grid("discrete", (240.0, 60.0), "tau_o", n_reps=10**12), workers=workers)
 
     def test_grid_size_boundary(self):
         # two (beta, kappa) pairs at 1000 observations: the bound is n_reps x 2000
@@ -301,6 +304,78 @@ class TestSizeRules:
             beta_values=(0.0, 1.0, 2.0), kappa_values=(0.0, 5.0), vol_models=("CNST", "SB"),
         ).validate()
         assert sorted(calls) == [60, 240]
+
+
+# values of the wrong type, and the message that names each: the same
+# whether the grid is built in Python or from an experiment file
+WRONG_TYPES = [
+    ("n_reps", True, "n_reps must be a nonnegative integer"),
+    ("n_reps", 2.5, "n_reps must be a nonnegative integer"),
+    ("n_reps", -3, "n_reps must be a nonnegative integer"),
+    ("alpha", "0.05", "alpha must be a number"),
+    ("alpha", False, "alpha must be a number"),
+    ("beta_values", 0.0, "beta_values must be a nonempty list of numbers"),
+    ("beta_values", [0.0, True], "beta_values must be a nonempty list of numbers"),
+    ("T_values", [], "T_values must be a nonempty list of numbers"),
+    ("ma_order", 2.0, "ma_order must be a nonnegative integer"),
+    ("methods", "tau_o", "methods must be a nonempty list of strings"),
+    ("vol_models", "CNST", "vol_models must be a nonempty list of strings"),
+    ("sided", ["right"], "sided must be a string"),
+]
+
+
+class TestTypedGrid:
+    """A grid holds its declared types and is checked once, when built."""
+
+    @pytest.mark.parametrize("path", ["python", "file"])
+    @pytest.mark.parametrize("name,value,message", WRONG_TYPES, ids=lambda v: repr(v)[:20])
+    def test_wrong_type_rejected_when_built(self, monkeypatch, path, name, value, message):
+        monkeypatch.setattr(experiments, "_run_combination", lambda *args: pytest.fail("a block ran"))
+        config = grid_to_config(small_discrete_grid(), "typed")
+        with pytest.raises(SchemaError) as info:
+            if path == "python":
+                run_grid(small_discrete_grid(**{name: value}))
+            else:
+                run_grid(config_to_grid({**config, name: value}))
+        assert str(info.value) == message
+
+    def test_fields_hold_declared_types(self):
+        # lists become tuples, ints in float fields floats, numpy scalars Python ones
+        grid = small_discrete_grid(
+            beta_values=[np.float32(0.5), 1], kappa_values=(np.int64(0),), T_values=[60], n_reps=np.int64(3),
+            alpha=np.float64(0.1), master_seed=np.uint64(5), rho=-1, methods=[np.str_("tau_o")],
+        )
+        hints = typing.get_type_hints(ExperimentGrid)
+        for f in dataclasses.fields(grid):
+            value, hint = getattr(grid, f.name), hints[f.name]
+            if typing.get_origin(hint) is tuple:
+                assert type(value) is tuple and all(type(v) is typing.get_args(hint)[0] for v in value), f.name
+            else:
+                assert type(value) is hint, f.name
+        assert grid == small_discrete_grid(
+            beta_values=(0.5, 1.0), kappa_values=(0.0,), T_values=(60.0,), n_reps=3,
+            alpha=0.1, master_seed=5, rho=-1.0, methods=("tau_o",),
+        )
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_bundled_echo_rebuilds_the_grid(self, name):
+        _, grid = load_experiment_file(resolve_config_path(name))
+        echo = grid_to_config(grid, name)
+        del echo["name"]
+        again = ExperimentGrid(**echo)
+        assert again == grid
+        assert list(again.validate().items()) == list(grid.validate().items())
+
+    def test_copies_are_built_and_checked(self):
+        grid = small_discrete_grid(T_values=(60.0, 120.0))
+        copies = (pickle.loads(pickle.dumps(grid)), copy.copy(grid), copy.deepcopy(grid), dataclasses.replace(grid))
+        for again in copies:
+            assert again == grid and again is not grid
+            assert list(again.validate().items()) == list(grid.validate().items())
+        # an unpickled grid goes through the constructor, checks included
+        object.__setattr__(grid, "alpha", 1.5)
+        with pytest.raises(SchemaError, match="alpha must be in"):
+            pickle.loads(pickle.dumps(grid))
 
 
 class TestRunGrid:
@@ -640,9 +715,6 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
 
     def test_run_grid_builds_each_config_once(self, monkeypatch):
         # validation builds every combination's config and the run reuses it
-        grid = small_discrete_grid(
-            beta_values=(0.0, 1.0, 2.0), T_values=(60.0, 120.0), vol_models=("CNST", "SB"), n_reps=3
-        )
         built = []
         dgp_config = ExperimentGrid.dgp_config
 
@@ -651,6 +723,9 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
             return dgp_config(self, *combination)
 
         monkeypatch.setattr(ExperimentGrid, "dgp_config", counted)
+        grid = small_discrete_grid(
+            beta_values=(0.0, 1.0, 2.0), T_values=(60.0, 120.0), vol_models=("CNST", "SB"), n_reps=3
+        )
         table = run_grid(grid)
         assert len(built) == len(set(built)) == 3 * 2 * 2 * 2
         monkeypatch.undo()

@@ -455,6 +455,16 @@ class TestJointTests:
         with pytest.raises(SignDegeneracyError, match="identical sign"):
             wald_joint(RegressionSample(y=y, x_lag=X), 0.05)
 
+    def test_wald_checks_its_level_first(self):
+        # as bonferroni_joint and the univariate tests do: the level is
+        # rejected before the sample's sign patterns are looked at
+        gen = np.random.default_rng(17)
+        x1 = np.abs(gen.standard_normal(100)) + 0.1
+        sample = RegressionSample(y=gen.standard_normal(100), x_lag=np.column_stack([x1, 2 * x1]))
+        for joint in (wald_joint, bonferroni_joint):
+            with pytest.raises(DomainError, match="^alpha must be in"):
+                joint(sample, 2.0)
+
     def test_wald_nonnegative_and_right_tailed(self):
         gen = np.random.default_rng(18)
         X = np.cumsum(gen.standard_normal((250, 2)), axis=0)
