@@ -177,8 +177,9 @@ def config_to_grid(config: dict, master_seed: int | None = None) -> ExperimentGr
 
     The keys are ``name`` plus the fields of :class:`ExperimentGrid`, with
     the field defaults; ``sided`` defaults to ``"right"`` under the discrete
-    design.  ``master_seed``, if given, replaces the config's before the
-    grid is built, which checks every value.
+    design.  ``name`` starts the name of every output file, so it must be a
+    plain file name.  ``master_seed``, if given, replaces the config's
+    before the grid is built, which checks every value.
     """
     if not isinstance(config, dict):
         raise SchemaError("experiment config must be a JSON object")
@@ -190,6 +191,8 @@ def config_to_grid(config: dict, master_seed: int | None = None) -> ExperimentGr
         raise SchemaError(f"missing config keys: {sorted(missing)}")
     if not isinstance(config["name"], str) or not config["name"]:
         raise SchemaError("name must be a nonempty string")
+    if config["name"] in (".", "..") or {"/", "\\", "\0"} & set(config["name"]):
+        raise SchemaError(f"name must be a plain file name (no /, \\ or NUL; not . or ..), got {config['name']!r}")
     values = {k: v for k, v in config.items() if k != "name"}
     if master_seed is not None:
         values["master_seed"] = master_seed

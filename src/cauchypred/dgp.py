@@ -45,9 +45,11 @@ memory with no other call's.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+import numbers
+from dataclasses import dataclass, replace
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -187,12 +189,44 @@ def gen_volatility(
     return sigma if draws is None else sigma[0]
 
 
-def _check_finite(config) -> None:
-    """Reject a config whose float field is nan or infinite, naming it."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"{f.name} must be finite, got {value!r}")
+# what a value must be for each (item) type of a config field
+_KINDS = {float: (numbers.Real, "number"), int: (numbers.Integral, "nonnegative integer"), str: (str, "string")}
+
+
+@functools.cache
+def _field_types(cls) -> tuple:
+    """Each field's name, type (a tuple's item type), and whether it is a tuple or Optional."""
+    return tuple(
+        (name, get_args(hint)[0] if get_args(hint) else hint, get_origin(hint) is tuple, type(None) in get_args(hint))
+        for name, hint in get_type_hints(cls).items()
+    )
+
+
+def _accepts(typ: type, v) -> bool:
+    # the exact type skips the abstract-class check, the slow part
+    of_kind = type(v) is typ or isinstance(v, _KINDS[typ][0]) and not isinstance(v, bool)
+    return of_kind and not (typ is int and v < 0)
+
+
+def typed_fields(config, error: type) -> None:
+    """Check each field of a frozen dataclass against its type hint, then
+    store it converted to that type (a list to a tuple, an int in a float
+    field to a float, a numpy scalar to a Python one).  The first field that
+    is of no accepted type, or is a non-finite float, raises ``error``
+    naming it; a bool is a number in no field."""
+    for name, typ, listed, optional in _field_types(type(config)):
+        value = getattr(config, name)
+        if listed:
+            if not isinstance(value, (list, tuple)) or not value or not all(_accepts(typ, v) for v in value):
+                raise error(f"{name} must be a nonempty list of {_KINDS[typ][1]}s")
+            value = tuple(map(typ, value))
+        elif not (optional and value is None):
+            if not _accepts(typ, value):
+                raise error(f"{name} must be a {_KINDS[typ][1]}")
+            value = typ(value)
+            if typ is float and not math.isfinite(value):
+                raise error(f"{name} must be finite, got {value!r}")
+        object.__setattr__(config, name, value)
 
 
 @dataclass(frozen=True)
@@ -215,7 +249,7 @@ class DgpContinuousConfig:
     rho_wz: float = -0.4
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        typed_fields(self, DomainError)
         if self.years <= 0 or self.delta <= 0:
             raise DomainError("years and delta must be positive")
         # the first test also keeps years / delta finite for n_obs to round it
@@ -255,7 +289,7 @@ class DgpDiscreteConfig:
     endogeneity: str = "v"  # correlate the error with "v" shocks or with "eta"
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        typed_fields(self, DomainError)
         if self.n_obs < 8:
             raise DomainError("sample is too short")
         if self.n_obs > MAX_N_OBS:

@@ -48,13 +48,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 import re
 import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
-from typing import Mapping, Optional, get_args, get_origin, get_type_hints
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -68,6 +67,7 @@ from .dgp import (
     d_statistic,
     simulate_continuous_batch,
     simulate_discrete_batch,
+    typed_fields,
 )
 from .errors import DomainError, PartitionError, SchemaError
 from .estimators import PARITIES, RegressionSample, SampleBatch, Workspace, group_block_size, term_count
@@ -97,6 +97,9 @@ class MethodSpec:
 
     q: Optional[int] = None
     parity: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        typed_fields(self, DomainError)
 
     @property
     def label(self) -> str:
@@ -152,26 +155,6 @@ def _only(design: str, name: str):
     return field(default=default, metadata={"design": design})
 
 
-# what a value must be for each (item) type of an ExperimentGrid field
-_KINDS = {float: (numbers.Real, "number"), int: (numbers.Integral, "nonnegative integer"), str: (str, "string")}
-
-
-def _accepts(typ: type, v) -> bool:
-    return isinstance(v, _KINDS[typ][0]) and not isinstance(v, bool) and not (typ is int and v < 0)
-
-
-def _typed(name: str, typ, value):
-    """A field's value checked against its type hint and converted to it."""
-    if get_origin(typ) is tuple:
-        item = get_args(typ)[0]
-        if not isinstance(value, (list, tuple)) or not value or not all(_accepts(item, v) for v in value):
-            raise SchemaError(f"{name} must be a nonempty list of {_KINDS[item][1]}s")
-        return tuple(map(item, value))
-    if not _accepts(typ, value):
-        raise SchemaError(f"{name} must be a {_KINDS[typ][1]}")
-    return typ(value)
-
-
 @dataclass(frozen=True)
 class ExperimentGrid:
     """Full parameterization of one experiment table.
@@ -205,8 +188,7 @@ class ExperimentGrid:
 
     def __post_init__(self) -> None:
         # each field to its declared type, then every rule a run would hit
-        for name, typ in _TYPES.items():
-            object.__setattr__(self, name, _typed(name, typ, getattr(self, name)))
+        typed_fields(self, SchemaError)
         if self.dgp_kind not in ("continuous", "discrete"):
             raise SchemaError(f"dgp_kind must be 'continuous' or 'discrete', got {self.dgp_kind!r}")
         # each coordinate names one row of the table; methods are compared parsed, below
@@ -227,8 +209,8 @@ class ExperimentGrid:
         if self.dgp_kind == "discrete" and not all(T.is_integer() for T in self.T_values):
             raise SchemaError("T_values must be whole numbers under the discrete design")
         # ask the owners of the seed, level, model and size rules before any
-        # block runs; the DGP configs own the finite and range rules of every
-        # coordinate and knob
+        # block runs; the DGP configs own the range rules of every coordinate
+        # and knob, and the finite rule of each coordinate
         try:
             RngStream(self.master_seed)
             check_level(self.alpha, self.sided)
@@ -273,19 +255,13 @@ class ExperimentGrid:
 
     def dgp_config(self, beta, kappa, T, vol):
         """The model of one combination: its coordinates plus the design's knobs."""
-        horizon = {"years": float(T)} if self.dgp_kind == "continuous" else {"n_obs": int(T)}
+        horizon = {"years": T} if self.dgp_kind == "continuous" else {"n_obs": int(T)}
         knobs = {
             f.name: getattr(self, f.name)
             for f in fields(self)
             if f.metadata.get("design") == self.dgp_kind
         }
-        return _DGP_CONFIGS[self.dgp_kind](
-            **horizon,
-            kappa_bar=float(kappa),
-            beta=float(beta),
-            vol_model=vol,
-            **knobs,
-        )
+        return _DGP_CONFIGS[self.dgp_kind](**horizon, kappa_bar=kappa, beta=beta, vol_model=vol, **knobs)
 
     def dgp_signature(self, beta, kappa, T, vol) -> str:
         """Canonical coordinates of one simulated-data combination.
@@ -307,9 +283,6 @@ class ExperimentGrid:
             f"{self.dgp_kind}|beta={float(beta)!r}|kappa={float(kappa)!r}"
             f"|T={float(T)!r}|vol={vol}|{extras}"
         )
-
-
-_TYPES = get_type_hints(ExperimentGrid)
 
 
 def method_sort_key(label: str):

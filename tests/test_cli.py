@@ -240,6 +240,16 @@ class TestTableCommand:
         assert main(["table", "--config", str(bad), "--out", str(tmp_path / "x")]) != 0
         assert "vol_modl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "sub\\escaped", ".", "..", "a\0b"], ids=repr)
+    def test_name_outside_out_writes_nothing(self, tmp_path, capsys, name):
+        # the name starts each output file's name: one that is not a plain
+        # file name fails at load, before --out is made
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(small_config(tmp_path).read_text()), "name": name}), encoding="utf-8")
+        assert main(["table", "--config", str(bad), "--out", str(tmp_path / "dir" / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: name must be a plain file name")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.json", "cli_small.json"]
+
     def test_optional_key_type_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         payload = json.loads(small_config(tmp_path).read_text())

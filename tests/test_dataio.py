@@ -155,6 +155,12 @@ class TestExperimentFiles:
         with pytest.raises(SchemaError, match="vol_modl"):
             config_to_grid(base_config(vol_modl=["CNST"]))
 
+    @pytest.mark.parametrize("name", ["../up", "a/b", "a\\b", ".", "..", "a\0b"], ids=repr)
+    def test_name_must_be_a_plain_file_name(self, name):
+        with pytest.raises(SchemaError, match="^name must be a plain file name"):
+            config_to_grid(base_config(name=name))
+        assert config_to_grid(base_config(name="..run.v2")) == config_to_grid(base_config())  # dots in a name are fine
+
     def test_missing_key_named(self):
         config = base_config()
         del config["n_reps"]

@@ -282,6 +282,51 @@ def test_non_finite_field_named(config, horizon, names, value):
             config(**{**horizon, name: value})
 
 
+# a value of the wrong type for each kind of field: each fails when the
+# config is built, naming its field, not as a TypeError in the simulator
+WRONG_TYPED = [
+    (DgpDiscreteConfig, "n_obs", 240.0),
+    (DgpDiscreteConfig, "n_obs", "240"),
+    (DgpDiscreteConfig, "n_obs", True),
+    (DgpDiscreteConfig, "ma_order", 2.0),
+    (DgpDiscreteConfig, "beta", "0.1"),
+    (DgpDiscreteConfig, "rho", True),
+    (DgpDiscreteConfig, "kappa_bar", None),
+    (DgpContinuousConfig, "years", "20"),
+    (DgpContinuousConfig, "jump_intensity", True),
+    (DgpDiscreteConfig, "vol_model", 1),
+    (DgpContinuousConfig, "vol_model", ["CNST"]),
+]
+
+
+@pytest.mark.parametrize("config,name,value", WRONG_TYPED, ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_wrong_type_named_when_built(config, name, value):
+    horizon = {"n_obs": 240} if config is DgpDiscreteConfig else {"years": 20.0}
+    with pytest.raises(DomainError, match=f"^{name} must be a "):
+        config(**{**horizon, name: value})
+
+
+@pytest.mark.parametrize("design", ["continuous", "discrete"])
+def test_accepted_forms_hold_python_types(design):
+    # an int in a float field and numpy scalars build, are stored as Python
+    # numbers, and simulate the plain-float config's sample bit for bit
+    if design == "discrete":
+        config, simulate = DgpDiscreteConfig, simulate_discrete
+        given = dict(n_obs=np.int64(120), kappa_bar=5, beta=np.float32(0.5), ma_order=np.int64(4), rho=np.float64(-0.5))
+        plain = dict(n_obs=120, kappa_bar=5.0, beta=float(np.float32(0.5)), ma_order=4, rho=-0.5)
+    else:
+        config, simulate = DgpContinuousConfig, simulate_continuous
+        given = dict(years=np.int64(10), kappa_bar=np.float32(2.5), beta=1, jump_intensity=np.int64(2), jump_sd=1)
+        plain = dict(years=10.0, kappa_bar=2.5, beta=1.0, jump_intensity=2.0, jump_sd=1.0)
+    built = config(**given, vol_model=np.str_("RS"))
+    assert built == config(**plain, vol_model="RS")
+    hints = {f.name: f.type for f in dataclasses.fields(config)}
+    for name in [*given, "vol_model"]:
+        assert type(getattr(built, name)).__name__ == hints[name], name
+    a, b = simulate(built, RngStream(4)), simulate(config(**plain, vol_model="RS"), RngStream(4))
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.x_lag, b.x_lag)
+
+
 class TestSimulateDiscrete:
     def test_levels_attached_and_consistent(self):
         s = simulate_discrete(DgpDiscreteConfig(n_obs=240), RngStream(1))

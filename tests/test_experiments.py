@@ -23,6 +23,7 @@ from cauchypred import (
     DgpDiscreteConfig,
     DomainError,
     ExperimentGrid,
+    MethodSpec,
     PartitionError,
     RegressionSample,
     RngStream,
@@ -376,6 +377,40 @@ class TestTypedGrid:
         object.__setattr__(grid, "alpha", 1.5)
         with pytest.raises(SchemaError, match="alpha must be in"):
             pickle.loads(pickle.dumps(grid))
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete"])
+    def test_knob_gets_the_dgp_configs_message(self, kind):
+        # the grid and the DGP configs share one type rule: a wrong-typed
+        # knob in an experiment file fails with the config's own text
+        config, horizon = {"continuous": (DgpContinuousConfig, {"years": 5.0}),
+                           "discrete": (DgpDiscreteConfig, {"n_obs": 60})}[kind]
+        file = grid_to_config(size_grid(kind, (5.0,) if kind == "continuous" else (60.0,), "tau"), "typed")
+        wrong = {"float": ["0.5", True, None, float("nan")], "int": [2.0, True, -1, "2"], "str": [1, ["v"], None]}
+        types = {f.name: f.type for f in dataclasses.fields(config)}
+        knobs = [f.name for f in dataclasses.fields(ExperimentGrid) if f.metadata.get("design") == kind]
+        assert len(knobs) >= 4
+        for name, value in ((n, v) for n in knobs for v in wrong[types[n]]):
+            with pytest.raises(DomainError) as built:
+                config(**horizon, **{name: value})
+            with pytest.raises(SchemaError) as loaded:
+                config_to_grid({**file, name: value})
+            assert str(loaded.value) == str(built.value), (name, value)
+            assert str(built.value).startswith(name), (name, value)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"q": 2.5}, "q must be a nonnegative integer"),
+        ({"q": True}, "q must be a nonnegative integer"),
+        ({"parity": 1}, "parity must be a string"),
+    ], ids=repr)
+    def test_method_spec_typed_when_built(self, fields, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            MethodSpec(**fields)
+
+    def test_method_spec_holds_python_types(self):
+        spec = MethodSpec(q=np.int64(4), parity=np.str_("even"))
+        assert (type(spec.q), type(spec.parity)) == (int, str)
+        assert spec == parse_method("t4_tau_e") and spec.label == "t4_tau_e"
+        assert MethodSpec() == parse_method("tau")
 
 
 class TestRunGrid:

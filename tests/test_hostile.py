@@ -33,6 +33,8 @@ HOSTILE_CELLS = ["nan", "NaN", "inf", "-Infinity", "1e400", "-1e400", "1e300", "
 WRONG_VALUES = [True, False, 0, -1, 2.5, "x", "0.05", [], [True], ["x"], [1.5], None, {}, "NaN", "Infinity", "1e400"]
 # tokens json.dumps cannot write from a Python value; written in place of their string
 JSON_TOKENS = {'"NaN"': "NaN", '"Infinity"': "Infinity", '"1e400"': "1e400"}
+# experiment names that would put an output file outside --out, or name no file
+PATH_NAMES = ["../escaped", "sub/escaped", "sub\\escaped", ".", "..", "a\0b"]
 OVERSIZE_REPS = [10**12, 2**63, 10**30]
 OVERSIZE_T = {"discrete": [[10**7], [60, 10**9]], "continuous": [[1e7], [5, 1e300]]}
 CONFIGS = {
@@ -108,9 +110,11 @@ def table_command(draw):
     feature in the file or the flags."""
     kind = draw(st.sampled_from(sorted(CONFIGS)))
     config = {"name": "hostile", **CONFIGS[kind]}
-    hostility = draw(st.sampled_from(["none", "wrong_type", "missing", "oversize", "text", "workers", "seed"]))
+    hostility = draw(st.sampled_from(["none", "wrong_type", "name", "missing", "oversize", "text", "workers", "seed"]))
     if hostility == "wrong_type":
         config[draw(st.sampled_from(KEYS))] = draw(st.sampled_from(WRONG_VALUES))
+    elif hostility == "name":
+        config["name"] = draw(st.sampled_from(PATH_NAMES))
     elif hostility == "missing":
         del config[draw(st.sampled_from(sorted(config)))]
     elif hostility == "oversize":
@@ -195,6 +199,8 @@ def test_main_exits_0_or_2_with_one_error_line(workdir, command, data):
     ):
         code = main(argv)
     assert code in (0, 2), (argv, code)
+    # every file a run writes is under --out
+    assert {p.name for p in workdir.iterdir()} <= {"data.csv", "exp.json", "out"}, argv
     stderr = err.getvalue()
     if code == 0:
         assert stderr == "", (argv, stderr)
