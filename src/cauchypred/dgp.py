@@ -350,12 +350,18 @@ def _ar_path(innovations: np.ndarray, coefficients, out: np.ndarray, ws: Workspa
     view).  Every step rounds the product, then the sum, as the IIR filter
     this replaced did, so both loop orders give the same paths bit for bit.
     The vector step runs over ``ws`` scratch that holds the innovations
-    time-major, so each step is contiguous.
+    time-major, so each step is contiguous.  When every c is 1 (a unit
+    root), the recursion is a running sum, taken as one cumsum.
     """
     n = innovations.shape[-1]
     rows = innovations.reshape(-1, n)
     coef = np.broadcast_to(np.asarray(coefficients, dtype=float), innovations.shape[:-1]).reshape(-1)
     paths = out.reshape(-1, n)
+    if (coef == 1.0).all():
+        np.copyto(paths, rows)
+        paths[:, 0] += 0.0  # the loop's first step, 0.0 + u, turns -0 into +0
+        np.cumsum(paths, axis=-1, out=paths)
+        return out
     if rows.shape[0] < AR_ROWS_PER_VECTOR_STEP:
         paths[...] = [_ar_row(row, c) for row, c in zip(rows.tolist(), coef.tolist())]
         return out
@@ -557,10 +563,14 @@ class BrownianAbsFunctionals:
 def abs_integral_blocks(path: np.ndarray, q: int) -> BrownianAbsFunctionals:
     """Riemann block sums of |path| for an injected path of left endpoints
     (the last axis; leading axes index several paths)."""
-    n = path.shape[-1]
+    return _integral_blocks(np.abs(np.asarray(path, dtype=float)), q)
+
+
+def _integral_blocks(a: np.ndarray, q: int) -> BrownianAbsFunctionals:
+    """:func:`abs_integral_blocks` of paths whose |path| ``a`` is already taken."""
+    n = a.shape[-1]
     if n < 2 * max(q, 2):
         raise DomainError("path too short for the requested partition")
-    a = np.abs(np.asarray(path, dtype=float))
     blocks, _ = partition_consecutive(a, q)
     full = a.sum(axis=-1) / n
     return BrownianAbsFunctionals(

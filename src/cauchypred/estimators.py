@@ -25,6 +25,7 @@ per computation: no two calls or threads share scratch or result memory.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,21 +66,38 @@ class Workspace:
 
     ``with workspace:`` opens a frame; frames nest.  A workspace is not
     thread-safe: each thread owns its own.
+
+    ``Workspace()`` holds private memory.  :meth:`shared` makes one whose
+    buffers are shared anonymous memory, which a forked child writes into
+    as its parent's own pages, not as copies the fork write-protected.
     """
 
-    __slots__ = ("_buffers", "_depth", "_frames")
+    __slots__ = ("_buffers", "_depth", "_frames", "_allocate")
 
     def __init__(self) -> None:
         self._buffers: dict = {}
         self._depth = 0
         self._frames: list = []  # the depth at which each open frame started
+        self._allocate = _private_bytes
+
+    @classmethod
+    def shared(cls) -> "Workspace":
+        """A workspace whose buffers are shared anonymous memory."""
+        workspace = cls()
+        workspace._allocate = _shared_bytes
+        return workspace
 
     def array(self, name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         buffer = self._buffers.get(name)
-        if buffer is not None and buffer.nbytes >= math.prod(shape) * np.dtype(dtype).itemsize:
-            return np.ndarray(shape, dtype, buffer)
-        self._buffers[name] = array = np.empty(shape, dtype)
-        return array
+        if buffer is None or buffer.nbytes < nbytes:
+            self._buffers[name] = buffer = self._allocate(nbytes)
+        return np.ndarray(shape, dtype, buffer)
+
+    def reserve(self, other: "Workspace") -> None:
+        """Grow each buffer to at least the size of ``other``'s of that name."""
+        for name, buffer in other._buffers.items():
+            self.array(name, (buffer.nbytes,), np.uint8)
 
     def scratch(self, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         self._depth += 1
@@ -91,6 +109,14 @@ class Workspace:
 
     def __exit__(self, *exc) -> None:
         self._depth = self._frames.pop()
+
+
+def _private_bytes(nbytes: int) -> np.ndarray:
+    return np.empty(nbytes, np.uint8)
+
+
+def _shared_bytes(nbytes: int) -> np.ndarray:
+    return np.frombuffer(mmap.mmap(-1, max(nbytes, 1)), np.uint8)
 
 
 def _as_float_array(x, name: str) -> np.ndarray:

@@ -31,6 +31,13 @@ their memory in again; no array of a block outlives it.  A public call
 outside the engine makes a workspace of its own, so it never sees a block's
 memory.
 
+These block workspaces are shared anonymous memory, and a thread keeps one
+more, a slot, for each child of its fan-outs: a forked child writes into
+the slot it was handed, which outlives it, so neither the caller nor the
+next call's child writes a page the fork write-protected or a page it has
+not written before.  A process forked by any other means forgets the
+workspaces and slots it inherited.
+
 A method label names one of the paper's two tests (test family) on one
 sample form, a :class:`MethodSpec` ``(q, parity)``.  :func:`evaluate_batch`
 is the only label -> test dispatcher; :func:`evaluate_method` runs it on a
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import re
 import sys
 import threading
@@ -62,7 +70,7 @@ from .dgp import (
     MAX_N_OBS,
     DgpContinuousConfig,
     DgpDiscreteConfig,
-    abs_integral_blocks,
+    _integral_blocks,
     brownian_paths,
     d_statistic,
     simulate_continuous_batch,
@@ -100,6 +108,10 @@ class MethodSpec:
 
     def __post_init__(self) -> None:
         typed_fields(self, DomainError)
+        if self.q is not None and self.q < 2:
+            raise DomainError(f"q must be at least 2 groups, got {self.q}")
+        if self.parity is not None and self.parity not in PARITIES:
+            raise DomainError(f"parity must be one of {', '.join(map(repr, PARITIES))}, got {self.parity!r}")
 
     @property
     def label(self) -> str:
@@ -397,12 +409,28 @@ BLOCK_ELEMENTS = 48_000
 _THREAD = threading.local()
 
 
+def _block_slots() -> list[Workspace]:
+    """The calling thread's shared workspaces in this process: slot 0, which
+    every block and d2 chunk it runs reuses, then one per child that its
+    fan-outs have forked.  A forked process starts with none of its
+    parent's: two processes never write the same slot."""
+    if getattr(_THREAD, "owner", None) != os.getpid():
+        _THREAD.owner, _THREAD.slots = os.getpid(), [Workspace.shared()]
+    return _THREAD.slots
+
+
 def _block_workspace() -> Workspace:
-    """The calling thread's workspace, which every block and d2 chunk it
-    runs reuses (one per child process of a fan-out)."""
-    if not hasattr(_THREAD, "workspace"):
-        _THREAD.workspace = Workspace()
-    return _THREAD.workspace
+    """The calling thread's slot 0."""
+    return _block_slots()[0]
+
+
+def _child_slots(count: int) -> list[Workspace]:
+    """Slots 1 to ``count``, each grown to at least the buffers of slot 0."""
+    slots = _block_slots()
+    slots += [Workspace.shared() for _ in range(count + 1 - len(slots))]
+    for slot in slots[1 : count + 1]:
+        slot.reserve(slots[0])
+    return slots[1 : count + 1]
 
 
 def _run_combination(grid: ExperimentGrid, t: int, v: int, rows: range, counts: np.ndarray) -> None:
@@ -484,9 +512,12 @@ def _run_share(grid: ExperimentGrid, blocks: list) -> np.ndarray:
     return counts
 
 
-def _child_share(grid: ExperimentGrid, blocks: list, send) -> None:
-    """A child process's life: run its share of blocks and send back their
-    counts, or the exception that stopped them."""
+def _child_share(grid: ExperimentGrid, blocks: list, send, slot: Optional[Workspace]) -> None:
+    """A child process's life: run its share of blocks, in ``slot`` when
+    forked with one, and send back their counts, or the exception that
+    stopped them."""
+    if slot is not None:
+        _THREAD.owner, _THREAD.slots = os.getpid(), [slot]
     try:
         sent = _run_share(grid, blocks)
     except Exception as exc:
@@ -511,11 +542,14 @@ def _fan_out(grid: ExperimentGrid, shares: list[list]) -> np.ndarray:
     # fork on Linux, whatever the interpreter's default, so the children
     # inherit what _prepare_fork loaded; the platform's default elsewhere
     context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
+    # a forked child inherits its slot; any other builds its own workspace
+    forked = context.get_start_method() == "fork"
+    slots = _child_slots(len(shares) - 1) if forked else [None] * (len(shares) - 1)
     children = []
     try:
-        for blocks in shares[1:]:
+        for blocks, slot in zip(shares[1:], slots):
             receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_child_share, args=(grid, blocks, send))
+            child = context.Process(target=_child_share, args=(grid, blocks, send, slot))
             child.start()
             children.append((child, receive))
             send.close()  # the child holds the only write end, so its exit ends the pipe
@@ -548,7 +582,8 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     this process runs the first share while one child process runs each of
     the others, and the shares' count arrays are summed.  On Linux the
     children are forked after :func:`_prepare_fork`, so they inherit its
-    critical-value cache and loaded modules.
+    critical-value cache and loaded modules, and each writes into a slot
+    that this thread keeps for the next call's child.
     """
     models = grid.validate()
     if workers < 1:
@@ -621,7 +656,7 @@ def d2_study(
         raise DomainError("need at least 1000 draws")
     if n_draws > MAX_D2_DRAWS:
         raise DomainError(f"n_draws must be at most MAX_D2_DRAWS = {MAX_D2_DRAWS}, got {n_draws}")
-    if n_steps > MAX_N_OBS:  # a chunk holds three (100, n_steps) arrays: 2.4 GB at the bound
+    if n_steps > MAX_N_OBS:  # a chunk holds two (100, n_steps) arrays: 1.6 GB at the bound
         raise DomainError(f"n_steps must be at most MAX_N_OBS = {MAX_N_OBS}, got {n_steps}")
     if threshold is None:
         threshold = default_d2_threshold()
@@ -635,7 +670,8 @@ def d2_study(
         for start in range(chunk, min(chunk + _D2_CHUNK, n_draws), _D2_BLOCK):
             stop = min(start + _D2_BLOCK, n_draws)  # a chunk is a whole number of blocks
             paths = brownian_paths(gen, stop - start, n_steps, demean=True, workspace=workspace)
-            values[start:stop] = d_statistic(abs_integral_blocks(paths, 2))
+            # the path is the block's own workspace array: |path| overwrites it
+            values[start:stop] = d_statistic(_integral_blocks(np.abs(paths, out=paths), 2))
     tail = float(np.mean(values > threshold))
     counts, _ = np.histogram(np.clip(values, None, _D2_BIN_EDGES[-1] - 1e-12), bins=_D2_BIN_EDGES)
     centers = 0.5 * (_D2_BIN_EDGES[:-1] + _D2_BIN_EDGES[1:])

@@ -189,6 +189,29 @@ class TestSimulateContinuous:
                 for row, c, path in zip(wide, coefficients, out[:, 1:]):
                     assert np.array_equal(path, signal.lfilter([1.0], [1.0, -c], row))
             assert np.isnan(out[:, 0]).all()
+        # all-unit rows, on both sides of AR_ROWS_PER_VECTOR_STEP, are one
+        # running sum: its first step is 0.0 + u, so a leading -0.0 comes
+        # out +0.0; a row reaches inf, then nan (where lfilter's state turns
+        # nan at the inf, so the reference is the recursion itself)
+        def recursion(row):
+            path, prev = [], 0.0
+            for u in row:
+                prev = 1.0 * prev + u
+                path.append(prev)
+            return path
+
+        for rows in (3, 30):
+            block = RngStream(23, n).generator().standard_normal((rows, n))
+            block[0, 0] = block[1, :2] = -0.0
+            block[-1, n // 2], block[-1, -1] = np.inf, -np.inf
+            with np.errstate(invalid="ignore"):  # inf - inf, as in the vector step
+                paths = ar_path(block, np.ones(rows))
+            expected = np.array([recursion(row) for row in block.tolist()])
+            assert np.array_equal(paths[:-1], [signal.lfilter([1.0], [1.0, -1.0], row) for row in block[:-1]])
+            assert np.array_equal(paths, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(paths), np.signbit(expected))
+            assert not np.signbit(paths[:2, 0]).any()
+            assert np.isneginf(paths[-1, -1]) if n == 1 else np.isnan(paths[-1, -1])
 
     def test_import_leaves_out_scipy_signal(self):
         # scipy is a test dependency only: no scipy module, not even the
@@ -383,6 +406,13 @@ class TestBrownianFunctionals:
         assert f.full == pytest.approx(1.0, abs=1e-12)
         assert f.blocks[0] == pytest.approx(0.5, abs=1e-12)
         assert f.blocks[1] == pytest.approx(0.5, abs=1e-12)
+
+    def test_path_left_as_it_was(self):
+        path = RngStream(4, 1).generator().standard_normal((3, 1000))
+        kept = path.copy()
+        f = abs_integral_blocks(path, 2)
+        assert np.array_equal(path, kept)
+        assert np.array_equal(f.full, np.abs(kept).sum(axis=-1) / 1000)
 
     def test_one_block_is_a_partition_error(self):
         with pytest.raises(PartitionError):

@@ -1,6 +1,7 @@
 """Estimator contracts: hand-worked examples, algebraic identities, and
 randomized cross-checks against direct loop-based formulas."""
 
+import mmap
 import pickle
 import sys
 import threading
@@ -456,23 +457,49 @@ class TestRecursiveDemean:
 
 class TestWorkspace:
     def test_frames_nest(self):
-        ws = Workspace()
-        with ws:
-            outer = ws.scratch((3,))
+        # private and shared buffers alike
+        for make in (Workspace, Workspace.shared):
+            ws = make()
             with ws:
-                inner = ws.scratch((4,))
-                inner_2 = ws.scratch((2, 2), bool)
-            # the inner frame has exited: the next scratch reuses its buffer
-            after = ws.scratch((4,))
-            assert np.shares_memory(after, inner)
-            assert not np.shares_memory(after, outer) and not np.shares_memory(inner_2, inner)
-            named = ws.array("kept", (4,))
-            assert not any(np.shares_memory(named, a) for a in (outer, inner, inner_2))
-        with ws:  # a larger request grows the buffer; a smaller one views it
-            grown = ws.scratch((50,))
-        with ws:
-            assert np.shares_memory(ws.scratch((2, 3), np.intp), grown)
-        assert np.shares_memory(ws.array("kept", (2,)), named)
+                outer = ws.scratch((3,))
+                with ws:
+                    inner = ws.scratch((4,))
+                    inner_2 = ws.scratch((2, 2), bool)
+                # the inner frame has exited: the next scratch reuses its buffer
+                after = ws.scratch((4,))
+                assert np.shares_memory(after, inner)
+                assert not np.shares_memory(after, outer) and not np.shares_memory(inner_2, inner)
+                named = ws.array("kept", (4,))
+                assert not any(np.shares_memory(named, a) for a in (outer, inner, inner_2))
+            with ws:  # a larger request grows the buffer; a smaller one views it
+                grown = ws.scratch((50,))
+            with ws:
+                assert np.shares_memory(ws.scratch((2, 3), np.intp), grown)
+            assert np.shares_memory(ws.array("kept", (2,)), named)
+
+    def test_shared_buffers_reserve_another_workspace(self):
+        # shared buffers are anonymous mappings; a private workspace's never
+        def mapped(buffer):
+            return isinstance(getattr(buffer.base, "obj", None), mmap.mmap)
+
+        private, shared = Workspace(), Workspace.shared()
+        private.array("kept", (10, 3))
+        with private:
+            private.scratch((50,), np.int64)
+        assert not any(map(mapped, private._buffers.values()))
+        shared.array("kept", (2,))
+        shared.reserve(private)
+        assert shared._buffers.keys() == private._buffers.keys()
+        for name, buffer in private._buffers.items():
+            assert mapped(shared._buffers[name])
+            assert shared._buffers[name].nbytes >= buffer.nbytes
+        # what it reserved serves the same requests without a new buffer
+        held = {name: buffer.ctypes.data for name, buffer in shared._buffers.items()}
+        assert shared.array("kept", (10, 3)).ctypes.data == held["kept"]
+        with shared:
+            assert shared.scratch((50,), np.int64).ctypes.data == held[1]
+        shared.reserve(private)
+        assert {name: buffer.ctypes.data for name, buffer in shared._buffers.items()} == held
 
     def test_exception_restores_the_depth(self):
         ws = Workspace()

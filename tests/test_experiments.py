@@ -4,6 +4,7 @@ agreement, worker-count invariance, and the exceedance study."""
 import copy
 import dataclasses
 import itertools
+import json
 import multiprocessing
 import os
 import pickle
@@ -401,6 +402,10 @@ class TestTypedGrid:
         ({"q": 2.5}, "q must be a nonnegative integer"),
         ({"q": True}, "q must be a nonnegative integer"),
         ({"parity": 1}, "parity must be a string"),
+        ({"q": 1}, "q must be at least 2 groups, got 1"),
+        ({"q": 0, "parity": "even"}, "q must be at least 2 groups, got 0"),
+        ({"parity": "x"}, "parity must be one of 'even', 'odd', got 'x'"),
+        ({"q": 4, "parity": "e"}, "parity must be one of 'even', 'odd', got 'e'"),
     ], ids=repr)
     def test_method_spec_typed_when_built(self, fields, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
@@ -809,10 +814,11 @@ class TestBlockWorkspace:
         for a, b in zip(arrays(), before):
             assert np.array_equal(a, b)
 
-    def test_block_shapes_in_either_order(self):
+    def test_block_shapes_in_either_order(self, monkeypatch):
         # grids of different (T, rows) shapes in both designs, run smaller
         # first, larger first and mixed, each against fresh runs: a new
-        # thread's workspace and a pool
+        # thread's workspace and a fan-out; then consecutive fan-outs at 2
+        # and 3 workers under block caps that regrow the kept child slots
         grids = [
             small_discrete_grid(n_reps=11),
             small_discrete_grid(T_values=(240.0, 120.0), vol_models=("RS", "SB"), n_reps=150),
@@ -825,6 +831,12 @@ class TestBlockWorkspace:
         for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2]):
             for i in order:
                 assert run_grid(grids[i]).to_csv_text() == fresh[i]
+        for cap in (20 * 240, 400 * 240):
+            monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", cap)
+            for workers, order in ((2, [1, 0, 3, 2]), (3, [0, 3, 1, 2])):
+                for i in order:
+                    assert run_grid(grids[i], workers=workers).to_csv_text() == fresh[i]
+        assert not multiprocessing.active_children()
 
     def test_threads_own_their_workspace(self):
         # more threads than cores, switching often: each thread's blocks go
@@ -849,6 +861,65 @@ class TestBlockWorkspace:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [[text] * 3 for text in expected]
+
+    def test_threads_own_their_slots(self):
+        # each thread keeps its own slot 0 and child slots, each child slot
+        # grown to that thread's slot 0 (checked without forking from a
+        # second thread, which Python 3.12 warns against)
+        run_grid(small_discrete_grid(T_values=(240.0,)))
+        main = experiments._block_slots()
+        main_children = experiments._child_slots(2)
+
+        def other():
+            run_grid(continuous_grid(T_values=(20.0,)))
+            return experiments._block_workspace(), experiments._child_slots(2)
+
+        own, children = in_new_thread(other)
+        assert experiments._block_slots() is main and main[1:3] == main_children
+        assert not {id(slot) for slot in main} & {id(slot) for slot in [own, *children]}
+        for workspace, slots in ((main[0], main_children), (own, children)):
+            for slot in slots:
+                assert all(slot._buffers[name].nbytes >= b.nbytes for name, b in workspace._buffers.items())
+        # a slot never shares memory with another
+        buffers = [b for slot in [*main, own, *children] for b in slot._buffers.values()]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(buffers, 2))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
+    def test_forked_process_forgets_slots(self):
+        # after a fan-out, a process forked from this one starts with no
+        # block workspace or slot: the two then fan out at once, each into
+        # memory of its own, and each gets its serial cells
+        mine = continuous_grid(T_values=(5.0, 10.0), n_reps=11)
+        theirs = small_discrete_grid(T_values=(60.0, 120.0), vol_models=("RS", "CNST"), n_reps=17)
+        serial = [run_grid(grid).to_csv_text() for grid in (mine, theirs)]
+        run_grid(mine, workers=2)
+        inherited = experiments._block_slots()
+        assert len(inherited) >= 2 and inherited[0]._buffers
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the forked process never returns into the test runner
+            try:
+                fresh = experiments._block_slots()
+                reply = {
+                    "fresh": len(fresh) == 1 and not fresh[0]._buffers and fresh[0] is not inherited[0],
+                    "cells": [run_grid(theirs, workers=2).to_csv_text() == serial[1] for _ in range(6)],
+                    "slots": len(experiments._block_slots()),
+                }
+            except BaseException as exc:
+                reply = {"error": repr(exc)}
+            os.write(write, json.dumps(reply).encode())
+            os._exit(0)
+        os.close(write)
+        try:
+            for _ in range(6):
+                assert run_grid(mine, workers=2).to_csv_text() == serial[0]
+        finally:
+            with os.fdopen(read) as pipe:
+                reply = json.loads(pipe.read())
+            _, status = os.waitpid(pid, 0)
+        assert status == 0 and reply == {"fresh": True, "cells": [True] * 6, "slots": 2}
+        assert experiments._block_slots() is inherited
+        assert not multiprocessing.active_children()
 
     def test_repeated_run_grows_nothing(self):
         grid = small_discrete_grid(T_values=(60.0, 600.0), vol_models=("RS",), n_reps=50)
