@@ -21,7 +21,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -237,8 +236,8 @@ def load_experiment_file(
 
 
 def bundled_config_names() -> list[str]:
-    files = resources.files("cauchypred").joinpath("configs")
-    return sorted(p.name[: -len(".json")] for p in files.iterdir() if p.name.endswith(".json"))
+    files = Path(__file__).with_name("configs").iterdir()
+    return sorted(p.name[: -len(".json")] for p in files if p.name.endswith(".json"))
 
 
 def resolve_config_path(name_or_path: str) -> Path:
@@ -246,9 +245,9 @@ def resolve_config_path(name_or_path: str) -> Path:
     p = Path(name_or_path)
     if p.exists():
         return p
-    candidate = resources.files("cauchypred").joinpath("configs", f"{name_or_path}.json")
+    candidate = Path(__file__).with_name("configs") / f"{name_or_path}.json"
     if candidate.is_file():
-        return Path(str(candidate))
+        return candidate
     raise SchemaError(
         f"config {name_or_path!r} is neither a file nor a bundled config; "
         f"bundled: {bundled_config_names()}"

@@ -16,10 +16,12 @@ keeps the batch that checked it, whose cached intermediates all calls on it
 share.  The estimators are pure and safe for unrestricted concurrent use.
 
 Every array a kernel makes comes from a :class:`Workspace`, which belongs
-to one thread.  The Monte Carlo engine hands its thread's one to block after
-block, so memory is neither returned to the system nor faulted in again.  A
-public function, or a batch given none (a sample's), takes a fresh workspace
-per computation: no two calls or threads share scratch or result memory.
+to one thread.  The Monte Carlo engine's fan-out hands each share of blocks
+one, which serves block after block, so memory is neither returned to the
+system nor faulted in again; ``d2_study`` makes one per call and keeps none.
+A public function, or a batch given none (a sample's), takes a fresh
+workspace per computation: no two calls or threads share scratch or result
+memory.
 """
 
 from __future__ import annotations

@@ -23,20 +23,18 @@ methods share (sign terms, OLS fits) are computed once per block.  Every
 row's outcome depends on its own sample only, so the counts do not depend
 on the block size.  :class:`McTable` keeps the counts as one dense array.
 
-Each thread (so each child process of a fan-out) writes the arrays of every
-block it runs, and of every :func:`d2_study` chunk, into one
-:class:`~cauchypred.estimators.Workspace` whose buffers grow to the largest
-block and are never freed.  Blocks therefore neither allocate nor fault
-their memory in again; no array of a block outlives it.  A public call
-outside the engine makes a workspace of its own, so it never sees a block's
-memory.
-
-These block workspaces are shared anonymous memory, and a thread keeps one
-more, a slot, for each child of its fan-outs: a forked child writes into
-the slot it was handed, which outlives it, so neither the caller nor the
-next call's child writes a page the fork write-protected or a page it has
-not written before.  A process forked by any other means forgets the
-workspaces and slots it inherited.
+Blocks get their memory from the fan-out: each share of blocks runs in one
+:class:`~cauchypred.estimators.Workspace`, whose buffers grow to the largest
+block and are never freed, so blocks neither allocate nor fault their
+memory in again; no array of a block outlives it.  These workspaces are the
+calling thread's slots, shared anonymous memory that it keeps: slot 0 for
+its own share and one for each forked child, which writes into the slot it
+was handed, so neither the caller nor the next call's child writes a page
+the fork write-protected or a page it has not written before.  A process
+forked by any other means forgets the slots it inherited, and a child
+that is not forked makes a workspace of its own.  :func:`d2_study` makes one per call
+and keeps none, and a public call outside the engine makes its own, so
+neither sees a block's memory.
 
 A method label names one of the paper's two tests (test family) on one
 sample form, a :class:`MethodSpec` ``(q, parity)``.  :func:`evaluate_batch`
@@ -409,33 +407,27 @@ BLOCK_ELEMENTS = 48_000
 _THREAD = threading.local()
 
 
-def _block_slots() -> list[Workspace]:
-    """The calling thread's shared workspaces in this process: slot 0, which
-    every block and d2 chunk it runs reuses, then one per child that its
-    fan-outs have forked.  A forked process starts with none of its
-    parent's: two processes never write the same slot."""
+def _slots(count: int) -> list[Workspace]:
+    """The calling thread's first ``count`` shared workspaces in this
+    process: slot 0, in which it runs its own share of every fan-out, then
+    one per forked child, each grown to at least the buffers of slot 0.  A
+    process forked by any other means starts with none of its parent's: two
+    processes never write the same slot."""
     if getattr(_THREAD, "owner", None) != os.getpid():
-        _THREAD.owner, _THREAD.slots = os.getpid(), [Workspace.shared()]
-    return _THREAD.slots
-
-
-def _block_workspace() -> Workspace:
-    """The calling thread's slot 0."""
-    return _block_slots()[0]
-
-
-def _child_slots(count: int) -> list[Workspace]:
-    """Slots 1 to ``count``, each grown to at least the buffers of slot 0."""
-    slots = _block_slots()
-    slots += [Workspace.shared() for _ in range(count + 1 - len(slots))]
-    for slot in slots[1 : count + 1]:
+        _THREAD.owner, _THREAD.slots = os.getpid(), []
+    slots = _THREAD.slots
+    slots += [Workspace.shared() for _ in range(count - len(slots))]
+    for slot in slots[1:count]:
         slot.reserve(slots[0])
-    return slots[1 : count + 1]
+    return slots[:count]
 
 
-def _run_combination(grid: ExperimentGrid, t: int, v: int, rows: range, counts: np.ndarray) -> None:
+def _run_combination(
+    grid: ExperimentGrid, t: int, v: int, rows: range, counts: np.ndarray, workspace: Workspace
+) -> None:
     """The unit of work of :func:`run_grid`: one block of rows of the
-    ``(T_values[t], vol_models[v])`` group, simulated and tested together.
+    ``(T_values[t], vol_models[v])`` group, simulated and tested together
+    in ``workspace``.
 
     Row ``i`` of the group is replication ``i % n_reps`` of the group's
     ``i // n_reps``-th (beta, kappa) pair in grid order, drawn from the
@@ -457,7 +449,7 @@ def _run_combination(grid: ExperimentGrid, t: int, v: int, rows: range, counts: 
     per_pair = np.array([(model.beta, model.kappa_bar) for model in models[first:stop]])
     beta, kappa = np.repeat(per_pair, np.diff(starts + [len(indices)]), axis=0).T
     simulate = simulate_continuous_batch if grid.dgp_kind == "continuous" else simulate_discrete_batch
-    batch = simulate(models[0], grid.master_seed, np.array(indices, dtype=np.uint64), beta, kappa, _block_workspace())
+    batch = simulate(models[0], grid.master_seed, np.array(indices, dtype=np.uint64), beta, kappa, workspace)
     span = counts[first:stop, t, v]
     for k, spec in enumerate(specs):
         outcomes = evaluate_batch(spec, batch, grid.alpha, grid.sided)
@@ -502,24 +494,23 @@ def _deal(sizes: list, n: int) -> list[list[int]]:
     return shares
 
 
-def _run_share(grid: ExperimentGrid, blocks: list) -> np.ndarray:
-    """The counts of a share of ``(t, v, rows)`` blocks, each added into
-    one (pairs, T, vol, methods, 2) array as it ends."""
+def _run_share(grid: ExperimentGrid, blocks: list, workspace: Workspace) -> np.ndarray:
+    """The counts of a share of ``(t, v, rows)`` blocks, run one after
+    another in ``workspace``, each added into one (pairs, T, vol, methods,
+    2) array as it ends."""
     pairs = len(grid.beta_values) * len(grid.kappa_values)
     counts = np.zeros((pairs, len(grid.T_values), len(grid.vol_models), len(grid.methods), 2), dtype=np.int64)
     for t, v, rows in blocks:
-        _run_combination(grid, t, v, rows, counts)
+        _run_combination(grid, t, v, rows, counts, workspace)
     return counts
 
 
 def _child_share(grid: ExperimentGrid, blocks: list, send, slot: Optional[Workspace]) -> None:
     """A child process's life: run its share of blocks, in ``slot`` when
-    forked with one, and send back their counts, or the exception that
-    stopped them."""
-    if slot is not None:
-        _THREAD.owner, _THREAD.slots = os.getpid(), [slot]
+    forked with one and else in a workspace of its own, and send back their
+    counts, or the exception that stopped them."""
     try:
-        sent = _run_share(grid, blocks)
+        sent = _run_share(grid, blocks, Workspace() if slot is None else slot)
     except Exception as exc:
         sent = exc
     send.send(sent)
@@ -535,25 +526,25 @@ def _fan_out(grid: ExperimentGrid, shares: list[list]) -> np.ndarray:
     outlives the call: on any exception every child is killed and joined.
     """
     if len(shares) == 1:
-        return _run_share(grid, shares[0])
+        return _run_share(grid, shares[0], _slots(1)[0])
     import multiprocessing  # loaded only where a fan-out runs
 
     _prepare_fork(grid)
     # fork on Linux, whatever the interpreter's default, so the children
     # inherit what _prepare_fork loaded; the platform's default elsewhere
     context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
-    # a forked child inherits its slot; any other builds its own workspace
+    # a forked child inherits its slot; any other makes its own workspace
     forked = context.get_start_method() == "fork"
-    slots = _child_slots(len(shares) - 1) if forked else [None] * (len(shares) - 1)
+    slots = _slots(len(shares)) if forked else _slots(1) + [None] * (len(shares) - 1)
     children = []
     try:
-        for blocks, slot in zip(shares[1:], slots):
+        for blocks, slot in zip(shares[1:], slots[1:]):
             receive, send = context.Pipe(duplex=False)
             child = context.Process(target=_child_share, args=(grid, blocks, send, slot))
             child.start()
             children.append((child, receive))
             send.close()  # the child holds the only write end, so its exit ends the pipe
-        counts = _run_share(grid, shares[0])
+        counts = _run_share(grid, shares[0], slots[0])
         for child, receive in children:
             try:
                 sent = receive.recv()
@@ -663,7 +654,7 @@ def d2_study(
     if not np.isfinite(threshold):
         raise DomainError(f"threshold must be finite, got {threshold}")
     values = np.empty(n_draws)
-    workspace = _block_workspace()
+    workspace = Workspace()  # freed on return: no slot holds a study's paths
     for chunk_id, chunk in enumerate(range(0, n_draws, _D2_CHUNK)):
         # 2 groups of a demeaned path; both stay in the key, which fixes the draws
         gen = RngStream(master_seed, substream_index("d2", n_steps, 2, True, chunk_id)).generator()

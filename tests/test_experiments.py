@@ -547,14 +547,15 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
         whole = run_grid(grid).counts
         cuts = (0, 3, 10, 11, 17, 20)
         blocks = [(t, v, range(a, b)) for t, v in itertools.product((1, 0), (0, 1)) for a, b in zip(cuts, cuts[1:])]
-        counts = experiments._run_share(grid, blocks[::-1])
+        workspace = experiments.Workspace()
+        counts = experiments._run_share(grid, blocks[::-1], workspace)
         assert counts.shape == (4, 2, 2, 2, 2)
         assert np.array_equal(counts.reshape(whole.shape), whole)
-        # shares over any split of the blocks add up to it
-        halves = [experiments._run_share(grid, blocks[i::2]) for i in (0, 1)]
+        # shares over any split of the blocks add up to it, in any workspace
+        halves = [experiments._run_share(grid, blocks[i::2], experiments.Workspace()) for i in (0, 1)]
         assert np.array_equal(halves[0] + halves[1], counts)
         # a block counts into its own (T, vol) group and the pairs it covers only
-        part = experiments._run_share(grid, [(0, 1, range(3, 10))])
+        part = experiments._run_share(grid, [(0, 1, range(3, 10))], workspace)
         assert part[2:].sum() == part[:, 0, 0].sum() == part[:, 1].sum() == 0
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -616,12 +617,17 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
         with pytest.raises(DomainError):
             run_grid(small_discrete_grid(), workers=0)
 
-    @pytest.mark.parametrize("name", bundled_config_names())
-    def test_cells_match_golden(self, name, monkeypatch):
-        # every bundled config at 10 reps and master seed 1, byte for byte;
-        # no block reads BatchOutcomes.p_value, and the only p-values
-        # computed to decide are of statistics within the band around the
-        # critical value (in practice none)
+    @pytest.mark.parametrize(
+        "name,workers",
+        [pytest.param(name, 1, id=name) for name in bundled_config_names()]
+        + [pytest.param(name, 2, id=f"{name}-workers2") for name in bundled_config_names()],
+    )
+    def test_cells_match_golden(self, name, workers, monkeypatch):
+        # every bundled config at 10 reps and master seed 1, byte for byte,
+        # serially and through a fan-out (forked on Linux, spawned
+        # elsewhere); no block reads BatchOutcomes.p_value, and the only
+        # p-values computed to decide are of statistics within the band
+        # around the critical value (in practice none)
         _, grid = load_experiment_file(resolve_config_path(name))
         grid = dataclasses.replace(grid, n_reps=10, master_seed=1)
         p_value, decided = inference._p_value, []
@@ -632,7 +638,7 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
 
         monkeypatch.setattr(inference, "_p_value", spy)
         monkeypatch.setattr(inference.BatchOutcomes, "p_value", property(lambda self: pytest.fail("p_value read")))
-        assert run_grid(grid).to_csv_text() == (GOLDEN / f"{name}_cells.csv").read_text(encoding="utf-8")
+        assert run_grid(grid, workers).to_csv_text() == (GOLDEN / f"{name}_cells.csv").read_text(encoding="utf-8")
         for statistic, ref, sided in decided:
             c = inference.critical_value(ref, grid.alpha, sided)
             oriented = {"two": np.abs(statistic), "right": statistic, "left": -statistic}[sided]
@@ -792,8 +798,8 @@ def continuous_grid(**overrides):
 
 
 class TestBlockWorkspace:
-    """run_grid and d2_study write each block's arrays into one workspace per
-    thread, which later blocks of any shape overwrite."""
+    """run_grid writes each block's arrays into the workspace its fan-out
+    hands the block's share, which later blocks of any shape overwrite."""
 
     def test_public_batches_are_not_overwritten(self):
         discrete = simulate_discrete_batch(DgpDiscreteConfig(n_obs=60, kappa_bar=5.0, vol_model="RS"), 4, range(30))
@@ -863,47 +869,47 @@ class TestBlockWorkspace:
         assert results == [[text] * 3 for text in expected]
 
     def test_threads_own_their_slots(self):
-        # each thread keeps its own slot 0 and child slots, each child slot
-        # grown to that thread's slot 0 (checked without forking from a
-        # second thread, which Python 3.12 warns against)
+        # each thread keeps its own slots, each child slot grown to that
+        # thread's slot 0 (checked without forking from a second thread,
+        # which Python 3.12 warns against)
         run_grid(small_discrete_grid(T_values=(240.0,)))
-        main = experiments._block_slots()
-        main_children = experiments._child_slots(2)
+        main = experiments._slots(3)
 
         def other():
             run_grid(continuous_grid(T_values=(20.0,)))
-            return experiments._block_workspace(), experiments._child_slots(2)
+            return experiments._slots(3)
 
-        own, children = in_new_thread(other)
-        assert experiments._block_slots() is main and main[1:3] == main_children
-        assert not {id(slot) for slot in main} & {id(slot) for slot in [own, *children]}
-        for workspace, slots in ((main[0], main_children), (own, children)):
-            for slot in slots:
-                assert all(slot._buffers[name].nbytes >= b.nbytes for name, b in workspace._buffers.items())
+        own = in_new_thread(other)
+        assert experiments._slots(1) == main[:1] and experiments._slots(3) == main
+        assert not {id(slot) for slot in main} & {id(slot) for slot in own}
+        for slots in (main, own):
+            assert slots[0]._buffers
+            for slot in slots[1:]:
+                assert all(slot._buffers[name].nbytes >= b.nbytes for name, b in slots[0]._buffers.items())
         # a slot never shares memory with another
-        buffers = [b for slot in [*main, own, *children] for b in slot._buffers.values()]
+        buffers = [b for slot in [*main, *own] for b in slot._buffers.values()]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(buffers, 2))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
     def test_forked_process_forgets_slots(self):
         # after a fan-out, a process forked from this one starts with no
-        # block workspace or slot: the two then fan out at once, each into
-        # memory of its own, and each gets its serial cells
+        # slot: the two then fan out at once, each into memory of its own,
+        # and each gets its serial cells
         mine = continuous_grid(T_values=(5.0, 10.0), n_reps=11)
         theirs = small_discrete_grid(T_values=(60.0, 120.0), vol_models=("RS", "CNST"), n_reps=17)
         serial = [run_grid(grid).to_csv_text() for grid in (mine, theirs)]
         run_grid(mine, workers=2)
-        inherited = experiments._block_slots()
-        assert len(inherited) >= 2 and inherited[0]._buffers
+        inherited = experiments._slots(2)
+        assert all(slot._buffers for slot in inherited)
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:  # the forked process never returns into the test runner
             try:
-                fresh = experiments._block_slots()
+                fresh = experiments._slots(1)[0]
                 reply = {
-                    "fresh": len(fresh) == 1 and not fresh[0]._buffers and fresh[0] is not inherited[0],
+                    "fresh": not fresh._buffers and fresh not in inherited,
                     "cells": [run_grid(theirs, workers=2).to_csv_text() == serial[1] for _ in range(6)],
-                    "slots": len(experiments._block_slots()),
+                    "kept": experiments._slots(1)[0] is fresh and bool(fresh._buffers),
                 }
             except BaseException as exc:
                 reply = {"error": repr(exc)}
@@ -917,27 +923,44 @@ class TestBlockWorkspace:
             with os.fdopen(read) as pipe:
                 reply = json.loads(pipe.read())
             _, status = os.waitpid(pid, 0)
-        assert status == 0 and reply == {"fresh": True, "cells": [True] * 6, "slots": 2}
-        assert experiments._block_slots() is inherited
+        assert status == 0 and reply == {"fresh": True, "cells": [True] * 6, "kept": True}
+        assert experiments._slots(2) == inherited
         assert not multiprocessing.active_children()
 
     def test_repeated_run_grows_nothing(self):
         grid = small_discrete_grid(T_values=(60.0, 600.0), vol_models=("RS",), n_reps=50)
 
         def buffers():
-            workspace = experiments._block_workspace()
-            return {name: buffer.ctypes.data for name, buffer in workspace._buffers.items()}
+            return {name: buffer.ctypes.data for name, buffer in experiments._slots(1)[0]._buffers.items()}
 
         def twice():
             run_grid(grid)
-            d2_study(1000, 200)
             first = buffers()
             run_grid(grid)
-            d2_study(1000, 200)
             return first, buffers()
 
         first, second = in_new_thread(twice)
         assert first and second == first
+
+    def test_d2_study_keeps_no_slot_memory(self):
+        # a study runs in a workspace of its own: every slot keeps the
+        # buffers it had and holds none of the study's paths, nor does a
+        # child slot of the next fan-out
+        def buffers(count):
+            return [{str(name): b.nbytes for name, b in slot._buffers.items()} for slot in experiments._slots(count)]
+
+        def study():
+            run_grid(small_discrete_grid(T_values=(240.0,)))
+            before = buffers(3)
+            d2_study(1000, 20000)
+            return before, buffers(3)
+
+        before, after = in_new_thread(study)
+        assert before[0] and after == before
+        d2_study(1000, 2000)  # then a fan-out, in this thread
+        run_grid(continuous_grid(T_values=(5.0, 10.0), n_reps=11), workers=2)
+        slots = buffers(2)
+        assert slots[1] and not [name for slot in after + slots for name in slot if name.startswith("brownian.")]
 
 
 class TestD2Study:
