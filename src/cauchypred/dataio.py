@@ -87,10 +87,6 @@ class EmpiricalDataset:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
-    @property
-    def n_periods(self) -> int:
-        return self.y.shape[0]
-
     def to_regression_sample(self) -> RegressionSample:
         """Pair each response with the previous period's predictor level.
 
@@ -148,16 +144,6 @@ def parse_csv(
             f"{path}: need at least {_MIN_ROWS} usable rows, got {len(dates)}"
         )
     return EmpiricalDataset(dates=tuple(dates), y=np.array(ys), x=np.array(xs))
-
-
-def dataset_to_csv_text(
-    ds: EmpiricalDataset, date_col: str = "date", y_col: str = "y", x_col: str = "x"
-) -> str:
-    """Serialize a dataset back to CSV with full float round-trip precision."""
-    lines = [f"{date_col},{y_col},{x_col}"]
-    for d, yv, xv in zip(ds.dates, ds.y, ds.x):
-        lines.append(f"{d},{float(yv)!r},{float(xv)!r}")
-    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------

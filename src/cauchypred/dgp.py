@@ -260,8 +260,10 @@ class DgpContinuousConfig:
             )
         if self.n_obs < 4:
             raise DomainError("sample is too short")
-        if self.kappa_bar < 0:
-            raise DomainError("kappa_bar must be nonnegative")
+        # the AR coefficient 1 - kappa_bar delta / years stays in [-1, 1]
+        if not 0 <= self.kappa_bar * self.delta <= 2 * self.years:
+            bound = 2 * self.years / self.delta
+            raise DomainError(f"kappa_bar must lie in [0, 2 years / delta] = [0, {bound:g}], got {self.kappa_bar!r}")
         for rho in (self.rho_vw, self.rho_wz):
             if not -1.0 <= rho <= 1.0:
                 raise DomainError("correlations must lie in [-1, 1]")
@@ -294,8 +296,9 @@ class DgpDiscreteConfig:
             raise DomainError("sample is too short")
         if self.n_obs > MAX_N_OBS:
             raise DomainError(f"n_obs must be at most MAX_N_OBS = {MAX_N_OBS}, got {self.n_obs}")
-        if self.kappa_bar < 0:
-            raise DomainError("kappa_bar must be nonnegative")
+        # the AR coefficient 1 - kappa_bar / n_obs stays in [-1, 1]
+        if not 0 <= self.kappa_bar <= 2 * self.n_obs:
+            raise DomainError(f"kappa_bar must lie in [0, 2 n_obs] = [0, {2 * self.n_obs}], got {self.kappa_bar!r}")
         if self.slope_scale not in ("per_sample", "raw"):
             raise DomainError("slope_scale must be 'per_sample' or 'raw'")
         ma_weights(self.ma_order)  # raises on an order it has no weights for
@@ -434,8 +437,8 @@ def simulate_continuous_batch(
     gbm = config.vol_model == "GBM"
     jumps = config.jump_intensity > 0
     vol = _volatility_draws(config.vol_model, n)
-    # an explosive AR path (kappa_bar far above 2 n_obs) or a huge beta gives inf or
-    # nan without a numpy warning; the batch then rejects it as non-finite
+    # an overflow (a huge beta, say) gives inf or nan without a numpy warning;
+    # the batch then rejects it as non-finite
     with ws, np.errstate(over="ignore", invalid="ignore"):
         vol_draws = None if vol is None else ws.scratch((reps, vol[1]))
         v_full = ws.scratch((reps, n + 2))
@@ -513,8 +516,8 @@ def simulate_discrete_batch(
     n, reps, order = config.n_obs, len(indices), config.ma_order
     x_level, y = ws.array("x", (reps, n + 1)), ws.array("y", (reps, n))  # x_0 .. x_n
     vol = _volatility_draws(config.vol_model, n)
-    # an explosive AR path (kappa_bar far above 2 n_obs) or a huge beta gives inf or
-    # nan without a numpy warning; the batch then rejects it as non-finite
+    # an overflow (a huge beta, say) gives inf or nan without a numpy warning;
+    # the batch then rejects it as non-finite
     with ws, np.errstate(over="ignore", invalid="ignore"):
         vol_draws = None if vol is None else ws.scratch((reps, vol[1]))
         v_full = ws.scratch((reps, n + order))
@@ -535,7 +538,7 @@ def simulate_discrete_batch(
         np.multiply(slope[:, None], x_level[:, :-1], out=y)
         eps *= sig
         y += eps
-    return SampleBatch(y=y, x_lag=x_level[:, :-1], x_level=x_level, workspace=ws)
+    return SampleBatch(y=y, x_level=x_level, workspace=ws)
 
 
 def simulate_discrete(config: DgpDiscreteConfig, stream: RngStream) -> RegressionSample:

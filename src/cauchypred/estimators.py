@@ -202,33 +202,36 @@ class RegressionSample:
 class SampleBatch:
     """R univariate samples of one length T, as the rows of (R, T) arrays.
 
-    ``y`` and ``x_lag`` are (R, T); the optional ``x_level`` is (R, T + 1)
-    and its first T columns equal ``x_lag``, as for
-    :class:`RegressionSample`.  The data is validated once, on
-    construction.  The intermediates a test needs (:meth:`terms`,
-    :meth:`residual_variance`) are cached, so every method on it shares
-    them.  Given a ``workspace`` (one thread's), it writes them there and is
-    valid until that serves the next block.  Given none (a sample's batch),
-    each cache fill takes a fresh one, so threads share it without a lock.
+    ``y`` is (R, T).  The predictor is ``x_lag``, (R, T), or the levels
+    ``x_level``, (R, T + 1), whose first T columns are then ``x_lag``, a
+    view; given both, as :class:`RegressionSample` gives its copies,
+    ``x_lag`` must equal those columns.  The data is validated once, on
+    construction, and the intermediates a test needs (:meth:`terms`,
+    :meth:`residual_variance`) are cached, so every method shares them.
+    Given a ``workspace`` (one thread's), it writes them there and is valid
+    until that serves the next block.  Given none (a sample's batch), each
+    cache fill takes a fresh one, so threads share it without a lock.
     """
 
     __slots__ = ("y", "x_lag", "x_level", "_cache", "_workspace")
 
-    def __init__(self, y, x_lag, x_level=None, workspace: Optional[Workspace] = None) -> None:
+    def __init__(self, y, x_lag=None, x_level=None, workspace: Optional[Workspace] = None) -> None:
         y = _as_float_array(y, "y")
-        # with levels, x_lag is checked by equality to the checked x_level:
-        # a nan or inf in it fails that
-        x = _as_float_array(x_lag, "x_lag") if x_level is None else np.asarray(x_lag, dtype=float)
-        if y.ndim != 2 or x.shape != y.shape:
-            raise DomainError("y and x_lag must be (R, T) arrays of one shape")
-        if y.shape[1] < 2:
-            raise DomainError("need at least 2 observations")
+        if y.ndim != 2 or y.shape[1] < 2:
+            raise DomainError(f"y must be an (R, T) array with T >= 2 observations, got shape {y.shape}")
         if x_level is not None:
             x_level = _as_float_array(x_level, "x_level")
             if x_level.shape != (y.shape[0], y.shape[1] + 1):
                 raise DomainError(f"x_level must be an (R, T + 1) array, got {x_level.shape}")
-            if not _is_view(x, x_level[:, :-1]) and not np.array_equal(x_level[:, :-1], x):
+            x = x_level[:, :-1]
+            if x_lag is not None and not np.array_equal(x, x_lag):
                 raise DomainError("x_lag must equal the first T columns of x_level")
+        elif x_lag is None:
+            raise DomainError("x_lag is required unless x_level is given")
+        else:
+            x = _as_float_array(x_lag, "x_lag")
+            if x.shape != y.shape:
+                raise DomainError("y and x_lag must be (R, T) arrays of one shape")
         self.y, self.x_lag, self.x_level = y, x, x_level
         self._cache: dict = {}
         self._workspace = workspace
@@ -279,15 +282,6 @@ class SampleBatch:
                 # the residuals are scratch: square them in place
                 self._cache[key] = (np.mean(np.square(residuals, out=residuals), axis=-1), singular)
         return self._cache[key]
-
-
-def _is_view(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``a`` is the very memory of ``b``: one data pointer, shape and strides."""
-    return (
-        a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-        and a.shape == b.shape
-        and a.strides == b.strides
-    )
 
 
 def _sign(x: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ its own share and one for each forked child, which writes into the slot it
 was handed, so neither the caller nor the next call's child writes a page
 the fork write-protected or a page it has not written before.  A process
 forked by any other means forgets the slots it inherited, and a child
-that is not forked makes a workspace of its own.  :func:`d2_study` makes one per call
+that is not forked is handed a private workspace.  :func:`d2_study` makes one per call
 and keeps none, and a public call outside the engine makes its own, so
 neither sees a block's memory.
 
@@ -126,9 +126,10 @@ def parse_method(label: str) -> MethodSpec:
             f"unknown method {label!r}; expected forms: t<q>, tau, tau_e, tau_o, t<q>_tau_e, t<q>_tau_o"
         )
     q = m.group("q") or m.group("gq")
-    if q is not None and int(q) < 2:
-        raise SchemaError(f"method {label!r}: the group t-test needs q >= 2 groups")
-    return MethodSpec(q=None if q is None else int(q), parity=_PARITIES.get(m.group("parity")))
+    try:  # MethodSpec owns the value rules
+        return MethodSpec(q=None if q is None else int(q), parity=_PARITIES.get(m.group("parity")))
+    except DomainError as exc:
+        raise SchemaError(f"method {label!r}: {exc}") from exc
 
 
 def evaluate_method(
@@ -249,6 +250,7 @@ class ExperimentGrid:
             except (DomainError, PartitionError) as exc:
                 raise SchemaError(f"method {s.label!r} cannot run at n_obs = {n}: {exc}") from exc
         object.__setattr__(self, "_models", MappingProxyType({g: tuple(c) for g, c in models.items()}))
+        object.__setattr__(self, "_specs", tuple(specs))
 
     def __reduce__(self):
         # rebuilt through the constructor, so an unpickled grid is checked too
@@ -438,7 +440,6 @@ def _run_combination(
     """
     T, vol = grid.T_values[t], grid.vol_models[v]
     models = grid.validate()[T, vol]
-    specs = [parse_method(m) for m in grid.methods]
     n = grid.n_reps
     first, stop = rows.start // n, (rows.stop - 1) // n + 1
     indices, starts = [], []
@@ -451,7 +452,7 @@ def _run_combination(
     simulate = simulate_continuous_batch if grid.dgp_kind == "continuous" else simulate_discrete_batch
     batch = simulate(models[0], grid.master_seed, np.array(indices, dtype=np.uint64), beta, kappa, workspace)
     span = counts[first:stop, t, v]
-    for k, spec in enumerate(specs):
+    for k, spec in enumerate(grid._specs):
         outcomes = evaluate_batch(spec, batch, grid.alpha, grid.sided)
         span[:, k, 0] += np.add.reduceat(outcomes.reject, starts, dtype=np.int64)
         span[:, k, 1] += np.add.reduceat(outcomes.cause != 0, starts, dtype=np.int64)
@@ -478,8 +479,8 @@ def _prepare_fork(grid: ExperimentGrid) -> None:
     children inherit it instead of each loading it again: the grid's
     critical values, and ``numpy.random``, which numpy imports lazily, on
     first use, and which ``import cauchypred`` therefore never loads."""
-    for method in grid.methods:
-        critical_value(reference(parse_method(method).q), grid.alpha, grid.sided)
+    for spec in grid._specs:
+        critical_value(reference(spec.q), grid.alpha, grid.sided)
     import numpy.random  # noqa: F401
 
 
@@ -505,12 +506,11 @@ def _run_share(grid: ExperimentGrid, blocks: list, workspace: Workspace) -> np.n
     return counts
 
 
-def _child_share(grid: ExperimentGrid, blocks: list, send, slot: Optional[Workspace]) -> None:
-    """A child process's life: run its share of blocks, in ``slot`` when
-    forked with one and else in a workspace of its own, and send back their
-    counts, or the exception that stopped them."""
+def _child_share(grid: ExperimentGrid, blocks: list, send, workspace: Workspace) -> None:
+    """A child process's life: run its share of blocks in ``workspace`` and
+    send back their counts, or the exception that stopped them."""
     try:
-        sent = _run_share(grid, blocks, Workspace() if slot is None else slot)
+        sent = _run_share(grid, blocks, workspace)
     except Exception as exc:
         sent = exc
     send.send(sent)
@@ -533,14 +533,14 @@ def _fan_out(grid: ExperimentGrid, shares: list[list]) -> np.ndarray:
     # fork on Linux, whatever the interpreter's default, so the children
     # inherit what _prepare_fork loaded; the platform's default elsewhere
     context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
-    # a forked child inherits its slot; any other makes its own workspace
+    # a forked child inherits its slot; any other is handed a private workspace
     forked = context.get_start_method() == "fork"
-    slots = _slots(len(shares)) if forked else _slots(1) + [None] * (len(shares) - 1)
+    slots = _slots(len(shares)) if forked else _slots(1) + [Workspace() for _ in shares[1:]]
     children = []
     try:
-        for blocks, slot in zip(shares[1:], slots[1:]):
+        for blocks, workspace in zip(shares[1:], slots[1:]):
             receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_child_share, args=(grid, blocks, send, slot))
+            child = context.Process(target=_child_share, args=(grid, blocks, send, workspace))
             child.start()
             children.append((child, receive))
             send.close()  # the child holds the only write end, so its exit ends the pipe
@@ -597,7 +597,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
         kappa_values=grid.kappa_values,
         T_values=grid.T_values,
         vol_models=grid.vol_models,
-        methods=tuple(parse_method(m).label for m in grid.methods),
+        methods=tuple(spec.label for spec in grid._specs),
         counts=counts.reshape(-1, len(grid.methods), 2),
     )
 

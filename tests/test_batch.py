@@ -140,7 +140,8 @@ def test_batch_input_checks(simulate, config):
             for i in ([-1], [0, -1], [2**64], [0.0], [1.5], [True], np.array([1], dtype=object), [], [[0, 1]], 3)
         ],
         "beta": [{"beta": b} for b in ([1.0], [1.0, 2.0, 3.0], [0.0, np.nan], [np.inf, 0.0])],
-        "kappa_bar": [{"kappa_bar": k} for k in ([5.0], [[0.0, 0.0]], [0.0, -1.0])],
+        # 121 is above the AR range of both configs, [0, 2 n_obs] = [0, 120]
+        "kappa_bar": [{"kappa_bar": k} for k in ([5.0], [[0.0, 0.0]], [0.0, -1.0], [0.0, 121.0])],
     }
     for field, cases in bad.items():
         for case in cases:
@@ -299,3 +300,19 @@ def test_batch_validation():
             SampleBatch(y=y, x_lag=x, x_level=lev)
     with pytest.raises(DomainError, match="differenced"):
         evaluate_batch(parse_method("tau_o"), SampleBatch(y=y, x_lag=lev[:, :-1]), 0.05, "two")
+    with pytest.raises(DomainError, match="^x_lag is required unless x_level is given$"):
+        SampleBatch(y=y)
+
+
+@pytest.mark.parametrize("sided", ["two", "right", "left"])
+def test_levels_alone_give_x_lag(sided):
+    # given levels only, x_lag is their first T columns, the same memory,
+    # and every kernel's outcome is the one given both, bit for bit
+    rows = simulated_rows(30) + list(forced_rows().values())
+    y, lev = np.stack([y for y, _ in rows]), np.stack([lev for _, lev in rows])
+    alone, both = SampleBatch(y, x_level=lev), SampleBatch(y, lev[:, :-1], lev)
+    assert np.shares_memory(alone.x_lag, lev[:, :-1]) and np.array_equal(alone.x_lag, lev[:, :-1])
+    for label in ALL_METHODS:
+        got, want = (evaluate_batch(parse_method(label), batch, 0.05, sided) for batch in (alone, both))
+        for name in ("statistic", "p_value", "reject", "cause"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (label, name)

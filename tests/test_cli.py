@@ -294,7 +294,8 @@ class TestTableCommand:
 
         monkeypatch.setattr(experiments, "_run_combination", no_block)
         payload = json.loads(small_config(tmp_path).read_text())
-        payload.update(dgp_kind=kind, T_values=[T, 240], methods=[method], sided="two")
+        # kappa_bar 5 is inside [0, 2 years / delta] at 0.5 years, so the terms rule is the first broken
+        payload.update(dgp_kind=kind, T_values=[T, 240], kappa_values=[0.0, 5.0], methods=[method], sided="two")
         config = tmp_path / "few.json"
         config.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["table", "--config", str(config), "--out", str(tmp_path / "o"), *workers]) == 2
@@ -396,11 +397,11 @@ class TestSimulateCommand:
         # x_lag holds x_0..x_{T-1} and x_level x_1..x_T, so the two columns
         # together give every level, and the dump is a `test` input
         out = tmp_path / "dump.csv"
-        assert main(["simulate", "--dgp", "discrete", "--n-obs", "24", "--kappa", "50", "--seed", "7",
+        assert main(["simulate", "--dgp", "discrete", "--n-obs", "24", "--kappa", "40", "--seed", "7",
                      "--out", str(out)]) == 0
         _, y, x_lag, x_level = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
         rebuilt = RegressionSample(y, x_lag, x_level=[x_lag[0], *x_level])
-        sample = simulate_discrete(DgpDiscreteConfig(n_obs=24, kappa_bar=50.0), RngStream(7))
+        sample = simulate_discrete(DgpDiscreteConfig(n_obs=24, kappa_bar=40.0), RngStream(7))
         for name in ("y", "x_lag", "x_level"):  # bit for bit
             assert getattr(rebuilt, name).tobytes() == getattr(sample, name).tobytes()
         capsys.readouterr()

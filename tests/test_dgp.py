@@ -3,6 +3,7 @@ weights, correlation audits, and the Brownian block functionals."""
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -275,16 +276,21 @@ def test_n_obs_bound():
 
 @pytest.mark.parametrize("design", ["discrete", "continuous"])
 def test_explosive_path_fails_without_warnings(design):
-    # kappa_bar far above 2 n_obs makes the AR path explode to inf, and a huge
-    # beta overflows y: numpy stays quiet (warnings are errors here) and the
-    # batch rejects the sample as non-finite
+    # a kappa_bar above 2 n_obs, where the AR coefficient falls below -1 and
+    # the path explodes, is rejected when the config is built; a huge beta
+    # overflows y: numpy stays quiet (warnings are errors here) and the batch
+    # rejects the sample as non-finite
     if design == "discrete":
-        make, simulate = (lambda **kw: DgpDiscreteConfig(n_obs=240, **kw)), simulate_discrete
+        make, simulate = (lambda **kw: DgpDiscreteConfig(n_obs=240, slope_scale="raw", **kw)), simulate_discrete
     else:
         make, simulate = (lambda **kw: DgpContinuousConfig(years=20, **kw)), simulate_continuous
-    for knobs in ({"kappa_bar": 1e6}, {"kappa_bar": 1e300}, {"kappa_bar": 600.0, "beta": 1e300}):
-        with pytest.raises(DomainError, match="^y contains non-finite entries$"):
-            simulate(make(**knobs), RngStream(3))
+    bound = r"kappa_bar must lie in \[0, 2 (n_obs|years / delta)\] = \[0, 480\], got "
+    for kappa in (480.5, 600.0, 1e6, 1e300):
+        with pytest.raises(DomainError, match=f"^{bound}{re.escape(repr(kappa))}$"):
+            make(kappa_bar=kappa)
+    make(kappa_bar=480.0)  # a coefficient of -1 is in range
+    with pytest.raises(DomainError, match="^y contains non-finite entries$"):
+        simulate(make(kappa_bar=400.0, beta=1e308), RngStream(3))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -147,8 +147,9 @@ class TestOneDataValidator:
 
     @pytest.mark.parametrize("fault", ["nan", "inf"])
     def test_levels_view_is_checked_through_the_levels(self, fault):
-        # x_lag passed as the levels' own view is not compared with them;
-        # a fault in it is one in the levels, which their check catches
+        # x_lag given with the levels is compared with them, whether it is
+        # their own view or a copy; a fault in the view is one in the
+        # levels, which their check catches first
         gen = np.random.default_rng(10)
         y, lev = gen.standard_normal((3, 12)), np.cumsum(gen.standard_normal((3, 13)), axis=1)
         SampleBatch(y, lev[:, :-1], lev)

@@ -112,7 +112,10 @@ class TestMethodParsing:
         "label", ["t", "tau_x", "q8", "t8tau", "", "t8_tau", "t0", "t1", "t1_tau_o"]
     )
     def test_bad_labels(self, label):
-        with pytest.raises(SchemaError):
+        # the grammar rejects the form; MethodSpec's value rule rejects q < 2
+        q = {"t0": 0, "t1": 1, "t1_tau_o": 1}.get(label)
+        message = "^unknown method " if q is None else f"^method '{label}': q must be at least 2 groups, got {q}$"
+        with pytest.raises(SchemaError, match=message):
             parse_method(label)
 
 
@@ -141,9 +144,9 @@ class TestSingleSampleDispatch:
         # evaluate_method runs the batch kernel on a batch of one; every
         # outcome field, and every error, is the public test's
         spec = parse_method(label)
-        samples = [
-            simulate_discrete(DgpDiscreteConfig(n_obs=n, kappa_bar=50.0), RngStream(7, n))
-            for n in (17, 60, 240)
+        samples = [  # kappa_bar is at most 2 n_obs
+            simulate_discrete(DgpDiscreteConfig(n_obs=n, kappa_bar=kappa), RngStream(7, n))
+            for n, kappa in ((17, 30.0), (60, 50.0), (240, 50.0))
         ]
         lev = samples[1].x_level
         zero = RegressionSample(y=np.zeros(60), x_lag=lev[:-1], x_level=lev)
@@ -573,6 +576,24 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
         assert run_grid(grid, workers=2).to_csv_text() == serial
         assert len(asked) == 1  # one fan-out
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_parses_no_label(self, monkeypatch, workers):
+        # the grid parsed its methods once, when it was built: the blocks,
+        # the fork's preparation and the table read those specs
+        grid = small_discrete_grid(T_values=(60.0, 240.0), methods=("tau_o", "t8_tau_o", "t8"))
+        calls = []
+
+        def spy(label):
+            calls.append(label)
+            raise AssertionError(f"parse_method({label!r}) ran during run_grid")
+
+        monkeypatch.setattr(experiments, "parse_method", spy)
+        table = run_grid(grid, workers=workers)  # two blocks: a child runs one at workers 2
+        assert calls == []
+        monkeypatch.undo()
+        assert table.methods == grid.methods
+        assert table.to_csv_text() == run_grid(grid).to_csv_text()
 
     def test_run_cell_matches_grid(self):
         grid = small_discrete_grid()

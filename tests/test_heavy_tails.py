@@ -14,6 +14,13 @@ within :func:`~cauchypred.inference.group_t_validity_bound` its size is at
 most alpha (Ibragimov & Mueller 2010, JBES, Theorem 1).  The hybrid tests
 have no such theorem; their size is pinned to the same bound as a measured
 property.
+
+The endogenous designs write x as well: an AR(1) predictor whose
+innovations v = lambda * w are normal or Cauchy (lambda = 1 / |N(0, 1)|),
+and a null response whose error mu * (rho w + sqrt(1 - rho^2) e), rho =
+-0.98, loads on the same w, with mu = 1 or Cauchy likewise.  There the
+sign instrument is what holds size: an OLS t-test with an intercept on the
+same draws over-rejects at kappa = 0 with normal innovations.
 """
 
 import functools
@@ -21,7 +28,14 @@ import functools
 import numpy as np
 import pytest
 
-from cauchypred import DgpDiscreteConfig, SampleBatch, evaluate_batch, parse_method, simulate_discrete_batch
+from cauchypred import (
+    DgpDiscreteConfig,
+    SampleBatch,
+    evaluate_batch,
+    parse_method,
+    simulate_discrete_batch,
+    student_t_two_sided_cv,
+)
 from cauchypred.inference import group_t_validity_bound
 
 T = 240
@@ -76,7 +90,8 @@ def rejection_rate(label, sample_batch) -> float:
     return float(outcomes.reject.mean())
 
 
-SIZE_BOUND = ALPHA + 3 * np.sqrt(ALPHA * (1 - ALPHA) / ROWS)
+SIZE_SD = np.sqrt(ALPHA * (1 - ALPHA) / ROWS)
+SIZE_BOUND = ALPHA + 3 * SIZE_SD
 DESIGNS = [(k, v, e) for k in KAPPAS for v in VOLS for e in ERRORS]
 
 
@@ -141,3 +156,63 @@ def test_hybrid_affine_in_beta(label, kappa, error):
     rejects = np.array(rejects, dtype=int)
     assert np.all(np.diff(rejects, axis=0) >= 0)
     assert rejects[0].sum() < rejects[-1].sum()  # some rows do switch
+
+
+RHO = -0.98
+ENDOGENOUS = [(k, v, e) for k in KAPPAS for v in ("normal", "cauchy") for e in ("normal", "cauchy")]
+
+
+@functools.cache
+def endogenous_design(kappa, innovations, error):
+    """x_0 .. x_T and y of ROWS replications: x an AR(1) with coefficient
+    1 - kappa / T and innovations v = lambda * w, y the null error
+    mu * (RHO w + sqrt(1 - RHO^2) e), with lambda and mu 1 (normal) or
+    1 / |N(0, 1)| (Cauchy), independently (read-only)."""
+    gen = np.random.default_rng((4, ENDOGENOUS.index((kappa, innovations, error))))
+    w, e = gen.standard_normal((2, ROWS, T))
+    v = w if innovations == "normal" else w / np.abs(gen.standard_normal((ROWS, T)))
+    y = RHO * w + np.sqrt(1 - RHO**2) * e
+    if error == "cauchy":
+        y /= np.abs(gen.standard_normal((ROWS, T)))
+    x_level = np.zeros((ROWS, T + 1))
+    for t in range(T):
+        x_level[:, t + 1] = (1 - kappa / T) * x_level[:, t] + v[:, t]
+    for a in (x_level, y):
+        a.flags.writeable = False
+    return x_level, y
+
+
+def ols_t_rejection_rate(x_level, y) -> float:
+    """Two-sided 5% rate of the t-test on the slope of y_t on (1, x_{t-1})."""
+    x = x_level[:, :-1] - x_level[:, :-1].mean(axis=1, keepdims=True)
+    y = y - y.mean(axis=1, keepdims=True)
+    sxx = (x * x).sum(axis=1)
+    slope = (x * y).sum(axis=1) / sxx
+    residuals = y - slope[:, None] * x
+    t = slope / np.sqrt((residuals * residuals).sum(axis=1) / (T - 2) / sxx)
+    return float(np.mean(np.abs(t) > student_t_two_sided_cv(ALPHA, T - 2)))
+
+
+@pytest.fixture(scope="module", params=ENDOGENOUS, ids=lambda d: f"kappa{d[0]:g}-v_{d[1]}-eps_{d[2]}")
+def endogenous_rates(request):
+    """The error law, and the two-sided 5% rates of every method, on one design."""
+    x_level, y = endogenous_design(*request.param)
+    nulls = SampleBatch(y, x_level=x_level)
+    return request.param[2], {label: rejection_rate(label, nulls) for label in ("t8", "t16", "t8_tau_o", "tau", "tau_o")}
+
+
+def test_endogenous_size(endogenous_rates):
+    # measured: 0.045-0.057 under normal errors, 0.017-0.026 under Cauchy ones
+    error, rates = endogenous_rates
+    assert all(rate <= SIZE_BOUND for rate in rates.values()), rates
+    if error == "normal":
+        # the hybrid tests hold size, not only stay below it: a test that
+        # stops rejecting fails too (heavy-tailed errors have no lower bound)
+        assert all(abs(rates[label] - ALPHA) <= 3 * SIZE_SD for label in ("tau", "tau_o")), rates
+
+
+def test_ols_t_test_over_rejects():
+    # the gate discriminates: on the same draws the naive test fails where
+    # the paper says it does, with a persistent, normal, endogenous
+    # predictor (measured 0.29-0.30)
+    assert ols_t_rejection_rate(*endogenous_design(0.0, "normal", "normal")) > 4 * ALPHA
