@@ -15,7 +15,6 @@ code.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -30,8 +29,7 @@ from .dataio import (
 from .dgp import DgpContinuousConfig, DgpDiscreteConfig, simulate_continuous, simulate_discrete
 from .errors import CauchyPredError
 from .estimators import PARITIES
-from .experiments import MethodSpec, d2_study, default_d2_threshold, evaluate_method, run_grid
-from .inference import SIDES, TestOutcome
+from .inference import SIDES, MethodSpec, TestOutcome, default_d2_threshold, evaluate_method
 from .rng import RngStream
 
 _SIG_MARKS = ((0.01, "**"), (0.05, "*"))
@@ -98,6 +96,10 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    import json
+
+    from .experiments import run_grid
+
     if args.workers < 1:  # before the output directory is made
         raise CauchyPredError("workers must be >= 1")
     path = resolve_config_path(args.config)
@@ -158,6 +160,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_d2(args: argparse.Namespace) -> int:
+    from .experiments import d2_study
+
     result = d2_study(
         n_draws=args.draws,
         n_steps=args.steps,

@@ -18,16 +18,18 @@ import csv
 import dataclasses
 import datetime
 import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CsvFormatError, InsufficientDataError, SchemaError
 from .estimators import RegressionSample
-from .experiments import ExperimentGrid
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentGrid
 
 _MIN_ROWS = 10
 
@@ -105,21 +107,26 @@ def parse_csv(
     """Read an empirical dataset from a headed CSV file.
 
     Malformed, non-finite or missing numeric cells are reported with their
-    row number and column name; fewer than 10 data rows is an error.
+    row number and column name; fewer than 10 data rows is an error, and so
+    are a header that repeats a name and a row with more cells than it.
     """
     path = Path(path)
     reader = csv.DictReader(io.StringIO(_read_text(path, CsvFormatError), newline=""))
-    if reader.fieldnames is None:
+    header = reader.fieldnames
+    if header is None:
         raise CsvFormatError(f"{path}: file is empty")
+    for col in header:  # DictReader would keep the last column of a name
+        if header.count(col) > 1:
+            raise CsvFormatError(f"{path}: column {col!r} appears more than once in header {header}")
     for col in (date_col, y_col, x_col):
-        if col not in reader.fieldnames:
-            raise CsvFormatError(
-                f"{path}: column {col!r} not found in header {reader.fieldnames}"
-            )
+        if col not in header:
+            raise CsvFormatError(f"{path}: column {col!r} not found in header {header}")
     dates: list[str] = []
     ys: list[float] = []
     xs: list[float] = []
     for i, row in enumerate(reader, start=2):  # header is line 1
+        if None in row:  # DictReader files the cells past the header under None
+            raise CsvFormatError(f"{path}: row {i}: {len(header) + len(row[None])} cells, but the header has {len(header)}")
         date = (row.get(date_col) or "").strip()
         if not date:
             raise CsvFormatError(f"{path}: row {i}: empty {date_col!r} cell")
@@ -149,12 +156,9 @@ def parse_csv(
 # --------------------------------------------------------------------------
 # experiment files
 
-_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentGrid)}
-_REQUIRED = {"name"} | {n for n, f in _FIELDS.items() if f.default is dataclasses.MISSING}
 
-
-def _design_of(key: str, kind: str) -> str:
-    return _FIELDS[key].metadata.get("design", kind)
+def _design_of(field: dataclasses.Field, kind: str) -> str:
+    return field.metadata.get("design", kind)
 
 
 def config_to_grid(config: dict, master_seed: int | None = None) -> ExperimentGrid:
@@ -166,12 +170,16 @@ def config_to_grid(config: dict, master_seed: int | None = None) -> ExperimentGr
     plain file name.  ``master_seed``, if given, replaces the config's
     before the grid is built, which checks every value.
     """
+    from .experiments import ExperimentGrid
+
     if not isinstance(config, dict):
         raise SchemaError("experiment config must be a JSON object")
-    unknown = set(config) - _REQUIRED - set(_FIELDS)
+    fields = {f.name: f for f in dataclasses.fields(ExperimentGrid)}  # read here: CSVs never load the runner
+    required = {"name"} | {n for n, f in fields.items() if f.default is dataclasses.MISSING}
+    unknown = set(config) - required - set(fields)
     if unknown:
         raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED - set(config)
+    missing = required - set(config)
     if missing:
         raise SchemaError(f"missing config keys: {sorted(missing)}")
     if not isinstance(config["name"], str) or not config["name"]:
@@ -184,7 +192,7 @@ def config_to_grid(config: dict, master_seed: int | None = None) -> ExperimentGr
     if values["dgp_kind"] == "discrete":
         values.setdefault("sided", "right")
     grid = ExperimentGrid(**values)
-    misplaced = sorted(k for k in values if _design_of(k, grid.dgp_kind) != grid.dgp_kind)
+    misplaced = sorted(k for k in values if _design_of(fields[k], grid.dgp_kind) != grid.dgp_kind)
     if misplaced:
         raise SchemaError(f"keys {misplaced} do not apply to the {grid.dgp_kind} design")
     return grid
@@ -193,10 +201,10 @@ def config_to_grid(config: dict, master_seed: int | None = None) -> ExperimentGr
 def grid_to_config(grid: ExperimentGrid, name: str) -> dict:
     """Full config echo, sufficient to reproduce a run bitwise."""
     config = {"name": name}
-    for key in _FIELDS:
-        if _design_of(key, grid.dgp_kind) == grid.dgp_kind:
-            value = getattr(grid, key)
-            config[key] = list(value) if isinstance(value, tuple) else value
+    for f in dataclasses.fields(grid):
+        if _design_of(f, grid.dgp_kind) == grid.dgp_kind:
+            value = getattr(grid, f.name)
+            config[f.name] = list(value) if isinstance(value, tuple) else value
     return config
 
 
@@ -210,6 +218,8 @@ def load_experiment_file(
     ``config`` key; it is accepted directly so a run can be reproduced from
     its own output.
     """
+    import json
+
     path = Path(path)
     try:
         payload = json.loads(_read_text(path, SchemaError))

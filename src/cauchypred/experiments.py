@@ -36,17 +36,9 @@ that is not forked is handed a private workspace.  :func:`d2_study` makes one pe
 and keeps none, and a public call outside the engine makes its own, so
 neither sees a block's memory.
 
-A method label names one of the paper's two tests (test family) on one
-sample form, a :class:`MethodSpec` ``(q, parity)``.  :func:`evaluate_batch`
-is the only label -> test dispatcher; :func:`evaluate_method` runs it on a
-single sample as a batch of one.
-
-==========================  ==========  ===============================
-test family                 levels      differenced, even / odd
-==========================  ==========  ===============================
-group t over q >= 2 blocks  ``t<q>``    ``t<q>_tau_e`` / ``t<q>_tau_o``
-hybrid                      ``tau``     ``tau_e`` / ``tau_o``
-==========================  ==========  ===============================
+A grid parses its method labels once, when it is built; each block runs
+every method through :func:`~cauchypred.inference.evaluate_batch`, the
+label -> test dispatcher that lives with the tests and their labels.
 """
 
 from __future__ import annotations
@@ -54,7 +46,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import re
 import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
@@ -63,7 +54,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from . import dists
 from .dgp import (
     MAX_N_OBS,
     DgpContinuousConfig,
@@ -76,77 +66,10 @@ from .dgp import (
     typed_fields,
 )
 from .errors import DomainError, PartitionError, SchemaError
-from .estimators import PARITIES, RegressionSample, SampleBatch, Workspace, group_block_size, term_count
-from .inference import (
-    BatchOutcomes,
-    TestOutcome,
-    check_level,
-    critical_value,
-    group_t_outcomes,
-    hybrid_outcomes,
-    reference,
-)
+from .estimators import Workspace, group_block_size, term_count
+from .inference import check_level, critical_value, default_d2_threshold, evaluate_batch, parse_method, reference
+from .inference import evaluate_method  # noqa: F401  (unused here; perfbench/spans.py traces it under this name)
 from .rng import RngStream, substream_index, substream_indices
-
-_METHOD_RE = re.compile(r"^t(?P<q>\d+)$|^(?:t(?P<gq>\d+)_(?=tau_))?tau(?:_(?P<parity>[eo]))?$")
-_PARITIES = {parity[0]: parity for parity in PARITIES}
-
-
-@dataclass(frozen=True)
-class MethodSpec:
-    """A test, as its family times its sample form (labels: module docstring).
-
-    ``q`` set means the group t-test over q blocks, unset the hybrid test;
-    ``parity`` set means the first-differenced sample of that parity, unset
-    the levels sample.
-    """
-
-    q: Optional[int] = None
-    parity: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        typed_fields(self, DomainError)
-        if self.q is not None and self.q < 2:
-            raise DomainError(f"q must be at least 2 groups, got {self.q}")
-        if self.parity is not None and self.parity not in PARITIES:
-            raise DomainError(f"parity must be one of {', '.join(map(repr, PARITIES))}, got {self.parity!r}")
-
-    @property
-    def label(self) -> str:
-        hybrid = "tau" if self.parity is None else f"tau_{self.parity[0]}"
-        if self.q is None:
-            return hybrid
-        return f"t{self.q}" if self.parity is None else f"t{self.q}_{hybrid}"
-
-
-def parse_method(label: str) -> MethodSpec:
-    m = _METHOD_RE.match(label)
-    if m is None:
-        raise SchemaError(
-            f"unknown method {label!r}; expected forms: t<q>, tau, tau_e, tau_o, t<q>_tau_e, t<q>_tau_o"
-        )
-    q = m.group("q") or m.group("gq")
-    try:  # MethodSpec owns the value rules
-        return MethodSpec(q=None if q is None else int(q), parity=_PARITIES.get(m.group("parity")))
-    except DomainError as exc:
-        raise SchemaError(f"method {label!r}: {exc}") from exc
-
-
-def evaluate_method(
-    method: MethodSpec, sample: RegressionSample, alpha: float, sided: str
-) -> TestOutcome:
-    """Run the test a method label names on one sample's own batch of one."""
-    return evaluate_batch(method, SampleBatch.of(sample), alpha, sided).single()
-
-
-def evaluate_batch(
-    method: MethodSpec, batch: SampleBatch, alpha: float, sided: str
-) -> BatchOutcomes:
-    """Run the test a method label names on every sample of a batch."""
-    if method.q is None:
-        return hybrid_outcomes(batch, method.parity, alpha, sided)
-    return group_t_outcomes(batch, method.q, method.parity, alpha, sided)
-
 
 _DGP_CONFIGS = {"continuous": DgpContinuousConfig, "discrete": DgpDiscreteConfig}
 # the grid's coordinates, in the order of a combination's (beta, kappa, T, vol)
@@ -619,11 +542,6 @@ MAX_D2_DRAWS = 10_000_000
 _D2_CHUNK = 1000
 _D2_BLOCK = 100  # paths drawn and reduced together within a chunk
 _D2_BIN_EDGES = np.linspace(1.0, 26.0, 126)  # 125 bins of width 0.2
-
-
-def default_d2_threshold() -> float:
-    """Two-sided t critical value at the 5% level for a two-group split."""
-    return dists.student_t_two_sided_cv(0.05, 1)
 
 
 def d2_study(

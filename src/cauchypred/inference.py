@@ -29,6 +29,18 @@ The joint tests take one K-predictor sample: Bonferroni runs the hybrid test
 on its batch's K rows, Wald tests the K slopes together.  Every test
 returns a :class:`TestOutcome`, which rejects iff p_value <= alpha.
 
+A method label names one test family on one sample form, a
+:class:`MethodSpec` ``(q, parity)``.  :func:`evaluate_batch` is the only
+label -> test dispatcher; :func:`evaluate_method` runs it on a single sample
+as a batch of one.
+
+==========================  ==========  ===============================
+test family                 levels      differenced, even / odd
+==========================  ==========  ===============================
+group t over q >= 2 blocks  ``t<q>``    ``t<q>_tau_e`` / ``t<q>_tau_o``
+hybrid                      ``tau``     ``tau_e`` / ``tau_o``
+==========================  ==========  ===============================
+
 A batch decides by critical value, not by p-value.  Each statistic is
 oriented for its side (|stat| two-sided, stat right, -stat left) and
 compared with the c at which that side's p-value equals alpha
@@ -44,21 +56,25 @@ which the Monte Carlo engine never does.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import dists
+from .dgp import typed_fields
 from .errors import (
     DegenerateDenominatorError,
     DegenerateGroupsError,
     DegenerateVarianceError,
     DomainError,
+    SchemaError,
     SignDegeneracyError,
     SingularDesignError,
 )
 from .estimators import (
+    PARITIES,
     GroupStatistics,
     Parity,
     RegressionSample,
@@ -85,6 +101,9 @@ _DENOMINATOR, _SINGULAR, _VARIANCE, _GROUPS = range(1, len(DEGENERACIES) + 1)
 # half-width of the band around a critical value c, relative to max(1, |c|),
 # inside which a decision falls back to the p-value
 _BAND = 1e-9
+
+_METHOD_RE = re.compile(r"^t(?P<q>\d+)$|^(?:t(?P<gq>\d+)_(?=tau_))?tau(?:_(?P<parity>[eo]))?$")
+_PARITIES = {parity[0]: parity for parity in PARITIES}
 
 
 @dataclass(frozen=True)
@@ -215,6 +234,11 @@ def critical_value(ref: ReferenceDistribution, alpha: float, sided: str) -> floa
     return c if alpha < 0.5 else -c
 
 
+def default_d2_threshold() -> float:
+    """Two-sided t critical value at the 5% level for a two-group split."""
+    return dists.student_t_two_sided_cv(0.05, 1)
+
+
 def _p_value(statistic, ref: ReferenceDistribution, sided: str):
     """p-value of a statistic, elementwise over an array of them."""
     # both references are symmetric: tails as cdf(-|x|) keep their accuracy
@@ -341,6 +365,58 @@ def hybrid_outcomes(
     stat = fit.gamma / np.sqrt((2.0 if differenced else 1.0) * np.where(w2 == 0.0, 1.0, w2))
     stat = np.where(fit.denom < 0, -stat, stat)  # sign(D)
     return _outcomes(stat, reference(None), sided, alpha, cause)
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """A test, as its family times its sample form (labels: module docstring).
+
+    ``q`` set means the group t-test over q blocks, unset the hybrid test;
+    ``parity`` set means the first-differenced sample of that parity, unset
+    the levels sample.
+    """
+
+    q: Optional[int] = None
+    parity: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        typed_fields(self, DomainError)
+        if self.q is not None and self.q < 2:
+            raise DomainError(f"q must be at least 2 groups, got {self.q}")
+        if self.parity is not None and self.parity not in PARITIES:
+            raise DomainError(f"parity must be one of {', '.join(map(repr, PARITIES))}, got {self.parity!r}")
+
+    @property
+    def label(self) -> str:
+        hybrid = "tau" if self.parity is None else f"tau_{self.parity[0]}"
+        if self.q is None:
+            return hybrid
+        return f"t{self.q}" if self.parity is None else f"t{self.q}_{hybrid}"
+
+
+def parse_method(label: str) -> MethodSpec:
+    m = _METHOD_RE.match(label)
+    if m is None:
+        raise SchemaError(
+            f"unknown method {label!r}; expected forms: t<q>, tau, tau_e, tau_o, t<q>_tau_e, t<q>_tau_o"
+        )
+    q = m.group("q") or m.group("gq")
+    try:  # MethodSpec owns the value rules
+        return MethodSpec(q=None if q is None else int(q), parity=_PARITIES.get(m.group("parity")))
+    except DomainError as exc:
+        raise SchemaError(f"method {label!r}: {exc}") from exc
+
+
+def evaluate_method(method: MethodSpec, sample: RegressionSample, alpha: float, sided: str) -> TestOutcome:
+    """Run the test a method label names on one sample's own batch of one."""
+    return evaluate_batch(method, SampleBatch.of(sample), alpha, sided).single()
+
+
+def evaluate_batch(method: MethodSpec, batch: SampleBatch, alpha: float, sided: str) -> BatchOutcomes:
+    """Run the test a method label names on every sample of a batch."""
+    if method.q is None:
+        return hybrid_outcomes(batch, method.parity, alpha, sided)
+    return group_t_outcomes(batch, method.q, method.parity, alpha, sided)
 
 
 def t_q_test(groups: GroupStatistics, alpha: float, sided: str = "two") -> TestOutcome:

@@ -10,7 +10,6 @@ identical on every platform and under any worker count.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -67,6 +66,8 @@ def substream_index(*labels: object) -> int:
     Uses SHA-256 of the rendered labels, so indices do not depend on the
     process, platform, or insertion order of unrelated streams.
     """
+    import hashlib  # here, not at the top: a single test keys no stream
+
     text = "|".join(repr(x) for x in labels)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -75,6 +76,8 @@ def substream_index(*labels: object) -> int:
 def substream_indices(label: object, reps: Iterable[int]) -> Iterator[int]:
     """``substream_index(label, rep)`` for each rep in turn, bit for bit,
     hashing the text of ``label`` once rather than once per rep."""
+    import hashlib
+
     head = hashlib.sha256((repr(label) + "|").encode("utf-8"))
     for rep in reps:
         digest = head.copy()

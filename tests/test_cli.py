@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cauchypred import DgpDiscreteConfig, RegressionSample, RngStream, cli, experiments, simulate_discrete
+from cauchypred import DgpDiscreteConfig, RegressionSample, RngStream, experiments, simulate_discrete
 from cauchypred.cli import main
 from cauchypred.dataio import bundled_config_names, parse_csv
 from cauchypred.dgp import MAX_N_OBS
@@ -262,7 +262,7 @@ class TestTableCommand:
     def test_manifest_matches_golden(self, name, tmp_path, monkeypatch):
         # the config echo of every bundled config, written by the table
         # command itself; the simulation is skipped
-        monkeypatch.setattr(cli, "run_grid", lambda grid, workers: McTable(n_reps=grid.n_reps))
+        monkeypatch.setattr(experiments, "run_grid", lambda grid, workers: McTable(n_reps=grid.n_reps))
         assert main(["table", "--config", name, "--out", str(tmp_path)]) == 0
         written = (tmp_path / f"{name}_manifest.json").read_bytes()
         assert written == (GOLDEN / f"{name}_manifest.json").read_bytes()
@@ -341,7 +341,7 @@ def _unreadable(tmp_path, case):
 ])
 def test_unreadable_paths_fail_cleanly(tmp_path, capsys, monkeypatch, case):
     # the output directory is made before the grid runs
-    monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
+    monkeypatch.setattr(experiments, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
     assert main(_unreadable(tmp_path, case)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -434,6 +434,12 @@ class TestD2Command:
         hist = (out_dir / "d2_histogram.csv").read_text().strip().split("\n")
         assert hist[0] == "bin_center,count"
         assert sum(int(line.split(",")[1]) for line in hist[1:]) == 2000
+
+    def test_help_names_default_threshold(self, capsys):
+        # the help shows inference.default_d2_threshold(), read without loading the runner
+        with pytest.raises(SystemExit):
+            main(["d2", "--help"])
+        assert "(default 12.7062)" in " ".join(capsys.readouterr().out.split())
 
     def test_threshold_one(self, capsys):
         assert main(["d2", "--draws", "1000", "--steps", "150", "--threshold", "1.0"]) == 0

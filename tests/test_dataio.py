@@ -79,6 +79,23 @@ class TestParseCsv:
         with pytest.raises(CsvFormatError, match="'x'"):
             parse_csv(path)
 
+    @pytest.mark.parametrize("header", ["date,y,x,x", "date,x,y,x", "date,y,x,note,note"])
+    def test_repeated_header_name(self, tmp_path, header):
+        # DictReader would read x from the last column of the name
+        rows = [row + ",1" * (header.count(",") - 2) for row in make_rows(12)]
+        repeated = "note" if "note" in header else "x"
+        with pytest.raises(CsvFormatError, match=f"column '{repeated}' appears more than once in header"):
+            parse_csv(write_csv(tmp_path, rows, header=header))
+
+    @pytest.mark.parametrize("extra,cells", [(",234.5", 4), (",1,2", 5), (",", 4)])
+    def test_long_row_names_row_and_counts(self, tmp_path, extra, cells):
+        # a thousands separator splits "1,234.5": DictReader would read x as 1
+        # and file "234.5" under None
+        rows = make_rows(12)
+        rows[3] = "2003,0.1,1" + extra
+        with pytest.raises(CsvFormatError, match=f"row 5: {cells} cells, but the header has 3$"):
+            parse_csv(write_csv(tmp_path, rows))
+
     def test_non_increasing_dates(self, tmp_path):
         rows = make_rows(12)
         rows[5] = rows[4].replace("2004", "2004")  # duplicate date

@@ -214,18 +214,37 @@ class TestSimulateContinuous:
             assert not np.signbit(paths[:2, 0]).any()
             assert np.isneginf(paths[-1, -1]) if n == 1 else np.isnan(paths[-1, -1])
 
-    def test_import_leaves_out_scipy_signal(self):
-        # scipy is a test dependency only: no scipy module, not even the
-        # package; the process pool's modules load only when a pool runs
-        for module in ("scipy.signal", "scipy", "concurrent.futures.process", "multiprocessing"):
-            code = f"import sys, cauchypred; print({module!r} in sys.modules)"
-            # the child finds the package where this process found it
-            package_root = str(Path(cauchypred.__file__).resolve().parents[1])
-            env = {**os.environ, "PYTHONPATH": package_root}
-            out = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-            )
-            assert out.stdout.strip() == "False", module
+    def test_import_leaves_out_scipy_signal(self, tmp_path):
+        # one fresh interpreter; each check compares against the modules it
+        # held before the import, so a site hook cannot fail it
+        data = tmp_path / "series.csv"
+        x = np.cumsum(np.random.default_rng(3).standard_normal(61))
+        rows = "".join(f"{t},{0.1 * (t % 7) - 0.3!r},{v!r}\n" for t, v in enumerate(x.tolist()))
+        data.write_text("date,y,x\n" + rows, encoding="utf-8")
+        probe = f"""
+import sys
+before = set(sys.modules)
+import cauchypred
+loaded = set(sys.modules) - before
+# scipy is a test dependency only, not even the package; the process pool's
+# modules and numpy.random load only when a pool or a generator runs
+assert not {{"scipy.signal", "scipy", "concurrent.futures.process", "multiprocessing", "numpy.random"}} & loaded
+# perfbench/workloads.py import_ms() takes the median of these modules'
+# `-X importtime` lines, and fails on a package that does not load them
+assert {{"cauchypred.dgp", "cauchypred.dists"}} <= loaded, "import cauchypred"
+import cauchypred.cli
+for method in (["hybrid"], ["tq", "--q", "12", "--intercept"]):
+    assert cauchypred.cli.main(["test", {str(data)!r}, "--method", *method]) == 0
+# one test loads neither the Monte Carlo runner nor the modules only it uses
+stray = {{"cauchypred.experiments", "hashlib", "json"}} & (set(sys.modules) - before)
+assert not stray, stray
+"""
+        # the child finds the package where this process found it
+        package_root = str(Path(cauchypred.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_root}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.count(": statistic=") == 2
 
     def test_jumps_change_response_only_in_distribution(self):
         base = DgpContinuousConfig(years=5)

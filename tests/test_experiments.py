@@ -12,12 +12,14 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cauchypred
 from cauchypred import (
     CauchyPredError,
     DgpContinuousConfig,
@@ -96,15 +98,15 @@ class TestMethodParsing:
         # the family picks the kernel, which gets the (q, parity) the label names
         calls = []
         monkeypatch.setattr(
-            experiments, "group_t_outcomes",
+            inference, "group_t_outcomes",
             lambda batch, q, parity, *args: calls.append(("group_t", q, parity)),
         )
         monkeypatch.setattr(
-            experiments, "hybrid_outcomes",
+            inference, "hybrid_outcomes",
             lambda batch, parity, *args: calls.append(("hybrid", None, parity)),
         )
         batch = simulate_discrete_batch(DgpDiscreteConfig(n_obs=60), 1, [0])
-        experiments.evaluate_batch(spec, batch, 0.05, "two")
+        inference.evaluate_batch(spec, batch, 0.05, "two")
         kernel = "group_t" if kind in ("t_q", "grouped_hybrid") else "hybrid"
         assert calls == [(kernel, q, parity)]
 
@@ -117,6 +119,52 @@ class TestMethodParsing:
         message = "^unknown method " if q is None else f"^method '{label}': q must be at least 2 groups, got {q}$"
         with pytest.raises(SchemaError, match=message):
             parse_method(label)
+
+
+# Every public name of the package, as `from cauchypred import *` gave them
+# before the runner's names were loaded on first use.
+PACKAGE_NAMES = """
+BatchOutcomes BrownianAbsFunctionals CauchyFit CauchyPredError CellKey CellResult CsvFormatError D2Result
+DegenerateDenominatorError DegenerateGroupsError DegenerateStatisticError DegenerateVarianceError
+DgpContinuousConfig DgpDiscreteConfig DomainError EmpiricalDataset ExperimentGrid GroupStatistics
+InsufficientDataError JointTestOutcome McTable MethodSpec PartitionError ReferenceDistribution
+RegressionSample RngStream SampleBatch SchemaError SignDegeneracyError SingularDesignError TestOutcome
+bonferroni_joint cauchy_estimate chi_square_sf correlated_normal_arrays d2_study d_statistic dataio
+default_d2_threshold dgp diff_cauchy dists draw_correlated_normals errors estimators evaluate_batch
+experiments gen_brownian_abs_functionals gen_volatility group_gammas grouped_hybrid_test hybrid_test
+hybrid_test_intercept inference load_experiment_file ma_weights ols_fit omega_hat_sq parse_csv
+parse_method recursive_demean rng run_cell run_grid sign_conv simulate_continuous simulate_continuous_batch
+simulate_discrete simulate_discrete_batch std_normal std_normal_two_sided_cv student_t
+student_t_two_sided_cv substream_index t_q_test wald_joint
+""".split()
+
+
+class TestPackageNames:
+    def test_every_name_is_its_module_binding(self):
+        star = {}
+        exec("from cauchypred import *", star)
+        assert sorted(set(star) - {"__builtins__"}) == sorted(cauchypred.__all__) == PACKAGE_NAMES
+        assert set(PACKAGE_NAMES) <= set(dir(cauchypred))
+        for name in PACKAGE_NAMES:
+            value = getattr(cauchypred, name)
+            if isinstance(value, types.ModuleType):
+                assert value is sys.modules[f"cauchypred.{name}"]
+            else:
+                assert getattr(sys.modules[value.__module__], name) is value, name
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            cauchypred.nope  # noqa: B018
+
+    def test_runner_names_follow_the_module(self, monkeypatch):
+        # looked up anew on each access, never cached in the package
+        def f(grid, workers=1):
+            pass
+
+        monkeypatch.setattr(experiments, "run_grid", f)
+        assert cauchypred.run_grid is f
+        monkeypatch.undo()
+        assert cauchypred.run_grid is experiments.run_grid is not f
 
 
 def public_test(spec, sample, alpha, sided):

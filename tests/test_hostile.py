@@ -4,10 +4,11 @@ Every run of ``main`` on generated argv and generated CSV and JSON files
 exits 0, or exits 2 with exactly one ``error:`` line on stderr and no
 traceback.  A request beyond a size bound (``n_reps``, ``T_values``,
 ``--draws``, ``--steps``, ``--n-obs``, ``--years``) exits 2 before any Monte
-Carlo block runs or any Brownian path is drawn.  Accepted sizes stay tiny:
-CSVs of at most 40 rows, grids of 2 replications of at most 60
-observations, samples of at most 240 observations, and d2 at 1000 draws of
-at most 200 steps.
+Carlo block runs or any Brownian path is drawn, and so does a CSV whose
+header repeats a name or whose row has more cells than its header.
+Accepted sizes stay tiny: CSVs of at most 40 rows, grids of 2 replications
+of at most 60 observations, samples of at most 240 observations, and d2 at
+1000 draws of at most 200 steps.
 """
 
 import contextlib
@@ -59,7 +60,8 @@ def csv_test_command(draw):
     """``test`` on a CSV file of a random walk x and noise y, with at most
     one hostile feature in the file or the flags."""
     hostility = draw(st.sampled_from(  # "none" twice: more runs reach a test statistic
-        ["none", "none", "cells", "duplicate", "unsorted", "bom", "few_rows", "header", "flags", "constant"]
+        ["none", "none", "cells", "duplicate", "unsorted", "bom", "few_rows", "header", "long_row", "flags",
+         "constant"]
     ))
     rows = draw(st.integers(10, 40))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -81,6 +83,8 @@ def csv_test_command(draw):
         cells = cells[: draw(st.integers(0, 9))]
     elif hostility == "header":
         header = draw(st.sampled_from(["date,y", "date,y,x,x", "", "date;y;x", "Date,Y,X"]))
+    elif hostility == "long_row":  # a thousands separator, or a stray delimiter
+        cells[draw(st.integers(0, rows - 1))].append(draw(st.sampled_from(["234.5", "", "1,2"])))
     text = header + "\n" + "".join(",".join(row) + "\n" for row in cells)
     method = draw(st.sampled_from(["hybrid", "tq"]))
     q = draw(st.sampled_from([2, 4, 8])) if method == "tq" else None
@@ -101,7 +105,7 @@ def csv_test_command(draw):
             parity, intercept = value, False
     argv = ["test", "@data.csv", f"--method={method}", f"--sided={sided}", f"--alpha={alpha}"]
     argv += flag("q", q) + flag("parity", parity) + (["--intercept"] if intercept else [])
-    return argv, {"data.csv": text}, False
+    return argv, {"data.csv": text}, hostility == "long_row" or header == "date,y,x,x"
 
 
 @st.composite
@@ -186,7 +190,7 @@ def workdir(tmp_path_factory):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_main_exits_0_or_2_with_one_error_line(workdir, command, data):
-    argv, files, oversize = data.draw(command())
+    argv, files, refused = data.draw(command())
     for name, text in files.items():
         (workdir / name).write_text(text, encoding="utf-8")
     argv = [arg.replace("@", f"{workdir}/") for arg in argv]
@@ -206,6 +210,6 @@ def test_main_exits_0_or_2_with_one_error_line(workdir, command, data):
         assert stderr == "", (argv, stderr)
     else:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr.endswith("\n"), (argv, stderr)
-    if oversize:
+    if refused:
         assert code == 2, argv
         assert blocks.call_count == paths.call_count == 0, argv
