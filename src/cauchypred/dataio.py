@@ -107,7 +107,7 @@ def parse_csv(
     """Read an empirical dataset from a headed CSV file.
 
     Malformed, non-finite or missing numeric cells are reported with their
-    row number and column name; fewer than 10 data rows is an error, and so
+    file line and column name; fewer than 10 data rows is an error, and so
     are a header that repeats a name and a row with more cells than it.
     """
     path = Path(path)
@@ -124,7 +124,8 @@ def parse_csv(
     dates: list[str] = []
     ys: list[float] = []
     xs: list[float] = []
-    for i, row in enumerate(reader, start=2):  # header is line 1
+    for row in reader:
+        i = reader.line_num  # the file line the record ends on, past blank lines and quoted line breaks
         if None in row:  # DictReader files the cells past the header under None
             raise CsvFormatError(f"{path}: row {i}: {len(header) + len(row[None])} cells, but the header has {len(header)}")
         date = (row.get(date_col) or "").strip()

@@ -26,15 +26,15 @@ on the block size.  :class:`McTable` keeps the counts as one dense array.
 Blocks get their memory from the fan-out: each share of blocks runs in one
 :class:`~cauchypred.estimators.Workspace`, whose buffers grow to the largest
 block and are never freed, so blocks neither allocate nor fault their
-memory in again; no array of a block outlives it.  These workspaces are the
-calling thread's slots, shared anonymous memory that it keeps: slot 0 for
-its own share and one for each forked child, which writes into the slot it
-was handed, so neither the caller nor the next call's child writes a page
-the fork write-protected or a page it has not written before.  A process
-forked by any other means forgets the slots it inherited, and a child
-that is not forked is handed a private workspace.  :func:`d2_study` makes one per call
-and keeps none, and a public call outside the engine makes its own, so
-neither sees a block's memory.
+memory in again; no array of a block outlives it.  The calling thread keeps
+one workspace for its own share of every call, and each thread keeps the
+child processes of its fan-outs, started on the first call that needs them,
+each with a private workspace of its own.  A child ends when the caller
+closes its pipe or exits, and any failure of a call ends every child of the
+thread; a process forked by any other means forgets the children it
+inherited.  :func:`d2_study` makes one workspace per call and keeps none,
+and a public call outside the engine makes its own, so neither sees a
+block's memory.
 
 A grid parses its method labels once, when it is built; each block runs
 every method through :func:`~cauchypred.inference.evaluate_batch`, the
@@ -48,6 +48,7 @@ import itertools
 import os
 import sys
 import threading
+import weakref
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -330,21 +331,28 @@ class McTable:
 BLOCK_ELEMENTS = 48_000
 
 _THREAD = threading.local()
+# the parent-side pipe end of every kept child of every thread in this process
+_ENDS = weakref.WeakSet()
 
 
-def _slots(count: int) -> list[Workspace]:
-    """The calling thread's first ``count`` shared workspaces in this
-    process: slot 0, in which it runs its own share of every fan-out, then
-    one per forked child, each grown to at least the buffers of slot 0.  A
-    process forked by any other means starts with none of its parent's: two
-    processes never write the same slot."""
+def _kept() -> list:
+    """The calling thread's kept children in this process, as (process,
+    pipe end) pairs, beside its own workspace.  A process forked by any
+    other means forgets the children it inherited, which are its parent's."""
     if getattr(_THREAD, "owner", None) != os.getpid():
-        _THREAD.owner, _THREAD.slots = os.getpid(), []
-    slots = _THREAD.slots
-    slots += [Workspace.shared() for _ in range(count - len(slots))]
-    for slot in slots[1:count]:
-        slot.reserve(slots[0])
-    return slots[:count]
+        _THREAD.owner, _THREAD.children, _THREAD.workspace = os.getpid(), [], Workspace()
+    return _THREAD.children
+
+
+def _end_children(keep: int = 0) -> None:
+    """Kill, join and forget the calling thread's kept children but the
+    first ``keep``."""
+    kept = _kept()
+    for child, end in kept[keep:]:
+        child.kill()  # a no-op once the child has exited
+        child.join()
+        end.close()
+    del kept[keep:]
 
 
 def _run_combination(
@@ -398,10 +406,10 @@ def run_cell(
 
 
 def _prepare_fork(grid: ExperimentGrid) -> None:
-    """Load and cache in this process what every block needs, so that forked
-    children inherit it instead of each loading it again: the grid's
-    critical values, and ``numpy.random``, which numpy imports lazily, on
-    first use, and which ``import cauchypred`` therefore never loads."""
+    """Load and cache in this process what every block needs, so that the
+    children it forks inherit it instead of each loading it again: the
+    grid's critical values, and ``numpy.random``, which numpy imports lazily,
+    on first use, and which ``import cauchypred`` therefore never loads."""
     for spec in grid._specs:
         critical_value(reference(spec.q), grid.alpha, grid.sided)
     import numpy.random  # noqa: F401
@@ -429,49 +437,68 @@ def _run_share(grid: ExperimentGrid, blocks: list, workspace: Workspace) -> np.n
     return counts
 
 
-def _child_share(grid: ExperimentGrid, blocks: list, send, workspace: Workspace) -> None:
-    """A child process's life: run its share of blocks in ``workspace`` and
-    send back their counts, or the exception that stopped them."""
-    try:
-        sent = _run_share(grid, blocks, workspace)
-    except Exception as exc:
-        sent = exc
-    send.send(sent)
+def _child(end) -> None:
+    """A kept child's life: run each ``(grid, blocks)`` share it receives
+    over ``end`` in one workspace of its own and send back the share's
+    counts, or the exception that stopped it, until the caller closes its
+    end."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    for inherited in list(_ENDS):  # a forked child's copies would keep its siblings' pipes open
+        inherited.close()
+    workspace = Workspace()
+    while True:
+        try:
+            sent = _run_share(*end.recv(), workspace)
+        except EOFError:
+            return
+        except Exception as exc:
+            sent = exc
+        end.send(sent)
 
 
-def _fan_out(grid: ExperimentGrid, shares: list[list]) -> np.ndarray:
-    """The counts of all shares, summed: one child process per share but
-    the first, which this process runs itself meanwhile; each child sends
-    one count array.
+def _fan_out(grid: ExperimentGrid, shares: list[list], workers: int) -> np.ndarray:
+    """The counts of all shares, summed: this process runs the first share
+    in the thread's workspace while the thread's kept children, at most
+    ``workers`` - 1 and started when first needed, run one other share each
+    and send back one count array.
 
     A child's exception is raised here, and a child that exits without
-    sending raises :class:`ChildProcessError` with its exit code.  No child
-    outlives the call: on any exception every child is killed and joined.
+    sending raises :class:`ChildProcessError` with its exit code.  Any
+    failure, the caller's own exception or interrupt included, kills, joins
+    and forgets every child of the thread, so the next call starts afresh.
     """
+    kept = _kept()
     if len(shares) == 1:
-        return _run_share(grid, shares[0], _slots(1)[0])
-    import multiprocessing  # loaded only where a fan-out runs
-
-    _prepare_fork(grid)
-    # fork on Linux, whatever the interpreter's default, so the children
-    # inherit what _prepare_fork loaded; the platform's default elsewhere
-    context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
-    # a forked child inherits its slot; any other is handed a private workspace
-    forked = context.get_start_method() == "fork"
-    slots = _slots(len(shares)) if forked else _slots(1) + [Workspace() for _ in shares[1:]]
-    children = []
+        return _run_share(grid, shares[0], _THREAD.workspace)
     try:
-        for blocks, workspace in zip(shares[1:], slots[1:]):
-            receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_child_share, args=(grid, blocks, send, workspace))
-            child.start()
-            children.append((child, receive))
-            send.close()  # the child holds the only write end, so its exit ends the pipe
-        counts = _run_share(grid, shares[0], slots[0])
-        for child, receive in children:
+        _end_children(keep=workers - 1)
+        if len(kept) < len(shares) - 1:
+            import multiprocessing  # loaded only where a fan-out runs
+
+            _prepare_fork(grid)
+            # fork on Linux, whatever the interpreter's default, so children inherit
+            # what _prepare_fork loaded; the platform's default elsewhere
+            context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
+            while len(kept) < len(shares) - 1:
+                end, theirs = context.Pipe()
+                _ENDS.add(end)
+                child = context.Process(target=_child, args=(theirs,), daemon=True)
+                child.start()
+                theirs.close()  # the child holds the only copy, so its exit ends the pipe
+                kept.append((child, end))
+        children = kept[: len(shares) - 1]
+        for (_, end), blocks in zip(children, shares[1:]):
             try:
-                sent = receive.recv()
-            except EOFError:
+                end.send((grid, blocks))
+            except ConnectionError:
+                pass  # a child that died idle is named below, with its exit code
+        counts = _run_share(grid, shares[0], _THREAD.workspace)
+        for child, end in children:
+            try:
+                sent = end.recv()
+            except (EOFError, ConnectionError):  # the end of a pipe, or its reset with a share unread
                 child.join()
                 raise ChildProcessError(
                     f"run_grid child {child.pid} exited with code {child.exitcode} before sending its counts"
@@ -479,13 +506,10 @@ def _fan_out(grid: ExperimentGrid, shares: list[list]) -> np.ndarray:
             if isinstance(sent, Exception):
                 raise sent
             counts += sent
-            child.join()
         return counts
-    finally:
-        for child, receive in children:
-            child.kill()  # a no-op once the child has exited
-            child.join()
-            receive.close()
+    except BaseException:
+        _end_children()
+        raise
 
 
 def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
@@ -493,15 +517,15 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
 
     With ``workers`` > 1 and more than one block, the blocks, largest first,
     are dealt into ``min(workers, blocks)`` shares of about equal elements;
-    this process runs the first share while one child process runs each of
-    the others, and the shares' count arrays are summed.  On Linux the
-    children are forked after :func:`_prepare_fork`, so they inherit its
-    critical-value cache and loaded modules, and each writes into a slot
-    that this thread keeps for the next call's child.
+    this process runs the first share while one kept child process runs
+    each of the others, and the shares' count arrays are summed.  This
+    thread keeps its children for its next call; on Linux they are forked
+    after :func:`_prepare_fork`, so they inherit its critical-value cache
+    and loaded modules.
     """
     models = grid.validate()
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise DomainError(f"workers must be an int >= 1, got {workers!r}")
     rows = len(grid.beta_values) * len(grid.kappa_values) * grid.n_reps  # in each (T, vol) group
     blocks = []  # (elements, T index, vol index, rows of the group)
     for t, v in np.ndindex(len(grid.T_values), len(grid.vol_models)):
@@ -513,7 +537,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
         ]
     blocks.sort(key=lambda b: b[0], reverse=True)
     shares = _deal([b[0] for b in blocks], min(workers, len(blocks)))
-    counts = _fan_out(grid, [[blocks[i][1:] for i in share] for share in shares])
+    counts = _fan_out(grid, [[blocks[i][1:] for i in share] for share in shares], workers)
     return McTable(
         n_reps=grid.n_reps,
         beta_values=grid.beta_values,
@@ -572,7 +596,7 @@ def d2_study(
     if not np.isfinite(threshold):
         raise DomainError(f"threshold must be finite, got {threshold}")
     values = np.empty(n_draws)
-    workspace = Workspace()  # freed on return: no slot holds a study's paths
+    workspace = Workspace()  # freed on return: no kept workspace holds a study's paths
     for chunk_id, chunk in enumerate(range(0, n_draws, _D2_CHUNK)):
         # 2 groups of a demeaned path; both stay in the key, which fixes the draws
         gen = RngStream(master_seed, substream_index("d2", n_steps, 2, True, chunk_id)).generator()

@@ -37,6 +37,15 @@ def make_rows(n, start_year=2000):
     ]
 
 
+def laid_out(tmp_path, rows):
+    """``rows`` written as they are, then with the first date cell quoted
+    across two lines, then with a blank line after the first row: each file
+    with the number of lines its layout adds before the second row."""
+    quoted = [f'"{rows[0][:4]}\n"{rows[0][4:]}', *rows[1:]]
+    for layout, added in ((rows, 0), (quoted, 1), ([rows[0], "", *rows[1:]], 1)):
+        yield write_csv(tmp_path, layout), added
+
+
 class TestParseCsv:
     def test_well_formed(self, tmp_path):
         ds = parse_csv(write_csv(tmp_path, make_rows(12)))
@@ -45,21 +54,24 @@ class TestParseCsv:
     def test_missing_x_cell_names_row(self, tmp_path):
         rows = make_rows(12)
         rows[4] = "2004,0.5,"
-        with pytest.raises(CsvFormatError, match="row 6"):
-            parse_csv(write_csv(tmp_path, rows))
+        for path, added in laid_out(tmp_path, rows):  # rows are named by file line
+            with pytest.raises(CsvFormatError, match=f"row {6 + added}: missing value in column 'x'"):
+                parse_csv(path)
 
     def test_non_numeric_names_row_and_column(self, tmp_path):
         rows = make_rows(12)
         rows[7] = "2007,abc,0.3"
-        with pytest.raises(CsvFormatError, match="row 9.*'y'"):
-            parse_csv(write_csv(tmp_path, rows))
+        for path, added in laid_out(tmp_path, rows):
+            with pytest.raises(CsvFormatError, match=f"row {9 + added}: column 'y'"):
+                parse_csv(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_names_row_and_column(self, tmp_path, cell):
         rows = make_rows(12)
         rows[3] = f"2003,0.1,{cell}"
-        with pytest.raises(CsvFormatError, match=f"row 5: column 'x': '{cell}'"):
-            parse_csv(write_csv(tmp_path, rows))
+        for path, added in laid_out(tmp_path, rows):
+            with pytest.raises(CsvFormatError, match=f"row {5 + added}: column 'x': '{cell}'"):
+                parse_csv(path)
 
     def test_byte_order_mark(self, tmp_path):
         # spreadsheet "CSV UTF-8" exports start with a BOM
@@ -93,8 +105,9 @@ class TestParseCsv:
         # and file "234.5" under None
         rows = make_rows(12)
         rows[3] = "2003,0.1,1" + extra
-        with pytest.raises(CsvFormatError, match=f"row 5: {cells} cells, but the header has 3$"):
-            parse_csv(write_csv(tmp_path, rows))
+        for path, added in laid_out(tmp_path, rows):
+            with pytest.raises(CsvFormatError, match=f"row {5 + added}: {cells} cells, but the header has 3$"):
+                parse_csv(path)
 
     def test_non_increasing_dates(self, tmp_path):
         rows = make_rows(12)

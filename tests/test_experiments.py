@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -498,15 +499,20 @@ class TestRunGrid:
             monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", cap)
             for workers in (1, 2, 3):
                 assert run_grid(grid, workers=workers).to_csv_text() == serial
-        assert not multiprocessing.active_children()
+        # the last call, at 3 workers and two shares, kept the one child
+        # that the call at 2 workers left
+        assert len(kept_pids()) == 1
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
     def test_pool_workers_start_warm(self, tmp_path):
         # a fresh interpreter records every audit event raised in its forked
         # children: the package imports leave numpy.random and
         # multiprocessing out, and run_grid loads them before it forks, so
-        # no child imports anything
+        # no child imports anything; the kept child runs a second grid, at
+        # another alpha whose critical values it solves itself, importing
+        # nothing either
         log = tmp_path / "worker_events.txt"
+        fields = {k: v for k, v in dataclasses.asdict(continuous_grid()).items() if k != "alpha"}
         probe = f"""
 import os, sys
 parent = os.getpid()
@@ -520,19 +526,50 @@ sys.addaudithook(record)
 import cauchypred
 import cauchypred.cli
 assert not {{"numpy.random", "multiprocessing"}} & set(sys.modules), "import cauchypred"
-cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_grid())!r}), workers=2)
+for alpha in (0.05, 0.01):
+    cauchypred.run_grid(cauchypred.ExperimentGrid(**{fields!r}, alpha=alpha), workers=2)
 """
-        package_root = str(Path(experiments.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": package_root}
-        subprocess.run([sys.executable, "-c", probe], check=True, env=env, timeout=120)
+        subprocess.run([sys.executable, "-c", probe], check=True, env=ENV, timeout=120)
         events = [line.split(" ", 2) for line in log.read_text().splitlines()]
         assert not [module for _, event, module in events if event == "import"]
-        assert events  # a child ran
+        # one child ran, and rebuilt both grids from their pickles
+        assert len({pid for pid, _, _ in events}) == 1
+        assert [module for _, event, module in events if event == "pickle.find_class"].count("cauchypred.experiments") == 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads a process's state in /proc")
+    @pytest.mark.parametrize("ending", ["exit", "sigkill"])
+    def test_children_end_with_their_caller(self, ending):
+        # a fresh interpreter keeps two children after a call at 3 workers;
+        # whether it exits normally or is killed, both are gone within 5 s
+        probe = f"""
+import sys, cauchypred
+cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_grid(vol_models=("RS", "GBM", "CNST")))!r}), workers=3)
+print(*[child.pid for child, _ in cauchypred.experiments._kept()], flush=True)
+sys.stdin.read()
+"""
+        caller = subprocess.Popen(
+            [sys.executable, "-c", probe], env=ENV, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+        )
+        pids = [int(pid) for pid in caller.stdout.readline().split()]
+        if ending == "sigkill":
+            caller.kill()
+        caller.stdin.close()  # the end of the caller's input, where it exits normally
+        caller.stdout.close()
+        assert caller.wait(timeout=60) == (0 if ending == "exit" else -9)
+        deadline = time.monotonic() + 5
+        while any(map(alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if alive(pid)]
+        for pid in survivors:  # so a failure leaves no process behind
+            os.kill(pid, signal.SIGKILL)
+        assert len(pids) == 2 and not survivors
 
     @staticmethod
     def fail_blocks(monkeypatch, in_parent, in_child):
         """Make every block call ``in_parent()`` or ``in_child()`` first,
-        after the process that runs it."""
+        after the process that runs it; this thread's children are ended
+        first, so the next fan-out forks ones that see the patch."""
+        experiments._end_children()
         parent = os.getpid()
         run = experiments._run_combination
 
@@ -554,14 +591,42 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
         with pytest.raises(PartitionError, match="^no partition in the child$") as raised:
             run_grid(small_discrete_grid(**self.TWO_BLOCKS), workers=2)
         assert raised.type is PartitionError
-        assert not multiprocessing.active_children()
+        assert not experiments._kept() and not multiprocessing.active_children()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
     def test_child_exit_names_its_code(self, monkeypatch):
+        # the dead child is forgotten: the next call starts a new one; a
+        # kept child killed while idle is named the same way by the next call
+        grid = small_discrete_grid(**self.TWO_BLOCKS)
+        serial = run_grid(grid).to_csv_text()
         self.fail_blocks(monkeypatch, lambda: None, lambda: os._exit(3))
         with pytest.raises(ChildProcessError, match="exited with code 3 before sending"):
-            run_grid(small_discrete_grid(**self.TWO_BLOCKS), workers=2)
-        assert not multiprocessing.active_children()
+            run_grid(grid, workers=2)
+        assert not experiments._kept() and not multiprocessing.active_children()
+        monkeypatch.undo()
+        assert run_grid(grid, workers=2).to_csv_text() == serial
+        (pid,) = kept_pids()
+        os.kill(pid, signal.SIGKILL)
+        while alive(pid):  # dead before the call, whose share then finds no reader
+            time.sleep(0.01)
+        with pytest.raises(ChildProcessError, match="exited with code -9 before sending"):
+            run_grid(grid, workers=2)
+        assert not experiments._kept() and not multiprocessing.active_children()
+        assert run_grid(grid, workers=2).to_csv_text() == serial
+        assert len(kept_pids()) == 1
+
+    def test_children_leave_interrupts_to_the_caller(self):
+        # a terminal's interrupt reaches the whole process group: the kept
+        # children ignore it and keep serving, and the caller's own
+        # KeyboardInterrupt ends them as any failure does
+        grid = small_discrete_grid(**self.TWO_BLOCKS)
+        serial = run_grid(grid).to_csv_text()
+        run_grid(grid, workers=2)
+        pids = kept_pids()
+        for pid in pids:
+            os.kill(pid, signal.SIGINT)
+        for _ in range(2):
+            assert run_grid(grid, workers=2).to_csv_text() == serial and kept_pids() == pids
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
     def test_caller_failure_ends_children(self, monkeypatch):
@@ -575,7 +640,7 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
         with pytest.raises(DomainError, match="the caller's share failed"):
             run_grid(small_discrete_grid(**self.TWO_BLOCKS), workers=2)
         assert time.monotonic() - start < 30
-        assert not multiprocessing.active_children()
+        assert not experiments._kept() and not multiprocessing.active_children()
 
     def test_blocks_span_combinations(self, monkeypatch):
         # 7-row blocks of 5-replication combinations: every block but the
@@ -610,9 +675,10 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
         assert part[2:].sum() == part[:, 0, 0].sum() == part[:, 1].sum() == 0
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_start_methods(self, monkeypatch, method):
-        # children that do not fork get the grid pickled without its
-        # validation memo, so each validates it once; they send the cells a
+    def test_start_methods(self, monkeypatch, own_children, method):
+        # a child that is not forked imports the package once and, like a
+        # forked one, gets the grid pickled without its validation memo on
+        # every call, so it validates it once a call; it sends the cells a
         # serial run gives
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
@@ -622,14 +688,17 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
         context, asked = multiprocessing.get_context(method), []
         monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: asked.append(method) or context)
         assert run_grid(grid, workers=2).to_csv_text() == serial
-        assert len(asked) == 1  # one fan-out
-        assert not multiprocessing.active_children()
+        first = kept_pids()
+        assert run_grid(grid, workers=2).to_csv_text() == serial
+        assert len(asked) == 1 and len(first) == 1 and kept_pids() == first  # one child, started once
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_run_parses_no_label(self, monkeypatch, workers):
         # the grid parsed its methods once, when it was built: the blocks,
-        # the fork's preparation and the table read those specs
+        # the fork's preparation and the table read those specs (a kept
+        # child, started by the first call, rebuilds each grid it is sent)
         grid = small_discrete_grid(T_values=(60.0, 240.0), methods=("tau_o", "t8_tau_o", "t8"))
+        run_grid(grid, workers=workers)
         calls = []
 
         def spy(label):
@@ -683,15 +752,16 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
             assert 0 <= cell.degenerate <= cell.n_reps
 
     def test_bad_workers(self):
-        with pytest.raises(DomainError):
-            run_grid(small_discrete_grid(), workers=0)
+        for workers in (0, 2.5, 1.0, "2", True):
+            with pytest.raises(DomainError, match=f"workers must be an int >= 1, got {workers!r}$"):
+                run_grid(small_discrete_grid(), workers=workers)
 
     @pytest.mark.parametrize(
         "name,workers",
         [pytest.param(name, 1, id=name) for name in bundled_config_names()]
         + [pytest.param(name, 2, id=f"{name}-workers2") for name in bundled_config_names()],
     )
-    def test_cells_match_golden(self, name, workers, monkeypatch):
+    def test_cells_match_golden(self, name, workers, monkeypatch, own_children):
         # every bundled config at 10 reps and master seed 1, byte for byte,
         # serially and through a fan-out (forked on Linux, spawned
         # elsewhere); no block reads BatchOutcomes.p_value, and the only
@@ -847,6 +917,35 @@ cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_g
         assert table.to_csv_text() == run_grid(grid).to_csv_text()
 
 
+ENV = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).resolve().parents[1])}
+
+
+@pytest.fixture
+def own_children():
+    """This thread's kept children are ended before and after the test, so
+    the ones it starts are forked under its patches and go with them."""
+    experiments._end_children()
+    yield
+    experiments._end_children()
+
+
+def kept_pids():
+    """The pids of this thread's kept children, after checking that they
+    are alive and are every live child of this process."""
+    kept = [child for child, _ in experiments._kept()]
+    assert all(child.is_alive() for child in kept)
+    assert set(multiprocessing.active_children()) == set(kept)
+    return [child.pid for child in kept]
+
+
+def alive(pid):
+    """Whether ``pid`` is a process that has not exited (Linux)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 def in_new_thread(work):
     """``work()`` run in a new thread, which owns a new, empty block workspace."""
     result = []
@@ -893,7 +992,8 @@ class TestBlockWorkspace:
         # grids of different (T, rows) shapes in both designs, run smaller
         # first, larger first and mixed, each against fresh runs: a new
         # thread's workspace and a fan-out; then consecutive fan-outs at 2
-        # and 3 workers under block caps that regrow the kept child slots
+        # and 3 workers under block caps that regrow the kept children's
+        # workspaces
         grids = [
             small_discrete_grid(n_reps=11),
             small_discrete_grid(T_values=(240.0, 120.0), vol_models=("RS", "SB"), n_reps=150),
@@ -911,7 +1011,7 @@ class TestBlockWorkspace:
             for workers, order in ((2, [1, 0, 3, 2]), (3, [0, 3, 1, 2])):
                 for i in order:
                     assert run_grid(grids[i], workers=workers).to_csv_text() == fresh[i]
-        assert not multiprocessing.active_children()
+        assert len(kept_pids()) == 2
 
     def test_threads_own_their_workspace(self):
         # more threads than cores, switching often: each thread's blocks go
@@ -937,49 +1037,25 @@ class TestBlockWorkspace:
         assert not any(thread.is_alive() for thread in threads)
         assert results == [[text] * 3 for text in expected]
 
-    def test_threads_own_their_slots(self):
-        # each thread keeps its own slots, each child slot grown to that
-        # thread's slot 0 (checked without forking from a second thread,
-        # which Python 3.12 warns against)
-        run_grid(small_discrete_grid(T_values=(240.0,)))
-        main = experiments._slots(3)
-
-        def other():
-            run_grid(continuous_grid(T_values=(20.0,)))
-            return experiments._slots(3)
-
-        own = in_new_thread(other)
-        assert experiments._slots(1) == main[:1] and experiments._slots(3) == main
-        assert not {id(slot) for slot in main} & {id(slot) for slot in own}
-        for slots in (main, own):
-            assert slots[0]._buffers
-            for slot in slots[1:]:
-                assert all(slot._buffers[name].nbytes >= b.nbytes for name, b in slots[0]._buffers.items())
-        # a slot never shares memory with another
-        buffers = [b for slot in [*main, *own] for b in slot._buffers.values()]
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(buffers, 2))
-
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
-    def test_forked_process_forgets_slots(self):
+    def test_forked_process_forgets_children(self):
         # after a fan-out, a process forked from this one starts with no
-        # slot: the two then fan out at once, each into memory of its own,
-        # and each gets its serial cells
+        # child: the two then fan out at once, each through children of its
+        # own that it keeps, and each gets its serial cells
         mine = continuous_grid(T_values=(5.0, 10.0), n_reps=11)
         theirs = small_discrete_grid(T_values=(60.0, 120.0), vol_models=("RS", "CNST"), n_reps=17)
         serial = [run_grid(grid).to_csv_text() for grid in (mine, theirs)]
         run_grid(mine, workers=2)
-        inherited = experiments._slots(2)
-        assert all(slot._buffers for slot in inherited)
+        inherited = kept_pids()
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:  # the forked process never returns into the test runner
             try:
-                fresh = experiments._slots(1)[0]
-                reply = {
-                    "fresh": not fresh._buffers and fresh not in inherited,
-                    "cells": [run_grid(theirs, workers=2).to_csv_text() == serial[1] for _ in range(6)],
-                    "kept": experiments._slots(1)[0] is fresh and bool(fresh._buffers),
-                }
+                reply = {"fresh": not experiments._kept(), "cells": [], "kept": []}
+                for _ in range(6):
+                    reply["cells"].append(run_grid(theirs, workers=2).to_csv_text() == serial[1])
+                    reply["kept"].append([child.pid for child, _ in experiments._kept()])
+                experiments._end_children()  # reaped here, as this process ends without its atexit hooks
             except BaseException as exc:
                 reply = {"error": repr(exc)}
             os.write(write, json.dumps(reply).encode())
@@ -992,15 +1068,16 @@ class TestBlockWorkspace:
             with os.fdopen(read) as pipe:
                 reply = json.loads(pipe.read())
             _, status = os.waitpid(pid, 0)
-        assert status == 0 and reply == {"fresh": True, "cells": [True] * 6, "kept": True}
-        assert experiments._slots(2) == inherited
-        assert not multiprocessing.active_children()
+        assert status == 0 and reply["fresh"] and reply["cells"] == [True] * 6, reply
+        own = reply["kept"][0]
+        assert len(own) == 1 and own[0] not in inherited and reply["kept"] == [own] * 6
+        assert kept_pids() == inherited
 
     def test_repeated_run_grows_nothing(self):
         grid = small_discrete_grid(T_values=(60.0, 600.0), vol_models=("RS",), n_reps=50)
 
         def buffers():
-            return {name: buffer.ctypes.data for name, buffer in experiments._slots(1)[0]._buffers.items()}
+            return {name: buffer.ctypes.data for name, buffer in experiments._THREAD.workspace._buffers.items()}
 
         def twice():
             run_grid(grid)
@@ -1011,25 +1088,20 @@ class TestBlockWorkspace:
         first, second = in_new_thread(twice)
         assert first and second == first
 
-    def test_d2_study_keeps_no_slot_memory(self):
-        # a study runs in a workspace of its own: every slot keeps the
-        # buffers it had and holds none of the study's paths, nor does a
-        # child slot of the next fan-out
-        def buffers(count):
-            return [{str(name): b.nbytes for name, b in slot._buffers.items()} for slot in experiments._slots(count)]
+    def test_d2_study_keeps_no_workspace_memory(self):
+        # a study runs in a workspace of its own: the thread's workspace
+        # keeps the buffers it had and holds none of the study's paths
+        def buffers():
+            return {str(name): b.nbytes for name, b in experiments._THREAD.workspace._buffers.items()}
 
         def study():
             run_grid(small_discrete_grid(T_values=(240.0,)))
-            before = buffers(3)
+            before = buffers()
             d2_study(1000, 20000)
-            return before, buffers(3)
+            return before, buffers()
 
         before, after = in_new_thread(study)
-        assert before[0] and after == before
-        d2_study(1000, 2000)  # then a fan-out, in this thread
-        run_grid(continuous_grid(T_values=(5.0, 10.0), n_reps=11), workers=2)
-        slots = buffers(2)
-        assert slots[1] and not [name for slot in after + slots for name in slot if name.startswith("brownian.")]
+        assert before and after == before and not [name for name in after if name.startswith("brownian.")]
 
 
 class TestD2Study:
