@@ -32,14 +32,8 @@ from .estimators import PARITIES
 from .inference import SIDES, MethodSpec, TestOutcome, default_d2_threshold, evaluate_method
 from .rng import RngStream
 
-_SIG_MARKS = ((0.01, "**"), (0.05, "*"))
-
-
 def _significance_mark(p: float) -> str:
-    for level, mark in _SIG_MARKS:
-        if p <= level:
-            return mark
-    return ""
+    return "**" if p <= 0.01 else "*" if p <= 0.05 else ""
 
 
 def _render_outcome(label: str, outcome: TestOutcome) -> str:

@@ -57,6 +57,15 @@ def _date_key(label: str):
     return (2, label)
 
 
+def _unordered(dates) -> int:
+    """The date rule: the index of the first date not strictly after the one
+    before it, or 0 if there is none; labels of mixed formats raise."""
+    keys = [_date_key(d) for d in dates]
+    if len({k[0] for k in keys}) > 1:
+        raise CsvFormatError("date labels mix incompatible formats")
+    return next((i for i in range(1, len(keys)) if not keys[i - 1] < keys[i]), 0)
+
+
 @dataclass(frozen=True)
 class EmpiricalDataset:
     """Aligned raw series as read from disk (one entry per period)."""
@@ -76,16 +85,10 @@ class EmpiricalDataset:
             )
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise CsvFormatError("series contain non-finite values")
-        keys = [_date_key(d) for d in self.dates]
-        kinds = {k[0] for k in keys}
-        if len(kinds) > 1:
-            raise CsvFormatError("date labels mix incompatible formats")
-        for i in range(1, len(keys)):
-            if not keys[i - 1] < keys[i]:
-                raise CsvFormatError(
-                    f"dates must be strictly increasing; row {i + 1} "
-                    f"({self.dates[i]!r}) does not follow {self.dates[i - 1]!r}"
-                )
+        if i := _unordered(self.dates):
+            raise CsvFormatError(
+                f"dates must be strictly increasing; row {i + 1} ({self.dates[i]!r}) does not follow {self.dates[i - 1]!r}"
+            )
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
@@ -106,9 +109,10 @@ def parse_csv(
 ) -> EmpiricalDataset:
     """Read an empirical dataset from a headed CSV file.
 
-    Malformed, non-finite or missing numeric cells are reported with their
-    file line and column name; fewer than 10 data rows is an error, and so
-    are a header that repeats a name and a row with more cells than it.
+    Malformed, non-finite or missing numeric cells, and a date that does not
+    follow the one before it, are reported with their file line; fewer than
+    10 data rows is an error, and so are a header that repeats a name and a
+    row with more cells than it.
     """
     path = Path(path)
     reader = csv.DictReader(io.StringIO(_read_text(path, CsvFormatError), newline=""))
@@ -121,9 +125,7 @@ def parse_csv(
     for col in (date_col, y_col, x_col):
         if col not in header:
             raise CsvFormatError(f"{path}: column {col!r} not found in header {header}")
-    dates: list[str] = []
-    ys: list[float] = []
-    xs: list[float] = []
+    records = []  # (file line, date, y, x) of each data row
     for row in reader:
         i = reader.line_num  # the file line the record ends on, past blank lines and quoted line breaks
         if None in row:  # DictReader files the cells past the header under None
@@ -144,14 +146,15 @@ def parse_csv(
                 raise CsvFormatError(
                     f"{path}: row {i}: column {col!r}: {cell!r} is not a finite number"
                 )
-        dates.append(date)
-        ys.append(values[y_col])
-        xs.append(values[x_col])
-    if len(dates) < _MIN_ROWS:
-        raise InsufficientDataError(
-            f"{path}: need at least {_MIN_ROWS} usable rows, got {len(dates)}"
+        records.append((i, date, values[y_col], values[x_col]))
+    if len(records) < _MIN_ROWS:
+        raise InsufficientDataError(f"{path}: need at least {_MIN_ROWS} usable rows, got {len(records)}")
+    lines, dates, ys, xs = zip(*records)
+    if i := _unordered(dates):
+        raise CsvFormatError(
+            f"{path}: row {lines[i]}: dates must be strictly increasing; {dates[i]!r} does not follow {dates[i - 1]!r}"
         )
-    return EmpiricalDataset(dates=tuple(dates), y=np.array(ys), x=np.array(xs))
+    return EmpiricalDataset(dates=dates, y=np.array(ys), x=np.array(xs))
 
 
 # --------------------------------------------------------------------------

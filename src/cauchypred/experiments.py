@@ -31,8 +31,8 @@ one workspace for its own share of every call, and each thread keeps the
 child processes of its fan-outs, started on the first call that needs them,
 each with a private workspace of its own.  A child ends when the caller
 closes its pipe or exits, and any failure of a call ends every child of the
-thread; a process forked by any other means forgets the children it
-inherited.  :func:`d2_study` makes one workspace per call and keeps none,
+thread; an at-fork hook makes every forked process let go of the children
+it inherited.  :func:`d2_study` makes one workspace per call and keeps none,
 and a public call outside the engine makes its own, so neither sees a
 block's memory.
 
@@ -68,7 +68,7 @@ from .dgp import (
 )
 from .errors import DomainError, PartitionError, SchemaError
 from .estimators import Workspace, group_block_size, term_count
-from .inference import check_level, critical_value, default_d2_threshold, evaluate_batch, parse_method, reference
+from .inference import check_level, default_d2_threshold, evaluate_batch, parse_method
 from .inference import evaluate_method  # noqa: F401  (unused here; perfbench/spans.py traces it under this name)
 from .rng import RngStream, substream_index, substream_indices
 
@@ -333,15 +333,30 @@ BLOCK_ELEMENTS = 48_000
 _THREAD = threading.local()
 # the parent-side pipe end of every kept child of every thread in this process
 _ENDS = weakref.WeakSet()
+_CHILD = "run_grid child"  # every kept child's process name
 
 
 def _kept() -> list:
-    """The calling thread's kept children in this process, as (process,
-    pipe end) pairs, beside its own workspace.  A process forked by any
-    other means forgets the children it inherited, which are its parent's."""
-    if getattr(_THREAD, "owner", None) != os.getpid():
-        _THREAD.owner, _THREAD.children, _THREAD.workspace = os.getpid(), [], Workspace()
+    """The calling thread's kept children, as (process, pipe end) pairs,
+    beside its own workspace."""
+    if not hasattr(_THREAD, "children"):
+        _THREAD.children, _THREAD.workspace = [], Workspace()
     return _THREAD.children
+
+
+def _forget_children() -> None:
+    """In every forked process: close its copies of the kept children's pipe
+    ends, drop the children (by name: other threads' records are freed at
+    fork) from the registry whose exit hook ends them, and forget this thread's."""
+    for end in list(_ENDS):
+        end.close()
+    if registry := sys.modules.get("multiprocessing.process"):
+        registry._children -= {child for child in registry._children if child.name == _CHILD}
+    _THREAD.__dict__.clear()
+
+
+if hasattr(os, "register_at_fork"):  # Windows has no fork, so nothing is inherited
+    os.register_at_fork(after_in_child=_forget_children)
 
 
 def _end_children(keep: int = 0) -> None:
@@ -405,16 +420,6 @@ def run_cell(
     return cell
 
 
-def _prepare_fork(grid: ExperimentGrid) -> None:
-    """Load and cache in this process what every block needs, so that the
-    children it forks inherit it instead of each loading it again: the
-    grid's critical values, and ``numpy.random``, which numpy imports lazily,
-    on first use, and which ``import cauchypred`` therefore never loads."""
-    for spec in grid._specs:
-        critical_value(reference(spec.q), grid.alpha, grid.sided)
-    import numpy.random  # noqa: F401
-
-
 def _deal(sizes: list, n: int) -> list[list[int]]:
     """Indices of ``sizes`` (largest first) dealt into ``n`` shares, each to
     the share with the fewest elements so far, the first on a tie."""
@@ -445,8 +450,6 @@ def _child(end) -> None:
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
-    for inherited in list(_ENDS):  # a forked child's copies would keep its siblings' pipes open
-        inherited.close()
     workspace = Workspace()
     while True:
         try:
@@ -477,14 +480,13 @@ def _fan_out(grid: ExperimentGrid, shares: list[list], workers: int) -> np.ndarr
         if len(kept) < len(shares) - 1:
             import multiprocessing  # loaded only where a fan-out runs
 
-            _prepare_fork(grid)
-            # fork on Linux, whatever the interpreter's default, so children inherit
-            # what _prepare_fork loaded; the platform's default elsewhere
+            # fork on Linux, whatever the interpreter's default, so children start
+            # with the package loaded; the platform's default elsewhere
             context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
             while len(kept) < len(shares) - 1:
                 end, theirs = context.Pipe()
                 _ENDS.add(end)
-                child = context.Process(target=_child, args=(theirs,), daemon=True)
+                child = context.Process(target=_child, args=(theirs,), name=_CHILD, daemon=True)
                 child.start()
                 theirs.close()  # the child holds the only copy, so its exit ends the pipe
                 kept.append((child, end))
@@ -519,9 +521,9 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     are dealt into ``min(workers, blocks)`` shares of about equal elements;
     this process runs the first share while one kept child process runs
     each of the others, and the shares' count arrays are summed.  This
-    thread keeps its children for its next call; on Linux they are forked
-    after :func:`_prepare_fork`, so they inherit its critical-value cache
-    and loaded modules.
+    thread keeps its children for its next call, so each starts once: on
+    its first share it loads what it lacks and solves the grid's critical
+    values itself, as it does for each later grid at a new level.
     """
     models = grid.validate()
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -110,11 +111,18 @@ class TestParseCsv:
                 parse_csv(path)
 
     def test_non_increasing_dates(self, tmp_path):
-        rows = make_rows(12)
-        rows[5] = rows[4].replace("2004", "2004")  # duplicate date
-        rows[5] = "2004" + rows[5][4:]
-        with pytest.raises(CsvFormatError, match="strictly increasing"):
-            parse_csv(write_csv(tmp_path, rows))
+        # a repeated or an earlier date is named by its file line, as a bad cell is
+        for date in ("2004", "2003"):
+            rows = make_rows(12)
+            rows[5] = date + rows[5][4:]
+            for path, added in laid_out(tmp_path, rows):
+                message = f"{path}: row {7 + added}: dates must be strictly increasing; '{date}' does not follow '2004'"
+                with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+                    parse_csv(path)
+            # a dataset built directly numbers its data rows
+            message = f"dates must be strictly increasing; row 6 ('{date}') does not follow '2004'"
+            with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+                EmpiricalDataset(tuple(row[:4] for row in rows), np.zeros(12), np.zeros(12))
 
     def test_iso_month_dates(self, tmp_path):
         gen = np.random.default_rng(2)

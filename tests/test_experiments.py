@@ -167,6 +167,13 @@ class TestPackageNames:
         monkeypatch.undo()
         assert cauchypred.run_grid is experiments.run_grid is not f
 
+    def test_runner_loads_without_at_fork_hooks(self):
+        # where os.register_at_fork does not exist (Windows has no fork), the
+        # runner still loads, registers nothing and runs a grid
+        grid = dataclasses.asdict(small_discrete_grid(n_reps=3))
+        probe = f"import os; del os.register_at_fork; import cauchypred; cauchypred.run_grid(cauchypred.ExperimentGrid(**{grid!r}))"
+        subprocess.run([sys.executable, "-c", probe], check=True, env=ENV, timeout=60)
+
 
 def public_test(spec, sample, alpha, sided):
     """The public single-sample test a method names, called directly."""
@@ -504,13 +511,12 @@ class TestRunGrid:
         assert len(kept_pids()) == 1
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
-    def test_pool_workers_start_warm(self, tmp_path):
+    def test_kept_child_imports_once(self, tmp_path):
         # a fresh interpreter records every audit event raised in its forked
         # children: the package imports leave numpy.random and
-        # multiprocessing out, and run_grid loads them before it forks, so
-        # no child imports anything; the kept child runs a second grid, at
-        # another alpha whose critical values it solves itself, importing
-        # nothing either
+        # multiprocessing out; the kept child may import what its first share
+        # needs, and runs a second grid, at another alpha whose critical
+        # values it solves itself, importing nothing
         log = tmp_path / "worker_events.txt"
         fields = {k: v for k, v in dataclasses.asdict(continuous_grid()).items() if k != "alpha"}
         probe = f"""
@@ -528,41 +534,118 @@ import cauchypred.cli
 assert not {{"numpy.random", "multiprocessing"}} & set(sys.modules), "import cauchypred"
 for alpha in (0.05, 0.01):
     cauchypred.run_grid(cauchypred.ExperimentGrid(**{fields!r}, alpha=alpha), workers=2)
+    os.write(fd, b"- call -\\n")
 """
         subprocess.run([sys.executable, "-c", probe], check=True, env=ENV, timeout=120)
-        events = [line.split(" ", 2) for line in log.read_text().splitlines()]
-        assert not [module for _, event, module in events if event == "import"]
-        # one child ran, and rebuilt both grids from their pickles
-        assert len({pid for pid, _, _ in events}) == 1
-        assert [module for _, event, module in events if event == "pickle.find_class"].count("cauchypred.experiments") == 2
+        calls = [
+            [line.split(" ", 2) for line in call.splitlines() if line]
+            for call in log.read_text().split("- call -\n")
+        ]
+        assert len(calls) == 3 and calls[2] == []
+        assert not [module for _, event, module in calls[1] if event == "import"]
+        # one child ran both calls, and rebuilt each grid from its pickle
+        assert len({pid for call in calls for pid, _, _ in call}) == 1
+        for call in calls[:2]:
+            assert [module for _, event, module in call if event == "pickle.find_class"].count("cauchypred.experiments") == 1
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads a process's state in /proc")
-    @pytest.mark.parametrize("ending", ["exit", "sigkill"])
+    @pytest.mark.parametrize("ending", ["exit", "sigkill", "sigkill with a forked helper"])
     def test_children_end_with_their_caller(self, ending):
         # a fresh interpreter keeps two children after a call at 3 workers;
-        # whether it exits normally or is killed, both are gone within 5 s
+        # whether it exits normally or is killed, both are gone within 5 s,
+        # also while a process it forked, which holds copies of its pipe
+        # ends, still runs
         probe = f"""
-import sys, cauchypred
+import os, sys, time, cauchypred
 cauchypred.run_grid(cauchypred.ExperimentGrid(**{dataclasses.asdict(continuous_grid(vol_models=("RS", "GBM", "CNST")))!r}), workers=3)
-print(*[child.pid for child, _ in cauchypred.experiments._kept()], flush=True)
+helper = os.fork() if {"helper" in ending} else -1
+if helper == 0:
+    time.sleep(60)
+    os._exit(0)
+print(*[child.pid for child, _ in cauchypred.experiments._kept()], helper, flush=True)
 sys.stdin.read()
 """
         caller = subprocess.Popen(
             [sys.executable, "-c", probe], env=ENV, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
         )
-        pids = [int(pid) for pid in caller.stdout.readline().split()]
-        if ending == "sigkill":
-            caller.kill()
-        caller.stdin.close()  # the end of the caller's input, where it exits normally
-        caller.stdout.close()
-        assert caller.wait(timeout=60) == (0 if ending == "exit" else -9)
-        deadline = time.monotonic() + 5
-        while any(map(alive, pids)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        survivors = [pid for pid in pids if alive(pid)]
-        for pid in survivors:  # so a failure leaves no process behind
-            os.kill(pid, signal.SIGKILL)
-        assert len(pids) == 2 and not survivors
+        *pids, helper = [int(pid) for pid in caller.stdout.readline().split()]
+        try:
+            if ending != "exit":
+                caller.kill()
+            caller.stdin.close()  # the end of the caller's input, where it exits normally
+            caller.stdout.close()
+            assert caller.wait(timeout=60) == (0 if ending == "exit" else -9)
+            deadline = time.monotonic() + 5
+            while any(map(alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if alive(pid)]
+            assert len(pids) == 2 and not survivors
+            assert helper == -1 or alive(helper)
+        finally:
+            for pid in [*pids, helper]:  # so a failure leaves no process behind
+                if pid > 0 and alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("owner", ["main thread", "live thread", "ended thread"])
+    def test_forked_process_exits_normally(self, owner):
+        # a fresh interpreter keeps a child in one thread, then forks a
+        # process that ends through the interpreter's normal exit: the child
+        # is not terminated, its owner's next call keeps it and gets the
+        # serial cells, and an ended thread's child exits on its own
+        probe = f"""
+import json, os, sys, threading, cauchypred
+from multiprocessing.connection import wait
+grid = cauchypred.ExperimentGrid(**{dataclasses.asdict(small_discrete_grid(**self.TWO_BLOCKS))!r})
+serial = cauchypred.run_grid(grid).to_csv_text()
+owner = {owner!r}
+ready, go, reply = threading.Event(), threading.Event(), {{}}
+
+def keep():
+    cauchypred.run_grid(grid, workers=2)
+    [(reply["child"], _)] = cauchypred.experiments._kept()
+
+def reuse():
+    reply["cells"] = cauchypred.run_grid(grid, workers=2).to_csv_text() == serial
+    reply["kept"] = [child is reply["child"] for child, _ in cauchypred.experiments._kept()]
+    reply["child"].join(timeout=0)
+    reply["exitcode"] = reply.pop("child").exitcode
+
+def in_thread():
+    keep()
+    ready.set()
+    if owner == "live thread":
+        go.wait()
+        reuse()
+
+thread = threading.Thread(target=in_thread)
+if owner == "main thread":
+    keep()
+else:
+    thread.start()
+    ready.wait()
+if owner == "ended thread":  # its child ends on the pipe's end and is not reaped
+    thread.join()
+    wait([reply["child"].sentinel])
+pid = os.fork()
+if pid == 0:
+    sys.exit(0)
+status = os.waitpid(pid, 0)[1]
+go.set()
+if owner == "live thread":
+    thread.join()
+else:
+    reuse()
+print(json.dumps({{"status": status, **reply}}))
+"""
+        done = subprocess.run([sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, timeout=120)
+        # no exit hook of the forked process joined or terminated the child
+        assert done.returncode == 0 and "can only join" not in done.stderr, done.stderr
+        assert "Traceback" not in done.stderr, done.stderr
+        reply = json.loads(done.stdout)
+        assert reply["status"] == 0 and reply["cells"] and reply["kept"] == [owner != "ended thread"]
+        # alive and kept, or ended at the end of its pipe
+        assert reply["exitcode"] == (0 if owner == "ended thread" else None)
 
     @staticmethod
     def fail_blocks(monkeypatch, in_parent, in_child):
@@ -694,9 +777,9 @@ sys.stdin.read()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_run_parses_no_label(self, monkeypatch, workers):
-        # the grid parsed its methods once, when it was built: the blocks,
-        # the fork's preparation and the table read those specs (a kept
-        # child, started by the first call, rebuilds each grid it is sent)
+        # the grid parsed its methods once, when it was built: the blocks
+        # and the table read those specs (a kept child, started by the first
+        # call, rebuilds each grid it is sent)
         grid = small_discrete_grid(T_values=(60.0, 240.0), methods=("tau_o", "t8_tau_o", "t8"))
         run_grid(grid, workers=workers)
         calls = []
