@@ -92,10 +92,9 @@ def _cmd_test(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     import json
 
-    from .experiments import run_grid
+    from .experiments import check_workers, run_grid
 
-    if args.workers < 1:  # before the output directory is made
-        raise CauchyPredError("workers must be >= 1")
+    check_workers(args.workers)  # before the output directory is made
     path = resolve_config_path(args.config)
     name, grid = load_experiment_file(path, master_seed=args.seed)
     out_dir = Path(args.out)
@@ -161,6 +160,7 @@ def _cmd_d2(args: argparse.Namespace) -> int:
         n_steps=args.steps,
         threshold=args.threshold,
         master_seed=args.seed,
+        workers=args.workers,
     )
     print(
         f"draws={result.n_draws} steps={result.n_steps} min={result.min_value:.4f} "
@@ -228,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_d2.add_argument("--threshold", type=float, default=None,
                       help=f"exceedance threshold (default {default_d2_threshold():.4f})")
     p_d2.add_argument("--seed", type=int, default=0)
+    p_d2.add_argument("--workers", type=int, default=None, help="processes to run the study in (default: usable CPUs)")
     p_d2.add_argument("--out", default=None, help="directory for the histogram CSV")
     p_d2.set_defaults(func=_cmd_d2)
     return parser

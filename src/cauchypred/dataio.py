@@ -57,13 +57,17 @@ def _date_key(label: str):
     return (2, label)
 
 
-def _unordered(dates) -> int:
-    """The date rule: the index of the first date not strictly after the one
-    before it, or 0 if there is none; labels of mixed formats raise."""
+def _unordered(dates) -> tuple[int, str]:
+    """The date rule: the index of the first label of another format than
+    the first label's or not strictly after the one before it, with what is
+    wrong with it, or (0, "") if there is none."""
     keys = [_date_key(d) for d in dates]
-    if len({k[0] for k in keys}) > 1:
-        raise CsvFormatError("date labels mix incompatible formats")
-    return next((i for i in range(1, len(keys)) if not keys[i - 1] < keys[i]), 0)
+    for i in range(1, len(keys)):
+        if keys[i][0] != keys[0][0]:
+            return i, f"date labels mix incompatible formats; {dates[i]!r} is not of the format of {dates[0]!r}"
+        if not keys[i - 1] < keys[i]:
+            return i, f"dates must be strictly increasing; {dates[i]!r} does not follow {dates[i - 1]!r}"
+    return 0, ""
 
 
 @dataclass(frozen=True)
@@ -85,10 +89,9 @@ class EmpiricalDataset:
             )
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise CsvFormatError("series contain non-finite values")
-        if i := _unordered(self.dates):
-            raise CsvFormatError(
-                f"dates must be strictly increasing; row {i + 1} ({self.dates[i]!r}) does not follow {self.dates[i - 1]!r}"
-            )
+        i, wrong = _unordered(self.dates)
+        if i:
+            raise CsvFormatError(f"row {i + 1}: {wrong}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
@@ -109,10 +112,10 @@ def parse_csv(
 ) -> EmpiricalDataset:
     """Read an empirical dataset from a headed CSV file.
 
-    Malformed, non-finite or missing numeric cells, and a date that does not
-    follow the one before it, are reported with their file line; fewer than
-    10 data rows is an error, and so are a header that repeats a name and a
-    row with more cells than it.
+    Malformed, non-finite or missing numeric cells, and a date out of order
+    or of another format than the first, are reported with their file line;
+    fewer than 10 data rows is an error, and so are a header that repeats a
+    name and a row with more cells than it.
     """
     path = Path(path)
     reader = csv.DictReader(io.StringIO(_read_text(path, CsvFormatError), newline=""))
@@ -150,10 +153,9 @@ def parse_csv(
     if len(records) < _MIN_ROWS:
         raise InsufficientDataError(f"{path}: need at least {_MIN_ROWS} usable rows, got {len(records)}")
     lines, dates, ys, xs = zip(*records)
-    if i := _unordered(dates):
-        raise CsvFormatError(
-            f"{path}: row {lines[i]}: dates must be strictly increasing; {dates[i]!r} does not follow {dates[i - 1]!r}"
-        )
+    i, wrong = _unordered(dates)
+    if i:
+        raise CsvFormatError(f"{path}: row {lines[i]}: {wrong}")
     return EmpiricalDataset(dates=dates, y=np.array(ys), x=np.array(xs))
 
 

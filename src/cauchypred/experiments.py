@@ -23,18 +23,18 @@ methods share (sign terms, OLS fits) are computed once per block.  Every
 row's outcome depends on its own sample only, so the counts do not depend
 on the block size.  :class:`McTable` keeps the counts as one dense array.
 
-Blocks get their memory from the fan-out: each share of blocks runs in one
-:class:`~cauchypred.estimators.Workspace`, whose buffers grow to the largest
-block and are never freed, so blocks neither allocate nor fault their
-memory in again; no array of a block outlives it.  The calling thread keeps
-one workspace for its own share of every call, and each thread keeps the
-child processes of its fan-outs, started on the first call that needs them,
-each with a private workspace of its own.  A child ends when the caller
-closes its pipe or exits, and any failure of a call ends every child of the
-thread; an at-fork hook makes every forked process let go of the children
-it inherited.  :func:`d2_study` makes one workspace per call and keeps none,
-and a public call outside the engine makes its own, so neither sees a
-block's memory.
+Each share of blocks runs in one :class:`~cauchypred.estimators.Workspace`,
+whose buffers grow to the largest block and are never freed, so blocks
+neither allocate nor fault their memory in again; no array of a block
+outlives it.  The calling thread keeps one workspace for its own share of
+every call, and each thread keeps the child processes of its fan-outs,
+started on the first call that needs them, each with a private workspace of
+its own.  :func:`d2_study` deals its chunks into shares that run on the same
+children, each share in a workspace of its own that it frees.  A child ends
+when the caller closes its pipe or exits, and any failure of a call ends
+every child of the thread; an at-fork hook makes every forked process let
+go of the children it inherited.  A public call outside the engine makes
+its own workspace, so it never sees a block's memory.
 
 A grid parses its method labels once, when it is built; each block runs
 every method through :func:`~cauchypred.inference.evaluate_batch`, the
@@ -81,6 +81,18 @@ _AXES = ("beta_values", "kappa_values", "T_values", "vol_models")
 # run_grid lists a grid's blocks, about 300 bytes each, before it runs one;
 # blocks hold 24 001 values or more, so at this bound the list stays below 0.26 GB.
 MAX_GRID_ELEMENTS = 20_000_000_000
+# Most workers of one call: all but one of them are kept child processes.
+MAX_WORKERS = 256
+
+
+def check_workers(workers: Optional[int]) -> int:
+    """The worker count of a call: ``workers``, an int from 1 to
+    ``MAX_WORKERS``, or for ``None`` the CPUs this process may run on."""
+    if workers is None:
+        return min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, MAX_WORKERS)
+    if isinstance(workers, bool) or not isinstance(workers, int) or not 1 <= workers <= MAX_WORKERS:
+        raise DomainError(f"workers must be an int from 1 to MAX_WORKERS = {MAX_WORKERS}, got {workers!r}")
+    return workers
 
 
 def _only(design: str, name: str):
@@ -333,12 +345,12 @@ BLOCK_ELEMENTS = 48_000
 _THREAD = threading.local()
 # the parent-side pipe end of every kept child of every thread in this process
 _ENDS = weakref.WeakSet()
-_CHILD = "run_grid child"  # every kept child's process name
+_CHILD = "cauchypred child"  # every kept child's process name
 
 
 def _kept() -> list:
     """The calling thread's kept children, as (process, pipe end) pairs,
-    beside its own workspace."""
+    beside its own workspace (a kept child's is its main thread's)."""
     if not hasattr(_THREAD, "children"):
         _THREAD.children, _THREAD.workspace = [], Workspace()
     return _THREAD.children
@@ -431,29 +443,30 @@ def _deal(sizes: list, n: int) -> list[list[int]]:
     return shares
 
 
-def _run_share(grid: ExperimentGrid, blocks: list, workspace: Workspace) -> np.ndarray:
+def _run_share(grid: ExperimentGrid, blocks: list) -> np.ndarray:
     """The counts of a share of ``(t, v, rows)`` blocks, run one after
-    another in ``workspace``, each added into one (pairs, T, vol, methods,
-    2) array as it ends."""
+    another in the calling thread's workspace, each added into one (pairs,
+    T, vol, methods, 2) array as it ends."""
     pairs = len(grid.beta_values) * len(grid.kappa_values)
     counts = np.zeros((pairs, len(grid.T_values), len(grid.vol_models), len(grid.methods), 2), dtype=np.int64)
+    _kept()  # makes the thread's workspace where it has none: in a kept child, on its first share
     for t, v, rows in blocks:
-        _run_combination(grid, t, v, rows, counts, workspace)
+        _run_combination(grid, t, v, rows, counts, _THREAD.workspace)
     return counts
 
 
 def _child(end) -> None:
-    """A kept child's life: run each ``(grid, blocks)`` share it receives
-    over ``end`` in one workspace of its own and send back the share's
-    counts, or the exception that stopped it, until the caller closes its
-    end."""
+    """A kept child's life: run each ``(share, task)`` it receives over
+    ``end`` as ``share(*task)``, in its main thread, whose workspace it
+    keeps, and send back the result, or the exception that stopped it,
+    until the caller closes its end."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
-    workspace = Workspace()
     while True:
         try:
-            sent = _run_share(*end.recv(), workspace)
+            share, task = end.recv()
+            sent = share(*task)
         except EOFError:
             return
         except Exception as exc:
@@ -461,11 +474,12 @@ def _child(end) -> None:
         end.send(sent)
 
 
-def _fan_out(grid: ExperimentGrid, shares: list[list], workers: int) -> np.ndarray:
-    """The counts of all shares, summed: this process runs the first share
-    in the thread's workspace while the thread's kept children, at most
-    ``workers`` - 1 and started when first needed, run one other share each
-    and send back one count array.
+def _fan_out(share, tasks: list[tuple], workers: int) -> list:
+    """``share(*task)`` of every task, in task order: this process runs the
+    first task while the thread's kept children, at most ``workers`` - 1
+    and started when first needed, run one other task each and send back
+    its result.  ``share`` is a module-level function, so a child finds it
+    by name.
 
     A child's exception is raised here, and a child that exits without
     sending raises :class:`ChildProcessError` with its exit code.  Any
@@ -473,48 +487,48 @@ def _fan_out(grid: ExperimentGrid, shares: list[list], workers: int) -> np.ndarr
     and forgets every child of the thread, so the next call starts afresh.
     """
     kept = _kept()
-    if len(shares) == 1:
-        return _run_share(grid, shares[0], _THREAD.workspace)
+    if len(tasks) == 1:
+        return [share(*tasks[0])]
     try:
         _end_children(keep=workers - 1)
-        if len(kept) < len(shares) - 1:
+        if len(kept) < len(tasks) - 1:
             import multiprocessing  # loaded only where a fan-out runs
 
             # fork on Linux, whatever the interpreter's default, so children start
             # with the package loaded; the platform's default elsewhere
             context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
-            while len(kept) < len(shares) - 1:
+            while len(kept) < len(tasks) - 1:
                 end, theirs = context.Pipe()
                 _ENDS.add(end)
                 child = context.Process(target=_child, args=(theirs,), name=_CHILD, daemon=True)
                 child.start()
                 theirs.close()  # the child holds the only copy, so its exit ends the pipe
                 kept.append((child, end))
-        children = kept[: len(shares) - 1]
-        for (_, end), blocks in zip(children, shares[1:]):
+        children = kept[: len(tasks) - 1]
+        for (_, end), task in zip(children, tasks[1:]):
             try:
-                end.send((grid, blocks))
+                end.send((share, task))
             except ConnectionError:
                 pass  # a child that died idle is named below, with its exit code
-        counts = _run_share(grid, shares[0], _THREAD.workspace)
+        results = [share(*tasks[0])]
         for child, end in children:
             try:
                 sent = end.recv()
-            except (EOFError, ConnectionError):  # the end of a pipe, or its reset with a share unread
+            except (EOFError, ConnectionError):  # the end of a pipe, or its reset with a task unread
                 child.join()
                 raise ChildProcessError(
-                    f"run_grid child {child.pid} exited with code {child.exitcode} before sending its counts"
+                    f"{_CHILD} {child.pid} exited with code {child.exitcode} before sending its result"
                 ) from None
             if isinstance(sent, Exception):
                 raise sent
-            counts += sent
-        return counts
+            results.append(sent)
+        return results
     except BaseException:
         _end_children()
         raise
 
 
-def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
+def run_grid(grid: ExperimentGrid, workers: Optional[int] = 1) -> McTable:
     """Evaluate the whole grid.  Output is independent of the worker count.
 
     With ``workers`` > 1 and more than one block, the blocks, largest first,
@@ -526,8 +540,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
     values itself, as it does for each later grid at a new level.
     """
     models = grid.validate()
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise DomainError(f"workers must be an int >= 1, got {workers!r}")
+    workers = check_workers(workers)
     rows = len(grid.beta_values) * len(grid.kappa_values) * grid.n_reps  # in each (T, vol) group
     blocks = []  # (elements, T index, vol index, rows of the group)
     for t, v in np.ndindex(len(grid.T_values), len(grid.vol_models)):
@@ -539,7 +552,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> McTable:
         ]
     blocks.sort(key=lambda b: b[0], reverse=True)
     shares = _deal([b[0] for b in blocks], min(workers, len(blocks)))
-    counts = _fan_out(grid, [[blocks[i][1:] for i in share] for share in shares], workers)
+    counts = sum(_fan_out(_run_share, [(grid, [blocks[i][1:] for i in share]) for share in shares], workers))
     return McTable(
         n_reps=grid.n_reps,
         beta_values=grid.beta_values,
@@ -570,11 +583,31 @@ _D2_BLOCK = 100  # paths drawn and reduced together within a chunk
 _D2_BIN_EDGES = np.linspace(1.0, 26.0, 126)  # 125 bins of width 0.2
 
 
+def _d2_share(n_draws: int, n_steps: int, threshold: float, master_seed: int, chunks: list) -> tuple:
+    """The histogram counts, the exceedances of ``threshold`` and the
+    minimum of the draws of the chunks numbered ``chunks``, in a workspace
+    of the share's own, freed on return: no kept workspace holds a study's
+    paths."""
+    workspace, values = Workspace(), []
+    for chunk_id in chunks:
+        # 2 groups of a demeaned path; both stay in the key, which fixes the draws
+        gen = RngStream(master_seed, substream_index("d2", n_steps, 2, True, chunk_id)).generator()
+        chunk = range(chunk_id * _D2_CHUNK, min((chunk_id + 1) * _D2_CHUNK, n_draws))
+        for start in chunk[::_D2_BLOCK]:
+            paths = brownian_paths(gen, min(_D2_BLOCK, chunk.stop - start), n_steps, demean=True, workspace=workspace)
+            # the path is the block's own workspace array: |path| overwrites it
+            values.append(d_statistic(_integral_blocks(np.abs(paths, out=paths), 2)))
+    values = np.concatenate(values)
+    counts, _ = np.histogram(np.clip(values, None, _D2_BIN_EDGES[-1] - 1e-12), bins=_D2_BIN_EDGES)
+    return counts, int(np.count_nonzero(values > threshold)), float(values.min())
+
+
 def d2_study(
     n_draws: int,
     n_steps: int,
     threshold: Optional[float] = None,
     master_seed: int = 0,
+    workers: Optional[int] = None,
 ) -> D2Result:
     """Simulate the two-group limit ratio of the group t-statistic.
 
@@ -585,7 +618,10 @@ def d2_study(
     (values above the last edge are counted in the last bin).
 
     Draws are generated in fixed chunks of 1000, one stream per chunk, so
-    results do not depend on scheduling.
+    results do not depend on scheduling: the chunks are dealt into
+    ``min(workers, chunks)`` shares that run as :func:`run_grid`'s do, and
+    the shares' histograms and exceedance counts are summed and their
+    minima compared.  ``workers`` defaults to the usable CPUs.
     """
     if n_draws < 1000:
         raise DomainError("need at least 1000 draws")
@@ -593,30 +629,16 @@ def d2_study(
         raise DomainError(f"n_draws must be at most MAX_D2_DRAWS = {MAX_D2_DRAWS}, got {n_draws}")
     if n_steps > MAX_N_OBS:  # a chunk holds two (100, n_steps) arrays: 1.6 GB at the bound
         raise DomainError(f"n_steps must be at most MAX_N_OBS = {MAX_N_OBS}, got {n_steps}")
-    if threshold is None:
-        threshold = default_d2_threshold()
+    workers = check_workers(workers)
+    threshold = default_d2_threshold() if threshold is None else threshold
     if not np.isfinite(threshold):
         raise DomainError(f"threshold must be finite, got {threshold}")
-    values = np.empty(n_draws)
-    workspace = Workspace()  # freed on return: no kept workspace holds a study's paths
-    for chunk_id, chunk in enumerate(range(0, n_draws, _D2_CHUNK)):
-        # 2 groups of a demeaned path; both stay in the key, which fixes the draws
-        gen = RngStream(master_seed, substream_index("d2", n_steps, 2, True, chunk_id)).generator()
-        for start in range(chunk, min(chunk + _D2_CHUNK, n_draws), _D2_BLOCK):
-            stop = min(start + _D2_BLOCK, n_draws)  # a chunk is a whole number of blocks
-            paths = brownian_paths(gen, stop - start, n_steps, demean=True, workspace=workspace)
-            # the path is the block's own workspace array: |path| overwrites it
-            values[start:stop] = d_statistic(_integral_blocks(np.abs(paths, out=paths), 2))
-    tail = float(np.mean(values > threshold))
-    counts, _ = np.histogram(np.clip(values, None, _D2_BIN_EDGES[-1] - 1e-12), bins=_D2_BIN_EDGES)
-    centers = 0.5 * (_D2_BIN_EDGES[:-1] + _D2_BIN_EDGES[1:])
+    sizes = [min(_D2_CHUNK, n_draws - start) for start in range(0, n_draws, _D2_CHUNK)]  # largest first
+    tasks = [(n_draws, n_steps, threshold, master_seed, chunks) for chunks in _deal(sizes, min(workers, len(sizes)))]
+    counts, exceeding, minima = zip(*_fan_out(_d2_share, tasks, workers))
+    tail = sum(exceeding) / n_draws
     return D2Result(
-        n_draws=n_draws,
-        n_steps=n_steps,
-        threshold=float(threshold),
-        min_value=float(values.min()),
-        tail_prob=tail,
-        mc_se=float(np.sqrt(tail * (1.0 - tail) / n_draws)),
-        bin_centers=centers,
-        bin_counts=counts,
+        n_draws=n_draws, n_steps=n_steps, threshold=float(threshold), min_value=min(minima), tail_prob=tail,
+        mc_se=float(np.sqrt(tail * (1.0 - tail) / n_draws)), bin_counts=sum(counts),
+        bin_centers=0.5 * (_D2_BIN_EDGES[:-1] + _D2_BIN_EDGES[1:]),
     )

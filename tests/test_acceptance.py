@@ -38,6 +38,7 @@ from cauchypred import (
     wald_joint,
 )
 from cauchypred.estimators import GroupStatistics
+from cauchypred.experiments import check_workers
 from cauchypred.rng import RngStream, substream_index
 
 MASTER_SEED = 20260809
@@ -114,10 +115,17 @@ def discrete_panel():
     return tables
 
 
-def test_criterion_1_two_group_ratio_study():
+@pytest.fixture(scope="session")
+def d2_criterion():
+    """The criterion 1 study at the default worker count (the usable CPUs),
+    with its wall time."""
     t0 = time.time()
     result = d2_study(100_000, 1000, master_seed=MASTER_SEED)
-    elapsed = time.time() - t0
+    return result, time.time() - t0
+
+
+def test_criterion_1_two_group_ratio_study(d2_criterion):
+    result, elapsed = d2_criterion
     ok_tail = abs(result.tail_prob - 0.15) <= 0.01
     ok_min = 1.0 <= result.min_value <= 1.3
     ok_time = elapsed < 60.0
@@ -128,6 +136,15 @@ def test_criterion_1_two_group_ratio_study():
         f"min = {result.min_value:.4f} (target [1.0, 1.3]), {elapsed:.1f}s",
     )
     assert ok_tail and ok_min and ok_time
+
+
+def test_criterion_1_at_any_worker_count(d2_criterion):
+    # the 100 chunks dealt into 1, 2 or 3 shares give the same study, bit for bit
+    result, _ = d2_criterion
+    for workers in sorted({1, 2, 3} - {check_workers(None)}):
+        other = d2_study(100_000, 1000, master_seed=MASTER_SEED, workers=workers)
+        assert (other.min_value, other.tail_prob, other.mc_se) == (result.min_value, result.tail_prob, result.mc_se)
+        assert np.array_equal(other.bin_counts, result.bin_counts)
 
 
 def test_criterion_2_constant_vol_size(cnst_panel):

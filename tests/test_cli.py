@@ -1,13 +1,14 @@
 """End-to-end runs of the command-line interface on small inputs."""
 
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cauchypred import DgpDiscreteConfig, RegressionSample, RngStream, experiments, simulate_discrete
-from cauchypred.cli import main
+from cauchypred.cli import build_parser, main
 from cauchypred.dataio import bundled_config_names, parse_csv
 from cauchypred.dgp import MAX_N_OBS
 from cauchypred.experiments import McTable, evaluate_method, parse_method
@@ -279,8 +280,24 @@ class TestTableCommand:
         assert main(["table", "--config", "table1_cnst", "--workers", workers, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: workers must be >= 1\n"
+        assert captured.err == f"error: workers must be an int from 1 to MAX_WORKERS = 256, got {workers}\n"
         assert not (tmp_path / "wtest").exists()
+
+    @pytest.mark.parametrize("command", ["table", "d2"])
+    def test_workers_above_the_bound_start_no_child(self, tmp_path, capsys, command):
+        # checked by the one rule of run_grid and d2_study, before the
+        # output directory is made or any child starts (a grid of one block
+        # and a study of two chunks, so that even without the rule at most
+        # one child would start)
+        command = ["table", "--config", str(small_config(tmp_path))] if command == "table" else ["d2", "--draws", "2000"]
+        children = set(multiprocessing.active_children())
+        out = tmp_path / "wtest" / "out"
+        assert main([*command, "--workers", "1000000", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: workers must be an int from 1 to MAX_WORKERS = 256, got 1000000\n"
+        assert not (tmp_path / "wtest").exists()
+        assert set(multiprocessing.active_children()) == children
 
 
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
@@ -434,6 +451,24 @@ class TestD2Command:
         hist = (out_dir / "d2_histogram.csv").read_text().strip().split("\n")
         assert hist[0] == "bin_center,count"
         assert sum(int(line.split(",")[1]) for line in hist[1:]) == 2000
+
+    def test_workers_give_the_same_histogram(self, tmp_path, capsys):
+        # 3 chunks dealt into 1, 2 or 3 shares; the default is the usable CPUs
+        texts = set()
+        for workers in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "3"]):
+            out_dir = tmp_path / f"d2{len(texts)}"
+            assert main(["d2", "--draws", "2500", "--steps", "100", "--seed", "4", "--out", str(out_dir), *workers]) == 0
+            texts.add((out_dir / "d2_histogram.csv").read_text() + capsys.readouterr().out.split("\n")[0])
+        assert len(texts) == 1
+        assert build_parser().parse_args(["d2"]).workers is None
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one(self, tmp_path, capsys, workers):
+        assert main(["d2", "--draws", "1000", "--workers", workers, "--out", str(tmp_path / "d2")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: workers must be an int from 1 to MAX_WORKERS = 256, got {workers}\n"
+        assert not (tmp_path / "d2").exists()
 
     def test_help_names_default_threshold(self, capsys):
         # the help shows inference.default_d2_threshold(), read without loading the runner

@@ -120,9 +120,27 @@ class TestParseCsv:
                 with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
                     parse_csv(path)
             # a dataset built directly numbers its data rows
-            message = f"dates must be strictly increasing; row 6 ('{date}') does not follow '2004'"
+            message = f"row 6: dates must be strictly increasing; '{date}' does not follow '2004'"
             with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
                 EmpiricalDataset(tuple(row[:4] for row in rows), np.zeros(12), np.zeros(12))
+
+    def test_mixed_date_formats(self, tmp_path):
+        # the first label of another format than the first label's is named
+        # by its file line, as an unordered date is; the date out of order
+        # two lines below it comes second
+        rows = make_rows(12)
+        rows[7] = "2007-01-01" + rows[7][4:]
+        rows[9] = "2001" + rows[9][4:]
+        for path, added in laid_out(tmp_path, rows):
+            message = (
+                f"{path}: row {9 + added}: date labels mix incompatible formats; "
+                "'2007-01-01' is not of the format of '2000'"
+            )
+            with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+                parse_csv(path)
+        message = "row 8: date labels mix incompatible formats; '2007-01-01' is not of the format of '2000'"
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+            EmpiricalDataset(tuple(row.split(",")[0] for row in rows), np.zeros(12), np.zeros(12))
 
     def test_iso_month_dates(self, tmp_path):
         gen = np.random.default_rng(2)

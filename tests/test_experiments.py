@@ -3,11 +3,13 @@ agreement, worker-count invariance, and the exceedance study."""
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -526,7 +528,8 @@ fd = os.open({str(log)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
 def record(event, args):
     if os.getpid() != parent:
-        os.write(fd, f"{{os.getpid()}} {{event}} {{args[0] if args else ''}}\\n".encode())
+        detail = ".".join(args) if event == "pickle.find_class" else args[0] if args else ""
+        os.write(fd, f"{{os.getpid()}} {{event}} {{detail}}\\n".encode())
 
 sys.addaudithook(record)
 import cauchypred
@@ -546,7 +549,8 @@ for alpha in (0.05, 0.01):
         # one child ran both calls, and rebuilt each grid from its pickle
         assert len({pid for call in calls for pid, _, _ in call}) == 1
         for call in calls[:2]:
-            assert [module for _, event, module in call if event == "pickle.find_class"].count("cauchypred.experiments") == 1
+            found = [name for _, event, name in call if event == "pickle.find_class"]
+            assert found.count("cauchypred.experiments.ExperimentGrid") == 1
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads a process's state in /proc")
     @pytest.mark.parametrize("ending", ["exit", "sigkill", "sigkill with a forked helper"])
@@ -746,15 +750,14 @@ print(json.dumps({{"status": status, **reply}}))
         whole = run_grid(grid).counts
         cuts = (0, 3, 10, 11, 17, 20)
         blocks = [(t, v, range(a, b)) for t, v in itertools.product((1, 0), (0, 1)) for a, b in zip(cuts, cuts[1:])]
-        workspace = experiments.Workspace()
-        counts = experiments._run_share(grid, blocks[::-1], workspace)
+        counts = experiments._run_share(grid, blocks[::-1])
         assert counts.shape == (4, 2, 2, 2, 2)
         assert np.array_equal(counts.reshape(whole.shape), whole)
-        # shares over any split of the blocks add up to it, in any workspace
-        halves = [experiments._run_share(grid, blocks[i::2], experiments.Workspace()) for i in (0, 1)]
+        # shares over any split of the blocks add up to it, in any thread's workspace
+        halves = [in_new_thread(lambda i=i: experiments._run_share(grid, blocks[i::2])) for i in (0, 1)]
         assert np.array_equal(halves[0] + halves[1], counts)
         # a block counts into its own (T, vol) group and the pairs it covers only
-        part = experiments._run_share(grid, [(0, 1, range(3, 10))], workspace)
+        part = experiments._run_share(grid, [(0, 1, range(3, 10))])
         assert part[2:].sum() == part[:, 0, 0].sum() == part[:, 1].sum() == 0
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -836,8 +839,25 @@ print(json.dumps({{"status": status, **reply}}))
 
     def test_bad_workers(self):
         for workers in (0, 2.5, 1.0, "2", True):
-            with pytest.raises(DomainError, match=f"workers must be an int >= 1, got {workers!r}$"):
+            message = f"^workers must be an int from 1 to MAX_WORKERS = 256, got {re.escape(repr(workers))}$"
+            with pytest.raises(DomainError, match=message):
                 run_grid(small_discrete_grid(), workers=workers)
+            with pytest.raises(DomainError, match=message):
+                d2_study(2000, 100, workers=workers)
+
+    def test_workers_above_the_bound(self):
+        # refused before any child starts: a grid of two blocks and a study
+        # of two chunks, so that even without the bound at most one would
+        children = set(multiprocessing.active_children())
+        for run in (
+            lambda workers: run_grid(small_discrete_grid(T_values=(60.0, 120.0)), workers=workers),
+            lambda workers: d2_study(2000, 100, workers=workers),
+        ):
+            with pytest.raises(DomainError, match=r"^workers must be an int from 1 to MAX_WORKERS = 256, got 1000000$"):
+                run(10**6)
+            assert set(multiprocessing.active_children()) == children
+        assert experiments.check_workers(experiments.MAX_WORKERS) == experiments.MAX_WORKERS
+        assert 1 <= experiments.check_workers(None) <= experiments.MAX_WORKERS
 
     @pytest.mark.parametrize(
         "name,workers",
@@ -1210,6 +1230,16 @@ class TestD2Study:
         c = d2_study(3000, 200, master_seed=7)
         assert c.min_value <= a.min_value
 
+    def test_digest_at_any_worker_count(self):
+        # the text and digest the benchmark's d2 workload writes at seed 7,
+        # the same whatever the number of shares its two chunks are dealt into
+        for workers in (1, 2, 3, None):
+            result = d2_study(2000, 1000, master_seed=7, workers=workers)
+            lines = ["bin_center,count"]
+            lines += [f"{float(c)!r},{int(n)}" for c, n in zip(result.bin_centers, result.bin_counts)]
+            text = "\n".join(lines) + f"\nmin,{result.min_value!r}\ntail_prob,{result.tail_prob!r}\n"
+            assert hashlib.sha256(text.encode()).hexdigest() == D2_DIGEST_SEED_7
+
     def test_domain(self):
         with pytest.raises(DomainError):
             d2_study(10, 200)
@@ -1218,3 +1248,85 @@ class TestD2Study:
         for threshold in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(DomainError, match="threshold must be finite"):
                 d2_study(1000, 200, threshold=threshold)
+
+
+# sha256 of the d2 workload's histogram text, d2_study(2000, 1000, master_seed=7)
+D2_DIGEST_SEED_7 = "86b73e68cf139d7f581b112401b9874fadaed926fb5ef1c11a18c9976732ea9e"
+
+
+def d2_fields(result):
+    """Every field of a D2Result, arrays as lists with their dtype."""
+    return [
+        (v.tolist(), v.dtype.str) if isinstance(v, np.ndarray) else v
+        for v in (getattr(result, f.name) for f in dataclasses.fields(result))
+    ]
+
+
+class TestD2FanOut:
+    """d2_study deals its chunks into shares that run as run_grid's do: the
+    first in the caller, each other one on a kept child of the thread."""
+
+    def test_worker_invariance_bitwise(self, own_children):
+        # five full chunks and one of 450 draws (four paths blocks and a
+        # half one) in 1, 2, 3 or 6 shares, and at the usable CPUs
+        serial = d2_fields(d2_study(5450, 120, threshold=3.0, master_seed=3, workers=1))
+        for workers in (2, 3, 6, None):
+            assert d2_fields(d2_study(5450, 120, threshold=3.0, master_seed=3, workers=workers)) == serial
+        # 6 shares, then as many as the usable CPUs: the extra children ended
+        assert len(kept_pids()) == min(experiments.check_workers(None), 6) - 1
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_methods(self, monkeypatch, own_children, method):
+        # a child that is not forked finds the share function by name
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        serial = d2_fields(d2_study(3000, 100, master_seed=8, workers=1))
+        context, asked = multiprocessing.get_context(method), []
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: asked.append(method) or context)
+        for _ in range(2):
+            assert d2_fields(d2_study(3000, 100, master_seed=8, workers=2)) == serial
+        assert len(asked) == 1 and len(kept_pids()) == 1  # one child, started once
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked on Linux only")
+    def test_child_exception_reraised(self, monkeypatch, own_children):
+        parent, paths = os.getpid(), experiments.brownian_paths
+
+        def patched(*args, **kwargs):
+            if os.getpid() != parent:
+                raise PartitionError("no path in the child")
+            return paths(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "brownian_paths", patched)
+        with pytest.raises(PartitionError, match="^no path in the child$") as raised:
+            d2_study(2000, 100, workers=2)
+        assert raised.type is PartitionError
+        assert not experiments._kept() and not multiprocessing.active_children()
+        monkeypatch.undo()
+        assert d2_fields(d2_study(2000, 100, workers=2)) == d2_fields(d2_study(2000, 100, workers=1))
+
+    def test_alternates_with_run_grid(self, own_children):
+        # one kept child serves both studies, call after call
+        grid = small_discrete_grid(T_values=(60.0, 120.0))
+        cells = run_grid(grid).to_csv_text()
+        study = d2_fields(d2_study(2000, 100, master_seed=5, workers=1))
+        pids = []
+        for _ in range(3):
+            assert run_grid(grid, workers=2).to_csv_text() == cells
+            pids.append(kept_pids())
+            assert d2_fields(d2_study(2000, 100, master_seed=5, workers=2)) == study
+            pids.append(kept_pids())
+        assert len(pids[0]) == 1 and pids == [pids[0]] * 6
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads a process's VmRSS in /proc")
+    def test_kept_child_holds_no_paths(self, own_children):
+        # the child's share of a two-chunk study at 20 000 steps draws its
+        # paths in two 100 x 20 000 buffers, 32 MB, of a workspace it frees
+        def rss(pid):
+            status = Path(f"/proc/{pid}/status").read_text().splitlines()
+            return int(next(line for line in status if line.startswith("VmRSS:")).split()[1]) * 1024
+
+        d2_study(2000, 100, workers=2)  # the child starts and loads what a share needs
+        (pid,) = kept_pids()
+        before = rss(pid)
+        d2_study(2000, 20000, workers=2)
+        assert kept_pids() == [pid] and rss(pid) - before < 8e6

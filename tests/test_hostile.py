@@ -4,11 +4,13 @@ Every run of ``main`` on generated argv and generated CSV and JSON files
 exits 0, or exits 2 with exactly one ``error:`` line on stderr and no
 traceback.  A request beyond a size bound (``n_reps``, ``T_values``,
 ``--draws``, ``--steps``, ``--n-obs``, ``--years``) exits 2 before any Monte
-Carlo block runs or any Brownian path is drawn, and so does a CSV whose
-header repeats a name or whose row has more cells than its header.
+Carlo block runs or any Brownian path is drawn, and so do a ``d2
+--workers`` below 1 and a CSV whose header repeats a name or whose row has
+more cells than its header.
 Accepted sizes stay tiny: CSVs of at most 40 rows, grids of 2 replications
 of at most 60 observations, samples of at most 240 observations, and d2 at
-1000 draws of at most 200 steps.
+1000 draws of at most 200 steps, so the d2 study is one share, run in
+process, whatever ``--workers`` says.
 """
 
 import contextlib
@@ -166,8 +168,8 @@ def simulate_command(draw):
 @st.composite
 def d2_command(draw):
     """``d2`` at 1000 draws of at most 200 steps, with at most one hostile
-    size, threshold or seed."""
-    hostility = draw(st.sampled_from(["none", "too_small", "oversize", "threshold", "seed"]))
+    size, threshold, seed or worker count."""
+    hostility = draw(st.sampled_from(["none", "too_small", "oversize", "threshold", "seed", "workers"]))
     draws, steps = 1000, draw(st.sampled_from([100, 150, 200]))
     if hostility == "too_small":
         draws, steps = draw(st.sampled_from([(999, 200), (0, 100), (-1, 100), (1000, 99), (1000, 0), (1000, -5)]))
@@ -177,8 +179,9 @@ def d2_command(draw):
         ))
     threshold = draw(st.sampled_from([0, "nan", "inf", "-inf"] if hostility == "threshold" else [None, 1.0]))
     seed = draw(st.sampled_from([-1, 2**64] if hostility == "seed" else [None, 0]))
+    workers = draw(st.sampled_from([0, -1] if hostility == "workers" else [None, 1, 2]))
     argv = ["d2", f"--draws={draws}", f"--steps={steps}"] + flag("threshold", threshold) + flag("seed", seed)
-    return argv, {}, hostility == "oversize"
+    return argv + flag("workers", workers), {}, hostility in ("oversize", "workers")
 
 
 @pytest.fixture(scope="module")
